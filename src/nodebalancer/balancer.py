@@ -17,7 +17,7 @@ from enum import Enum
 from .errors import DuplicateNode, NodeNotInTransit, NodeNotReserved
 from .model import Cluster, Group, Node, NodeState, cluster_utilization, node_utilization
 from .reporting import NULL_RECORDER, EventKind
-from .rules import evaluate_group, validate_thresholds
+from .rules import evaluate_group
 from .scheduler import drain_node
 
 
@@ -98,7 +98,6 @@ def rebalance_cycle(
     and guarantees termination.
     """
     rec = recorder if recorder is not None else NULL_RECORDER
-    validate_thresholds(group.thresholds)
     evaluation = evaluate_group(group, clusters, tick=tick)
     t_high = group.thresholds.t_high
     outcomes: list[RebalanceOutcome] = []

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a scenario error or a failed event-log
-verification, 2 on a runtime failure.
+verification, 2 on a runtime failure or a malformed artifact.
 """
 
 from __future__ import annotations
@@ -132,46 +132,37 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _rebuild_summary(run_dir: Path) -> int:
+def _rebuild_summary(run_dir: Path) -> dict | None:
+    """Verify a run's logs and rebuild its summary.json; None if verification failed."""
     events = read_events(run_dir / "events.jsonl")
     violations = verify_event_log(events)
     if violations:
         for violation in violations:
             print(f"{run_dir}: {violation}", file=sys.stderr)
-        return EXIT_SCENARIO
-    records = read_metrics(run_dir / "metrics.csv")
-    write_summary(summarize(events, records), run_dir / "summary.json")
-    return EXIT_OK
+        return None
+    summary = summarize(events, read_metrics(run_dir / "metrics.csv"))
+    write_summary(summary, run_dir / "summary.json")
+    return summary
 
 
 def _cmd_report(args) -> int:
     out: Path = args.out
     try:
         if (out / "events.jsonl").exists():
-            status = _rebuild_summary(out)
-            if status == EXIT_OK:
-                print(f"verified {out}; summary.json rebuilt")
-            return status
+            if _rebuild_summary(out) is None:
+                return EXIT_SCENARIO
+            print(f"verified {out}; summary.json rebuilt")
+            return EXIT_OK
         balanced = out / "balanced"
         static = out / "static"
         if (balanced / "events.jsonl").exists() and (static / "events.jsonl").exists():
+            summaries = []
             for run_dir in (balanced, static):
-                status = _rebuild_summary(run_dir)
-                if status != EXIT_OK:
-                    return status
-            write_summary(
-                compose_comparison(
-                    summarize(
-                        read_events(balanced / "events.jsonl"),
-                        read_metrics(balanced / "metrics.csv"),
-                    ),
-                    summarize(
-                        read_events(static / "events.jsonl"),
-                        read_metrics(static / "metrics.csv"),
-                    ),
-                ),
-                out / "summary.json",
-            )
+                summary = _rebuild_summary(run_dir)
+                if summary is None:
+                    return EXIT_SCENARIO
+                summaries.append(summary)
+            write_summary(compose_comparison(*summaries), out / "summary.json")
             print(f"verified {out}; summaries rebuilt")
             return EXIT_OK
         print(f"no run artifacts found under {out}", file=sys.stderr)

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .groups import GroupManager, MembershipAction, MembershipChange
 from .model import (
+    ZERO,
     Cluster,
     NodeState,
     PodState,
@@ -31,8 +32,8 @@ from .model import (
     Thresholds,
     build_cluster,
     cluster_utilization,
+    demand_by_node,
     node_demand,
-    pending_demand,
 )
 from .reporting import EventRecorder, RebalanceEvent, TickRecord, compose_comparison, summarize
 from .rules import validate_thresholds
@@ -372,7 +373,7 @@ def build_world(scenario: Scenario, recorder=None) -> GroupManager:
 
 def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     util = cluster_utilization(cluster)
-    backlog = pending_demand(cluster)
+    backlog = demand_by_node(cluster).get(None, ZERO)
     return TickRecord(
         tick=tick,
         cluster_id=cluster.id,

@@ -108,9 +108,6 @@ class Cluster:
     def pending_pods(self) -> list[Pod]:
         return [p for _, p in sorted(self.pods.items()) if p.state is PodState.PENDING]
 
-    def running_pods(self) -> list[Pod]:
-        return [p for _, p in sorted(self.pods.items()) if p.state is PodState.RUNNING]
-
     def pods_on(self, node_id: str) -> list[Pod]:
         return [p for _, p in sorted(self.pods.items()) if p.assignment == node_id]
 
@@ -177,27 +174,19 @@ class Utilization:
     u: float
 
 
-def total_active_capacity(cluster: Cluster) -> ResourceVector:
-    total = ZERO
-    for node in cluster.active_nodes():
-        total = total + node.capacity
-    return total
+def demand_by_node(cluster: Cluster) -> dict[str | None, ResourceVector]:
+    """Requested demand summed per pod assignment, in one pass over the pods.
 
-
-def running_demand(cluster: Cluster) -> ResourceVector:
-    total = ZERO
+    Keys are the ids of nodes hosting at least one pod; Pending pods are
+    summed under None. Every cluster-wide demand sum reads this map;
+    node_demand stays as the independent per-node scan the audits use.
+    """
+    sums: dict[str | None, list[int]] = {}
     for pod in cluster.pods.values():
-        if pod.state is PodState.RUNNING:
-            total = total + pod.demand
-    return total
-
-
-def pending_demand(cluster: Cluster) -> ResourceVector:
-    total = ZERO
-    for pod in cluster.pods.values():
-        if pod.state is PodState.PENDING:
-            total = total + pod.demand
-    return total
+        total = sums.setdefault(pod.assignment, [0, 0])
+        total[0] += pod.demand.cpu
+        total[1] += pod.demand.memory
+    return {key: ResourceVector(cpu, memory) for key, (cpu, memory) in sums.items()}
 
 
 def node_demand(cluster: Cluster, node_id: str) -> ResourceVector:
@@ -208,22 +197,19 @@ def node_demand(cluster: Cluster, node_id: str) -> ResourceVector:
     return total
 
 
-def free_capacity(cluster: Cluster, node: Node) -> ResourceVector:
-    return node.capacity - node_demand(cluster, node.id)
-
-
 def cluster_utilization(cluster: Cluster) -> Utilization:
     """Demand over capacity across Active nodes, per dimension and combined.
 
     Pending pods are excluded: they consume nothing yet. Raises ZeroCapacity
     when no node is Active, since the ratio is undefined.
     """
-    capacity = total_active_capacity(cluster)
-    if capacity.cpu == 0:
+    actives = cluster.active_nodes()
+    if not actives:
         raise ZeroCapacity(f"cluster {cluster.id!r} has no Active nodes")
-    demand = running_demand(cluster)
-    u_cpu = demand.cpu / capacity.cpu
-    u_mem = demand.memory / capacity.memory
+    demand = demand_by_node(cluster)
+    demand.pop(None, None)
+    u_cpu = sum(d.cpu for d in demand.values()) / sum(n.capacity.cpu for n in actives)
+    u_mem = sum(d.memory for d in demand.values()) / sum(n.capacity.memory for n in actives)
     return Utilization(u_cpu=u_cpu, u_mem=u_mem, u=max(u_cpu, u_mem))
 
 

@@ -136,20 +136,35 @@ def read_events(path: str | Path) -> list[RebalanceEvent]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise IoFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-                events.append(
-                    RebalanceEvent(
-                        tick=obj["tick"],
-                        sequence=obj["sequence"],
-                        kind=obj["kind"],
-                        cluster=obj.get("cluster"),
-                        group=obj.get("group"),
-                        node=obj.get("node"),
-                        detail=obj.get("detail", {}),
-                    )
-                )
-    except OSError as exc:
+                events.append(_event_from(obj, f"{path}:{lineno}"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read event log {path}: {exc}") from exc
     return events
+
+
+# The type of each RebalanceEvent field in an event line. The first three are
+# required; the others may be absent or null.
+_EVENT_FIELDS = {
+    "tick": int, "sequence": int, "kind": str,
+    "cluster": str, "group": str, "node": str, "detail": dict,
+}
+
+
+def _event_from(obj, where: str) -> RebalanceEvent:
+    """Build an event from one decoded line, naming the first malformed field."""
+    if not isinstance(obj, dict):
+        raise IoFailure(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    fields = {}
+    for key, kind in _EVENT_FIELDS.items():
+        value = obj.get(key)
+        if value is None:
+            if key in ("tick", "sequence", "kind"):
+                raise IoFailure(f"{where}: missing field {key!r}")
+        elif not isinstance(value, kind):
+            raise IoFailure(f"{where}: field {key!r} must be {kind.__name__}, got {value!r}")
+        else:
+            fields[key] = value
+    return RebalanceEvent(**fields)
 
 
 def verify_event_log(events: list[RebalanceEvent]) -> list[str]:
@@ -177,20 +192,19 @@ def verify_event_log(events: list[RebalanceEvent]) -> list[str]:
         EventKind.NODE_DEPROVISIONED.value,
         EventKind.NODE_PROVISIONED.value,
     )
-    for index, event in enumerate(events):
-        if event.kind != EventKind.MOVE_COMPLETED.value:
-            continue
-        seen = {
-            prior.kind
-            for prior in events[:index]
-            if prior.tick == event.tick and prior.node == event.node
-        }
-        for kind in required:
-            if kind not in seen:
-                violations.append(
-                    f"MoveCompleted at sequence {event.sequence} for node {event.node!r}"
-                    f" lacks a same-tick {kind} before it"
-                )
+    # (tick, node) -> required kinds logged so far; a tuple takes a third of a set's memory
+    seen: dict[tuple[int, str | None], tuple[str, ...]] = {}
+    for event in events:
+        key = (event.tick, event.node)
+        if event.kind == EventKind.MOVE_COMPLETED.value:
+            for kind in required:
+                if kind not in seen.get(key, ()):
+                    violations.append(
+                        f"MoveCompleted at sequence {event.sequence} for node {event.node!r}"
+                        f" lacks a same-tick {kind} before it"
+                    )
+        elif event.kind in required:
+            seen[key] = seen.get(key, ()) + (event.kind,)
     return violations
 
 
@@ -215,7 +229,7 @@ def read_metrics(path: str | Path) -> list[TickRecord]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line.rstrip("\n") for line in handle if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read metrics {path}: {exc}") from exc
     if not lines:
         raise IoFailure(f"{path}: empty metrics file")
@@ -225,19 +239,37 @@ def read_metrics(path: str | Path) -> list[TickRecord]:
         parts = line.split(",")
         if len(parts) != 9:
             raise IoFailure(f"{path}:{lineno}: expected 9 columns, got {len(parts)}")
-        records.append(
-            TickRecord(
-                tick=int(parts[0]),
-                cluster_id=parts[1],
-                u_cpu=float(parts[2]),
-                u_mem=float(parts[3]),
-                u=float(parts[4]),
-                active_nodes=int(parts[5]),
-                pending_pods=int(parts[6]),
-                pending_demand=ResourceVector(int(parts[7]), int(parts[8])),
+        try:
+            records.append(
+                TickRecord(
+                    tick=int(parts[0]),
+                    cluster_id=parts[1],
+                    u_cpu=float(parts[2]),
+                    u_mem=float(parts[3]),
+                    u=float(parts[4]),
+                    active_nodes=int(parts[5]),
+                    pending_pods=int(parts[6]),
+                    pending_demand=ResourceVector(int(parts[7]), int(parts[8])),
+                )
             )
-        )
+        except ValueError:
+            raise IoFailure(f"{path}:{lineno}: {_bad_cell(parts)}") from None
     return records
+
+
+# How read_metrics parses each cell, in METRICS_HEADER order; only used to
+# name the cell a row failed on, so the per-row path stays short.
+_METRICS_PARSERS = (int, str, float, float, float, int, int, int, int)
+
+
+def _bad_cell(parts: list[str]) -> str:
+    """Describe the first cell of a metrics row that does not parse."""
+    for column, parse, text in zip(METRICS_HEADER.split(","), _METRICS_PARSERS, parts):
+        try:
+            parse(text)
+        except ValueError:
+            return f"field {column!r}: cannot read {text!r}"
+    return f"fields 'pending_cpu_millicores', 'pending_memory_mib': must be >= 0, got {parts[7:]}"
 
 
 def _quantized(value: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LastNodeGuard, NodeNotActive
-from .model import Cluster, Node, NodeState, Pod, PodState, ResourceVector, free_capacity
+from .model import ZERO, Cluster, Node, NodeState, Pod, PodState, demand_by_node
 from .reporting import NULL_RECORDER, EventKind
 
 
@@ -28,9 +28,11 @@ def _placement_order(pods: list[Pod]) -> list[Pod]:
 
 
 def _plan(
-    pods: list[Pod], nodes: list[Node], free: dict[str, ResourceVector]
+    cluster: Cluster, pods: list[Pod], nodes: list[Node]
 ) -> tuple[list[tuple[str, str]], list[str]]:
-    """First-fit-decreasing plan; mutates the free-capacity map as it goes."""
+    """First-fit-decreasing plan of pods onto the nodes' free capacity."""
+    demand = demand_by_node(cluster)
+    free = {node.id: node.capacity - demand.get(node.id, ZERO) for node in nodes}
     placements: list[tuple[str, str]] = []
     unplaced: list[str] = []
     for pod in _placement_order(pods):
@@ -49,9 +51,7 @@ def place_pending(cluster: Cluster) -> list[tuple[str, str]]:
 
     Pods that fit nowhere stay Pending. Placing nothing is not an error.
     """
-    actives = cluster.active_nodes()
-    free = {node.id: free_capacity(cluster, node) for node in actives}
-    placements, _ = _plan(cluster.pending_pods(), actives, free)
+    placements, _ = _plan(cluster, cluster.pending_pods(), cluster.active_nodes())
     for pod_id, node_id in placements:
         pod = cluster.pods[pod_id]
         pod.assignment = node_id
@@ -85,8 +85,7 @@ def drain_node(
 
     victims = cluster.pods_on(node_id)
     siblings = [n for n in actives if n.id != node_id]
-    free = {sibling.id: free_capacity(cluster, sibling) for sibling in siblings}
-    placements, unplaced = _plan(victims, siblings, free)
+    placements, unplaced = _plan(cluster, victims, siblings)
 
     rec.emit(EventKind.DRAIN_STARTED, cluster=cluster.id, node=node_id, pods=len(victims))
     if unplaced and not force:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .model import ZERO, Cluster, Pod, ResourceVector
+from .model import Cluster, Pod, ResourceVector, demand_by_node
 
 DEFAULT_POD_QUANTUM = ResourceVector(cpu=100, memory=128)
 
@@ -111,13 +111,6 @@ def target_demand(trace: TraceSpec, tick: int) -> ResourceVector:
     return ResourceVector(pods * quantum.cpu, pods * quantum.memory)
 
 
-def _total_demand(cluster: Cluster) -> ResourceVector:
-    total = ZERO
-    for pod in cluster.pods.values():
-        total = total + pod.demand
-    return total
-
-
 def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDelta:
     """Adjust the cluster's pods toward the trace's target for this tick.
 
@@ -128,20 +121,18 @@ def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDel
     """
     target = target_demand(trace, tick)
     quantum = trace.pod_quantum
+    current = sum(demand.cpu for demand in demand_by_node(cluster).values())
 
     deleted = []
-    while cluster.pods:
-        current = _total_demand(cluster)
-        if current.cpu - target.cpu < quantum.cpu:
+    for newest in sorted(cluster.pods, reverse=True):
+        if current - target.cpu < quantum.cpu:
             break
-        newest = max(cluster.pods)
-        del cluster.pods[newest]
+        current -= cluster.pods.pop(newest).demand.cpu
         deleted.append(newest)
 
     created = []
-    current = _total_demand(cluster)
-    if current.cpu < target.cpu:
-        count = int((target.cpu - current.cpu) / quantum.cpu + 0.5)
+    if current < target.cpu:
+        count = int((target.cpu - current) / quantum.cpu + 0.5)
         for i in range(count):
             pod_id = f"{cluster.id}-p{tick:05d}-{i:04d}"
             cluster.pods[pod_id] = Pod(id=pod_id, demand=quantum)

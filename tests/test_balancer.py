@@ -20,7 +20,12 @@ from nodebalancer import (
     provision_node,
     rebalance_cycle,
 )
-from nodebalancer.errors import DuplicateNode, NodeNotInTransit, NodeNotReserved
+from nodebalancer.errors import (
+    DuplicateNode,
+    InvalidThresholds,
+    NodeNotInTransit,
+    NodeNotReserved,
+)
 
 from helpers import (
     fill,
@@ -245,6 +250,20 @@ def test_quiet_group_does_nothing():
     fill(clusters["a"], "a-n000", 2000)
     group = Group(id="g", members=["a"], thresholds=Thresholds(0.3, 0.8))
     assert rebalance_cycle(group, clusters) == []
+
+
+def test_cycle_rejects_invalid_thresholds_before_acting():
+    hot = make_cluster("a", [4000, 4000])
+    fill(hot, "a-n000", 4000)
+    quiet = make_cluster("b", [4000, 4000])
+    clusters = {"a": hot, "b": quiet}
+    before = snapshot(clusters)
+    group = Group(id="g", members=["a", "b"], thresholds=Thresholds(0.8, 0.3))
+    recorder = EventRecorder()
+    with pytest.raises(InvalidThresholds):
+        rebalance_cycle(group, clusters, recorder=recorder)
+    assert clusters == before
+    assert recorder.events == []
 
 
 def test_single_node_donor_is_skipped():

@@ -166,6 +166,38 @@ def test_report_on_unreadable_metrics(scenario_file, tmp_path, capsys):
     assert "report failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "artifact,index,line,message",
+    [
+        ("events.jsonl", 0, '{"sequence":0,"kind":"GroupCreated","group":"g","detail":{}}',
+         "events.jsonl:1: missing field 'tick'"),
+        ("events.jsonl", 1, "[1, 2]", "events.jsonl:2: expected a JSON object, got list"),
+        ("metrics.csv", 2, "0,b,0.250000,0.156250,0.250000,two,0,0,0",
+         "metrics.csv:3: field 'active_nodes': cannot read 'two'"),
+        ("metrics.csv", 1, "0,a,0.5,0.5,0.5,2,0,\udcff,0", "cannot read metrics"),
+    ],
+    ids=[
+        "event-without-tick",
+        "event-not-an-object",
+        "metrics-cell-not-an-integer",
+        "metrics-not-utf8",
+    ],
+)
+def test_report_names_malformed_artifact_lines(
+    scenario_file, tmp_path, capsys, artifact, index, line, message
+):
+    out = tmp_path / "out"
+    main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+    lines = (out / artifact).read_text().splitlines()
+    lines[index] = line
+    (out / artifact).write_text("\n".join(lines) + "\n", errors="surrogateescape")
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("report failed: ")
+    assert message in err
+
+
 def test_console_script_entry_point(scenario_file, tmp_path):
     out = tmp_path / "out"
     proc = subprocess.run(

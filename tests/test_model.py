@@ -5,6 +5,7 @@ import pytest
 from nodebalancer import (
     Node,
     NodeState,
+    PodState,
     ResourceVector,
     Utilization,
     build_cluster,
@@ -13,9 +14,9 @@ from nodebalancer import (
     place_pending,
 )
 from nodebalancer.errors import NodeNotActive, NodeNotInCluster, ZeroCapacity
-from nodebalancer.model import free_capacity, node_demand, pending_demand, running_demand
+from nodebalancer.model import ZERO, demand_by_node, node_demand
 
-from helpers import make_cluster, pending_pod, run_pod, rv
+from helpers import make_cluster, pending_pod, random_world, randomize_load, run_pod, rv
 
 
 def test_resource_vector_arithmetic():
@@ -92,8 +93,9 @@ def test_pending_pods_do_not_count_as_demand():
     run_pod(cluster, "p0", "a-n000", 500)
     pending_pod(cluster, "p1", 5000)
     assert cluster_utilization(cluster).u == pytest.approx(0.5, abs=1e-9)
-    assert pending_demand(cluster).cpu == 5000
-    assert running_demand(cluster).cpu == 500
+    demand = demand_by_node(cluster)
+    assert demand[None].cpu == 5000
+    assert demand["a-n000"].cpu == 500
 
 
 def test_only_active_nodes_provide_capacity():
@@ -130,7 +132,9 @@ def test_node_and_free_accounting():
     run_pod(cluster, "p0", "a-n000", 300, 200)
     run_pod(cluster, "p1", "a-n000", 100, 100)
     assert node_demand(cluster, "a-n000") == ResourceVector(400, 300)
-    assert free_capacity(cluster, cluster.nodes["a-n000"]) == ResourceVector(600, 700)
+    assert demand_by_node(cluster) == {"a-n000": ResourceVector(400, 300)}
+    node = cluster.nodes["a-n000"]
+    assert node.capacity - node_demand(cluster, node.id) == ResourceVector(600, 700)
 
 
 def test_scale_consistency():
@@ -173,3 +177,23 @@ def test_node_utilization_never_exceeds_one_for_scheduled_pods():
         place_pending(cluster)
         for node in cluster.active_nodes():
             assert node_utilization(node, cluster) <= 1.0 + 1e-12
+
+
+def test_demand_by_node_matches_per_node_scans():
+    rng = random.Random(505)
+    saw_pending = False
+    for trial in range(100):
+        manager, _ = random_world(rng)
+        for cluster in manager.clusters.values():
+            for tick in (0, 1):  # the second load both creates and deletes pods
+                randomize_load(rng, cluster, tick)
+            demand = demand_by_node(cluster)
+            for node_id in cluster.nodes:
+                assert demand.get(node_id, ZERO) == node_demand(cluster, node_id)
+            pending = [p.demand for p in cluster.pods.values() if p.state is PodState.PENDING]
+            assert demand.get(None, ZERO) == ResourceVector(
+                sum(d.cpu for d in pending), sum(d.memory for d in pending)
+            )
+            assert set(demand) <= set(cluster.nodes) | {None}
+            saw_pending = saw_pending or bool(pending)
+    assert saw_pending

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -152,6 +153,16 @@ def test_verify_requires_same_tick_provenance():
     )
     violations = verify_event_log(events[:-1] + [shifted])
     assert len(violations) == 3
+
+
+def test_verify_flags_provenance_logged_after_the_move():
+    events = _move_sequence()
+    late = [events[0], events[1], events[3], events[2]]  # NodeProvisioned after the move
+    late = [dataclasses.replace(e, sequence=i) for i, e in enumerate(late)]
+    violations = verify_event_log(late)
+    assert violations == [
+        "MoveCompleted at sequence 2 for node 'b-n001' lacks a same-tick NodeProvisioned before it"
+    ]
 
 
 def test_metrics_round_trip(tmp_path):

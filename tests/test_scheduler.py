@@ -11,7 +11,7 @@ from nodebalancer import (
     place_pending,
 )
 from nodebalancer.errors import LastNodeGuard, NodeNotActive
-from nodebalancer.model import free_capacity, node_demand
+from nodebalancer.model import node_demand
 
 from helpers import ffd_oracle, fill, make_cluster, pending_pod, run_pod, snapshot
 
@@ -46,7 +46,7 @@ def test_first_fit_decreasing_order():
     placements = place_pending(cluster)
     assert placements == [("p-big", "a-n000"), ("p-mid", "a-n001")]
     assert cluster.pods["p-small"].state is PodState.PENDING
-    remaining = [free_capacity(cluster, n).cpu for n in cluster.active_nodes()]
+    remaining = [n.capacity.cpu - node_demand(cluster, n.id).cpu for n in cluster.active_nodes()]
     assert all(free < 500 for free in remaining)
 
 
@@ -84,10 +84,7 @@ def test_matches_reference_ffd_on_random_inputs():
             mem = rng.randrange(64, 2048, 64)
             pending_pod(cluster, f"p{i:03d}", cpu, mem)
             pods.append((f"p{i:03d}", cpu, mem))
-        slots = [
-            (n.id, free_capacity(cluster, n).cpu, free_capacity(cluster, n).memory)
-            for n in cluster.active_nodes()
-        ]
+        slots = [(n.id, n.capacity.cpu, n.capacity.memory) for n in cluster.active_nodes()]
         expected_placed, expected_unplaced = ffd_oracle(pods, slots)
 
         placements = dict(place_pending(cluster))
