@@ -125,32 +125,21 @@ class GroupManager:
             raise NotAMember(f"cluster {cluster_id!r} is not a member of group {group_id!r}")
 
         self.recorder.emit(EventKind.CLUSTER_REMOVED, group=group_id, cluster=cluster_id)
-        pending: list[tuple[str, str]] = []
-
-        borrowed = sorted(
-            nid for nid, node in cluster.nodes.items() if node.origin_cluster != cluster_id
+        returned = sorted(
+            (node.id, node.origin_cluster)
+            for node in cluster.nodes.values()
+            if node.origin_cluster != cluster_id
         )
-        returned = []
-        for node_id in borrowed:
-            pending.extend(self._evict_node(cluster, node_id))
-            moved = deprovision_node(cluster, node_id, recorder=self.recorder)
-            provision_node(self.clusters[moved.origin_cluster], moved, recorder=self.recorder)
-            returned.append((node_id, moved.origin_cluster))
-
-        lent = sorted(
+        recalled = sorted(
             (node.id, host.id)
             for host in self.clusters.values()
             if host.id != cluster_id
             for node in host.nodes.values()
             if node.origin_cluster == cluster_id
         )
-        recalled = []
-        for node_id, host_id in lent:
-            host = self.clusters[host_id]
-            pending.extend(self._evict_node(host, node_id))
-            moved = deprovision_node(host, node_id, recorder=self.recorder)
-            provision_node(cluster, moved, recorder=self.recorder)
-            recalled.append((node_id, host_id))
+        pending: list[tuple[str, str]] = []
+        for node_id, host_id in [(nid, cluster_id) for nid, _ in returned] + recalled:
+            pending.extend(self._send_home(self.clusters[host_id], node_id))
 
         group.members.remove(cluster_id)
         cluster.group = None
@@ -176,12 +165,12 @@ class GroupManager:
             pending_pods=tuple(pending),
         )
 
-    def _evict_node(self, cluster: Cluster, node_id: str) -> list[tuple[str, str]]:
-        """Force-drain a node; returns (pod, cluster) pairs left Pending."""
-        before = [pod.id for pod in cluster.pods_on(node_id)]
-        outcome = drain_node(cluster, node_id, force=True, recorder=self.recorder)
-        relocated = {pod_id for pod_id, _ in outcome.relocated}
-        return [(pod_id, cluster.id) for pod_id in before if pod_id not in relocated]
+    def _send_home(self, host: Cluster, node_id: str) -> list[tuple[str, str]]:
+        """Force-drain a node, then move it to its origin; returns (pod, host) left Pending."""
+        outcome = drain_node(host, node_id, force=True, recorder=self.recorder)
+        node = deprovision_node(host, node_id, recorder=self.recorder)
+        provision_node(self.clusters[node.origin_cluster], node, recorder=self.recorder)
+        return [(pod_id, host.id) for pod_id in outcome.pending]
 
     def _check_exclusivity(self) -> None:
         # Membership lists and cluster.group back-references must agree, and

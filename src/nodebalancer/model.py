@@ -106,10 +106,12 @@ class Cluster:
         return [n for _, n in sorted(self.nodes.items()) if n.state is NodeState.ACTIVE]
 
     def pending_pods(self) -> list[Pod]:
-        return [p for _, p in sorted(self.pods.items()) if p.state is PodState.PENDING]
+        """Pending pods in pod-dict order; placement sorts them itself."""
+        return [p for p in self.pods.values() if p.state is PodState.PENDING]
 
     def pods_on(self, node_id: str) -> list[Pod]:
-        return [p for _, p in sorted(self.pods.items()) if p.assignment == node_id]
+        """Pods assigned to the node, in pod-dict order."""
+        return [p for p in self.pods.values() if p.assignment == node_id]
 
 
 def build_cluster(
@@ -190,11 +192,13 @@ def demand_by_node(cluster: Cluster) -> dict[str | None, ResourceVector]:
 
 
 def node_demand(cluster: Cluster, node_id: str) -> ResourceVector:
-    total = ZERO
+    cpu = memory = 0
     for pod in cluster.pods.values():
         if pod.assignment == node_id:
-            total = total + pod.demand
-    return total
+            cpu += pod.demand.cpu
+            memory += pod.demand.memory
+    # Empty nodes are common; ZERO spares them the costly vector construction.
+    return ResourceVector(cpu, memory) if cpu or memory else ZERO
 
 
 def cluster_utilization(cluster: Cluster) -> Utilization:

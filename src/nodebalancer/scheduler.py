@@ -16,11 +16,15 @@ from .reporting import NULL_RECORDER, EventKind
 
 @dataclass(frozen=True)
 class DrainOutcome:
-    """Result of a drain: where each pod went, or restored=True if aborted."""
+    """Result of a drain: where each pod went, or restored=True if aborted.
+
+    pending lists, in ascending id, the pods a forced drain left Pending.
+    """
 
     node: str
     relocated: tuple[tuple[str, str], ...]  # (pod id, new node id)
     restored: bool
+    pending: tuple[str, ...] = ()
 
 
 def _placement_order(pods: list[Pod]) -> list[Pod]:
@@ -106,4 +110,6 @@ def drain_node(
         pod.assignment = None
         pod.state = PodState.PENDING
     node.state = NodeState.RESERVED
-    return DrainOutcome(node=node_id, relocated=tuple(placements), restored=False)
+    return DrainOutcome(
+        node=node_id, relocated=tuple(placements), restored=False, pending=tuple(sorted(unplaced))
+    )

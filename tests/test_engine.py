@@ -1,10 +1,13 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
 from nodebalancer import (
     EventKind,
+    GroupManager,
+    NodeState,
     Scenario,
     apply_overrides,
     build_world,
@@ -13,9 +16,10 @@ from nodebalancer import (
     load_scenario,
     run,
 )
-from nodebalancer.errors import ScenarioInvalid, SimulationAborted
+from nodebalancer.engine import _verify_world
+from nodebalancer.errors import InvariantViolation, ScenarioInvalid, SimulationAborted
 
-from helpers import random_scenario
+from helpers import make_cluster, random_scenario, run_pod
 
 
 def _doc(**overrides):
@@ -360,3 +364,43 @@ def test_compare_on_a_single_cluster_is_a_wash():
     report = compare(parse_scenario(doc))
     assert report.balanced.summary == report.static.summary
     assert report.summary["deltas"]["pending_pod_ticks"] == 0
+
+
+def _audited_world():
+    """Two clusters the audit accepts, and the node multiset it expects."""
+    manager = GroupManager()
+    for cluster in (make_cluster("a", [4000, 4000]), make_cluster("b", [4000])):
+        manager.register_cluster(cluster)
+    run_pod(manager.clusters["a"], "other", "a-n000", 1000)
+    expected = Counter(nid for c in manager.clusters.values() for nid in c.nodes)
+    _verify_world(manager, expected, tick=0)
+    return manager, expected
+
+
+@pytest.mark.parametrize(
+    "cpu, memory",
+    # Three pods over-commit one dimension only together, so leaving out any
+    # pod's share of that dimension hides the violation.
+    [(1500, 100), (100, 3000)],
+    ids=["cpu", "memory"],
+)
+def test_audit_flags_an_over_committed_node(cpu, memory):
+    manager, expected = _audited_world()
+    for pid in ("p0", "p1", "p2"):
+        run_pod(manager.clusters["a"], pid, "a-n001", cpu, memory)
+    with pytest.raises(InvariantViolation, match="tick 3: node 'a-n001' over capacity"):
+        _verify_world(manager, expected, tick=3)
+
+
+def test_audit_flags_a_node_left_draining():
+    manager, expected = _audited_world()
+    manager.clusters["b"].nodes["b-n000"].state = NodeState.DRAINING
+    with pytest.raises(InvariantViolation, match="node 'b-n000' ended the tick Draining"):
+        _verify_world(manager, expected, tick=3)
+
+
+def test_audit_flags_a_host_cluster_mismatch():
+    manager, expected = _audited_world()
+    manager.clusters["a"].nodes["a-n001"].host_cluster = "b"
+    with pytest.raises(InvariantViolation, match="node 'a-n001' hosted by 'a'.*host_cluster='b'"):
+        _verify_world(manager, expected, tick=3)

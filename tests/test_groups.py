@@ -32,6 +32,7 @@ from helpers import (
     origin_map,
     random_world,
     randomize_load,
+    run_pod,
 )
 
 
@@ -198,6 +199,30 @@ def test_forced_recall_parks_displaced_pods():
         assert a.pods[pod_id].state is PodState.PENDING
         assert a.pods[pod_id].assignment is None
     assert set(b.nodes) == set(b.original_node_ids)
+
+
+def test_displaced_pods_are_reported_in_ascending_id():
+    recorder = EventRecorder()
+    a = make_cluster("a", [4000, 4000])
+    b = make_cluster("b", [4000, 4000, 4000])
+    manager = _manager(a, b, recorder=recorder)
+    manager.create_group("g", Thresholds(0.3, 0.8))
+    manager.add_cluster("g", "a")
+    manager.add_cluster("g", "b")
+    _lend(manager, "b", "b-n001", "a")
+    fill(a, "a-n000", 4000)
+    fill(a, "a-n001", 4000)
+    # Insertion order c, a, b; placement order b, a, c; id order a, b, c.
+    run_pod(a, "pod-c", "b-n001", 100)
+    run_pod(a, "pod-a", "b-n001", 200)
+    run_pod(a, "pod-b", "b-n001", 300)
+
+    report = manager.remove_cluster("g", "b")
+    expected = (("pod-a", "a"), ("pod-b", "a"), ("pod-c", "a"))
+    assert report.pending_pods == expected
+    completed = recorder.events[-1]
+    assert completed.kind == EventKind.RESTORATION_COMPLETED.value
+    assert completed.detail["pending_pods"] == [list(pair) for pair in expected]
 
 
 def test_restoration_event_lists_movements():

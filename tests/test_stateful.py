@@ -1,0 +1,128 @@
+"""Stateful model test of GroupManager: Hypothesis drives random sequences of
+joins, exits, load changes and balancing cycles, checks the paper's
+guarantees after every step, and shrinks any failure to a minimal sequence."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from nodebalancer import (
+    ConstantTrace,
+    EventKind,
+    EventRecorder,
+    GroupManager,
+    ResourceVector,
+    Thresholds,
+    apply_workload,
+    build_cluster,
+    place_pending,
+    rebalance_cycle,
+)
+from nodebalancer.errors import AlreadyGrouped
+
+CLUSTERS = ("c0", "c1", "c2", "c3")
+# In g1 a 2-node donor just below t_low lands above t_high on one node, so
+# balancing there must reverse moves.
+GROUPS = {"g0": Thresholds(0.3, 0.8), "g1": Thresholds(0.4, 0.7)}
+CAPACITY = ResourceVector(4000, 8192)
+
+cluster_ids = st.sampled_from(CLUSTERS)
+group_ids = st.sampled_from(sorted(GROUPS))
+# Counts of 100m pods: from idle to more than a cluster's capacity.
+pod_counts = st.sampled_from((0, 10, 30, 70, 110))
+
+
+class GroupManagerMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.recorder = EventRecorder()
+        self.manager = GroupManager(recorder=self.recorder)
+        for index, cid in enumerate(CLUSTERS):
+            self.manager.register_cluster(build_cluster(cid, 2 + index % 2, CAPACITY))
+        for gid, thresholds in GROUPS.items():
+            self.manager.create_group(gid, thresholds)
+        for index, cid in enumerate(CLUSTERS):
+            self.manager.add_cluster(f"g{index // 2}", cid)
+        self.nodes = Counter(
+            nid for cluster in self.manager.clusters.values() for nid in cluster.nodes
+        )
+        self.tick = 0
+
+    @initialize(counts=st.tuples(*[pod_counts] * len(CLUSTERS)))
+    def load_every_cluster(self, counts):
+        for cid, pods in zip(CLUSTERS, counts):
+            self.set_load(cid, pods)
+
+    @rule(group=group_ids, cid=cluster_ids)
+    def add_cluster(self, group, cid):
+        if self.manager.clusters[cid].group is None:
+            self.manager.add_cluster(group, cid)
+        else:
+            with pytest.raises(AlreadyGrouped):
+                self.manager.add_cluster(group, cid)
+
+    @precondition(lambda self: any(c.group for c in self.manager.clusters.values()))
+    @rule(data=st.data())
+    def remove_cluster(self, data):
+        grouped = sorted(cid for cid, c in self.manager.clusters.items() if c.group)
+        cid = data.draw(st.sampled_from(grouped))
+        leaver = self.manager.clusters[cid]
+        self.manager.remove_cluster(leaver.group, cid)
+        assert set(leaver.nodes) == set(leaver.original_node_ids)
+        for other in self.manager.clusters.values():
+            if other is not leaver:
+                assert all(node.origin_cluster != cid for node in other.nodes.values())
+
+    @rule(cid=cluster_ids, pods=pod_counts)
+    def set_load(self, cid, pods):
+        cluster = self.manager.clusters[cid]
+        apply_workload(cluster, ConstantTrace(level=pods * 100), self.tick)
+        place_pending(cluster)
+
+    @rule()
+    def rebalance(self):
+        self.recorder.tick = self.tick
+        for group in self.manager.groups.values():
+            rebalance_cycle(group, self.manager.clusters, recorder=self.recorder, tick=self.tick)
+        for cluster in self.manager.clusters.values():
+            place_pending(cluster)
+        self.tick += 1
+
+    @invariant()
+    def nodes_are_conserved(self):
+        seen = Counter(
+            nid for cluster in self.manager.clusters.values() for nid in cluster.nodes
+        )
+        assert seen == self.nodes
+        for cid, cluster in self.manager.clusters.items():
+            assert all(node.host_cluster == cid for node in cluster.nodes.values())
+
+    @invariant()
+    def membership_is_exclusive(self):
+        owners = Counter(m for group in self.manager.groups.values() for m in group.members)
+        assert all(count == 1 for count in owners.values())
+        for cid, cluster in self.manager.clusters.items():
+            if cluster.group is None:
+                assert cid not in owners
+            else:
+                assert cid in self.manager.groups[cluster.group].members
+
+    @invariant()
+    def moves_leave_donors_at_or_below_t_high(self):
+        for event in self.recorder.events:
+            if event.kind == EventKind.MOVE_COMPLETED.value:
+                assert event.detail["donor_utilization_after"] <= GROUPS[event.group].t_high
+
+
+GroupManagerMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None, derandomize=True, database=None
+)
+TestGroupManagerMachine = GroupManagerMachine.TestCase
