@@ -31,7 +31,7 @@ class OutcomeKind(str, Enum):
 class AttemptReason(str, Enum):
     """Why a donor candidate was passed over."""
 
-    MIN_ACTIVE_NODES = "MinActiveNodes"  # donor cannot spare a node at all
+    MIN_ACTIVE_NODES = "MinActiveNodes"  # donor would keep too few nodes of its own
     DRAIN_INFEASIBLE = "DrainInfeasible"  # drain aborted, pods would not fit
     WOULD_EXCEED_T_HIGH = "WouldExceedTHigh"  # donor itself went hot; reversed
 
@@ -109,18 +109,20 @@ def rebalance_cycle(
             continue
         recipient = clusters[high_id]
         attempts: list[tuple[str, str]] = []
-        moved = False
 
         for low_id in evaluation.underutilized:
             if low_id in used:
                 continue
             donor = clusters[low_id]
             actives = donor.active_nodes()
-            if len(actives) - 1 < donor.min_active_nodes:
+            victim = min(actives, key=lambda n: (node_utilization(n, donor), n.id))
+            # Any exit may recall a borrowed node, so only the donor's own
+            # nodes count toward the nodes it must keep.
+            own = sum(n.origin_cluster == low_id and n is not victim for n in actives)
+            if own < donor.min_active_nodes:
                 attempts.append((low_id, AttemptReason.MIN_ACTIVE_NODES.value))
                 continue
 
-            victim = min(actives, key=lambda n: (node_utilization(n, donor), n.id))
             drain = drain_node(donor, victim.id, recorder=recorder)
             if drain.restored:
                 attempts.append((low_id, AttemptReason.DRAIN_INFEASIBLE.value))
@@ -180,10 +182,8 @@ def rebalance_cycle(
             )
             used.add(high_id)
             used.add(low_id)
-            moved = True
             break
-
-        if not moved:
+        else:
             rec.emit(
                 EventKind.NO_CANDIDATE,
                 group=group.id,

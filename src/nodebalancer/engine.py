@@ -32,7 +32,6 @@ from .model import (
     Thresholds,
     build_cluster,
     cluster_utilization,
-    demand_by_node,
     node_demand,
 )
 from .reporting import EventRecorder, RebalanceEvent, TickRecord, compose_comparison, summarize
@@ -373,7 +372,8 @@ def build_world(scenario: Scenario, recorder=None) -> GroupManager:
 
 def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     util = cluster_utilization(cluster)
-    backlog = demand_by_node(cluster).get(None, ZERO)
+    pending = [pod.demand for pod in cluster.pending_pods()]
+    cpu, memory = sum(d.cpu for d in pending), sum(d.memory for d in pending)
     return TickRecord(
         tick=tick,
         cluster_id=cluster.id,
@@ -381,8 +381,9 @@ def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
         u_mem=util.u_mem,
         u=util.u,
         active_nodes=len(cluster.active_nodes()),
-        pending_pods=len(cluster.pending_pods()),
-        pending_demand=backlog,
+        pending_pods=len(pending),
+        # Records live all run and most have no backlog: they share ZERO.
+        pending_demand=ResourceVector(cpu, memory) if pending else ZERO,
     )
 
 

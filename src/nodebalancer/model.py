@@ -180,8 +180,9 @@ def demand_by_node(cluster: Cluster) -> dict[str | None, ResourceVector]:
     """Requested demand summed per pod assignment, in one pass over the pods.
 
     Keys are the ids of nodes hosting at least one pod; Pending pods are
-    summed under None. Every cluster-wide demand sum reads this map;
-    node_demand stays as the independent per-node scan the audits use.
+    summed under None. Placement and drain plans read this map; cluster-wide
+    totals sum the pods directly, and node_demand stays as the independent
+    per-node scan the audits use.
     """
     sums: dict[str | None, list[int]] = {}
     for pod in cluster.pods.values():
@@ -210,10 +211,9 @@ def cluster_utilization(cluster: Cluster) -> Utilization:
     actives = cluster.active_nodes()
     if not actives:
         raise ZeroCapacity(f"cluster {cluster.id!r} has no Active nodes")
-    demand = demand_by_node(cluster)
-    demand.pop(None, None)
-    u_cpu = sum(d.cpu for d in demand.values()) / sum(n.capacity.cpu for n in actives)
-    u_mem = sum(d.memory for d in demand.values()) / sum(n.capacity.memory for n in actives)
+    assigned = [pod.demand for pod in cluster.pods.values() if pod.assignment is not None]
+    u_cpu = sum(d.cpu for d in assigned) / sum(n.capacity.cpu for n in actives)
+    u_mem = sum(d.memory for d in assigned) / sum(n.capacity.memory for n in actives)
     return Utilization(u_cpu=u_cpu, u_mem=u_mem, u=max(u_cpu, u_mem))
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .model import Cluster, Pod, ResourceVector, demand_by_node
+from .model import Cluster, Pod, ResourceVector
 
 DEFAULT_POD_QUANTUM = ResourceVector(cpu=100, memory=128)
 
@@ -121,7 +121,7 @@ def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDel
     """
     target = target_demand(trace, tick)
     quantum = trace.pod_quantum
-    current = sum(demand.cpu for demand in demand_by_node(cluster).values())
+    current = sum(pod.demand.cpu for pod in cluster.pods.values())
 
     deleted = []
     for newest in sorted(cluster.pods, reverse=True):

@@ -8,7 +8,9 @@ from nodebalancer import (
     EventKind,
     GroupManager,
     NodeState,
+    ResourceVector,
     Scenario,
+    TickRecord,
     apply_overrides,
     build_world,
     compare,
@@ -16,10 +18,10 @@ from nodebalancer import (
     load_scenario,
     run,
 )
-from nodebalancer.engine import _verify_world
+from nodebalancer.engine import _tick_record, _verify_world
 from nodebalancer.errors import InvariantViolation, ScenarioInvalid, SimulationAborted
 
-from helpers import make_cluster, random_scenario, run_pod
+from helpers import make_cluster, pending_pod, random_scenario, run_pod
 
 
 def _doc(**overrides):
@@ -404,3 +406,23 @@ def test_audit_flags_a_host_cluster_mismatch():
     manager.clusters["a"].nodes["a-n001"].host_cluster = "b"
     with pytest.raises(InvariantViolation, match="node 'a-n001' hosted by 'a'.*host_cluster='b'"):
         _verify_world(manager, expected, tick=3)
+
+
+def test_tick_record_counts_and_sums_only_pending_pods():
+    cluster = make_cluster("a", [4000, 4000])
+    run_pod(cluster, "r0", "a-n000", 1000, 512)
+    run_pod(cluster, "r1", "a-n001", 600, 4096)
+    # Each Pending pod has its own cpu:memory ratio, so a swapped dimension
+    # changes the backlog.
+    for pid, cpu, memory in (("p0", 300, 100), ("p1", 200, 700), ("p2", 900, 50)):
+        pending_pod(cluster, pid, cpu, memory)
+    assert _tick_record(5, cluster) == TickRecord(
+        tick=5,
+        cluster_id="a",
+        u_cpu=1600 / 8000,
+        u_mem=4608 / 16384,
+        u=4608 / 16384,
+        active_nodes=2,
+        pending_pods=3,
+        pending_demand=ResourceVector(1400, 850),
+    )

@@ -6,17 +6,22 @@ comparison's top-level summary.json must equal the pinned values, so any
 change to the bytes a scenario produces shows up here. A change that moves a
 pin on purpose says why in CHANGES.md.
 
-No scenario uses a Sine trace: Sine levels go through the C library's sin()
-right at the half-up quantization boundary, and these pins must not depend on
-the platform.
+Six scenarios are written by hand; eight more are the first Sine-free
+documents helpers.random_scenario draws from a fixed rng, so editing that
+helper moves their pins. No scenario uses a Sine trace: Sine levels go through
+the C library's sin() right at the half-up quantization boundary, and these
+pins must not depend on the platform.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from nodebalancer.cli import main
+
+from helpers import random_scenario
 
 
 def _cluster(cid, node_count, cpu, memory, trace, quantum=None):
@@ -129,6 +134,22 @@ SCENARIOS = {
     },
 }
 
+
+def _random_corpus(seed, count):
+    """The first count Sine-free scenarios random_scenario draws from one rng."""
+    rng = random.Random(seed)
+    corpus = {}
+    while len(corpus) < count:
+        doc = random_scenario(rng)
+        if all(spec["trace"]["kind"] != "Sine" for spec in doc["clusters"]):
+            corpus[f"random-{len(corpus)}"] = doc
+    return corpus
+
+
+# rng 3 is the first whose eight Sine-free draws include three with membership
+# changes (random-0, random-2 and random-7).
+SCENARIOS.update(_random_corpus(3, 8))
+
 PINS = {
     "bulk-pods": {
         "events.jsonl": "4b56f4741092879c706f89c790c50ea9d6396593ab520480401d3f5879c05bf0",
@@ -141,6 +162,54 @@ PINS = {
         "metrics.csv": "3f166da192d7aa85d45138dd1ed929e7b440f4417f12af225aec16c6bac45cd4",
         "summary.json": "fae8183549ecb3c1f736a1c823dd1267b6da241a415f2ad4791fc6383023f90c",
         "compare/summary.json": "e958d413bd9649348f0c2cebc468ea06873656ee3d97d14d1fd32431e922ce61",
+    },
+    "random-0": {
+        "events.jsonl": "5cf8010c062ea0518111499b0d5dbf842ae60d9c12e215e1c77119b98d529552",
+        "metrics.csv": "1c2d5bbd2ce49173c5eead896f0f11d56fed3a6ce43aadaafa35bcb6a17a5a96",
+        "summary.json": "923c52865be5baf610f1346791aea997f90853942417006cf97466090544d047",
+        "compare/summary.json": "e6b720dd933856a31b66e65c17d27d7a63848e7a1b6f204bbfd2e637722dca9c",
+    },
+    "random-1": {
+        "events.jsonl": "1726494df8a9f59719937e49bf47e7996ecbb8f0e820f9538806950c09a07f8e",
+        "metrics.csv": "65c507737bc2ae6c957432b6391b41ab61ff5658c5751c7ff6aa1457033ea2c1",
+        "summary.json": "c2d73640740e6004a1e827bdfb049d065260e53d68ad480192ce4f62648c313f",
+        "compare/summary.json": "2f47b2b73e8c806692dda85a9d3ca6d5224a4bf600990fdab6d6d9838ab890a1",
+    },
+    "random-2": {
+        "events.jsonl": "575cf110a0a47832f6217a3968d6ae55c174c8085db185fbcd5cb590df640402",
+        "metrics.csv": "280188e7c505e7970ce48b5deb37c6f211d57c3a7956f7c20225f428f8393f09",
+        "summary.json": "b49d1759ca42ad053c15aca1753f727497971a1849fe5d2ba5e64f262f1a4415",
+        "compare/summary.json": "77fb1df0839fa94be279d8f8ab75a8f7cbcd0d43ffe34cc51b7fc6d7d6c86fde",
+    },
+    "random-3": {
+        "events.jsonl": "e16ffa876b89d990607678270695cf85ce5879bf27ebb725e582f7091d49f4a9",
+        "metrics.csv": "5531c2ab1b0594c4821d24aac223e361058ca0888b4c4e854c710466691b5a37",
+        "summary.json": "2e5d9bb0ce390c03eb80624507fe41f4c888af3c9dadaeace836bdb27b90897c",
+        "compare/summary.json": "61a794e30ac70d9876d6f22684ee502b791eb85a1f51746d9b0cc9433c5e2f2f",
+    },
+    "random-4": {
+        "events.jsonl": "dc983e9e377123f2640dc81bb99ee558dde4fe21eda21da4825570f42cb84ac0",
+        "metrics.csv": "78ab99ac50dfc945afefd3ca03877f015f502fa6b0f7bb7f65743428dd901d64",
+        "summary.json": "87000aeaf2f1dba7ac5c986c0f7e640daedfff391bd9b6466052a171c463771f",
+        "compare/summary.json": "32602d01654cf0f2a67c95b968b2d7b06363ce7f4a398de6239b2facbe5d430f",
+    },
+    "random-5": {
+        "events.jsonl": "34adad9e1c7e1acc357c97a1483581ccf89fd054ddb7cc165e78c18d1d0bdcef",
+        "metrics.csv": "981bdcf9de7276753580b4aa4afb86103862e296b129bec7153e368fdc368aa0",
+        "summary.json": "936faa50c7429997aacbacca30efa6d01cd0a4ff7860c83e623a933c38cd48ed",
+        "compare/summary.json": "0bccce7f5d06da6e42a22949a1bd037833a389cc5e0de5076f4e217908894101",
+    },
+    "random-6": {
+        "events.jsonl": "c7c9475a24985e329baaffe70b130f0242e86b991540454bd4f645efa0b054f2",
+        "metrics.csv": "b50b20e98c383acad736c55cc801f0ea95a2adc25b848acc13eb6d9a57a4e8e3",
+        "summary.json": "21284fbe98cbf1e9dd8e9c42bd0edee43d85b548c657c128f961a02ce8c1ff42",
+        "compare/summary.json": "c87ceb0a1fbfa41041f4f1c38cfc9a11de850b1dabc75e63b9b3762932387d9a",
+    },
+    "random-7": {
+        "events.jsonl": "f459dbf8a582ad7f62d9912757380f2e78e1420688e3d030556796c9b89c5eab",
+        "metrics.csv": "65d3df79ba35d5e51feaa09a61f6c842aed0d758108c13ae64c8eeb9f8ba72f8",
+        "summary.json": "1915043227aadca63b671cfc15d5e650797fc28c72aab1d757563ef3bab01b52",
+        "compare/summary.json": "a22ad22dab745bf5feac9175e33327e787a7acd06ecbffc84e151722ccf5c69e",
     },
     "reversal": {
         "events.jsonl": "401b265a60dc303f15f4bf83a4fc776fd8e2e55141d59d2e4c517a514f6c7067",

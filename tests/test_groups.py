@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nodebalancer import (
+    ConstantTrace,
     EventKind,
     EventRecorder,
     GroupManager,
@@ -10,9 +11,12 @@ from nodebalancer import (
     PodState,
     ResourceVector,
     Thresholds,
+    apply_workload,
     build_cluster,
+    cluster_utilization,
     deprovision_node,
     drain_node,
+    place_pending,
     provision_node,
     rebalance_cycle,
 )
@@ -300,3 +304,38 @@ def test_min_active_does_not_block_restoration():
     assert report.recalled == (("a-n000", "b"),)
     assert set(a.nodes) == {"a-n000"}
     assert set(b.nodes) == set(b.original_node_ids)
+
+
+def test_exit_leaves_every_member_a_node_of_its_own():
+    capacity = ResourceVector(4000, 8192)
+    manager = _manager(*(build_cluster(cid, 2, capacity) for cid in ("l", "x", "y")))
+    manager.create_group("g", Thresholds(0.3, 0.8))
+    for cid in ("l", "x", "y"):
+        manager.add_cluster("g", cid)
+    group = manager.groups["g"]
+    x, y = manager.clusters["x"], manager.clusters["y"]
+
+    def load(cluster, cpu, tick):
+        apply_workload(cluster, ConstantTrace(level=cpu), tick)
+        place_pending(cluster)
+
+    load(x, 7000, 0)
+    load(y, 4000, 0)
+    rebalance_cycle(group, manager.clusters, tick=0)
+    assert "l-n000" in x.nodes
+    # New pods fill nodes in id order, so x's whole load lands on l-n000.
+    load(x, 0, 1)
+    load(x, 2000, 1)
+    assert {pod.assignment for pod in x.pods.values()} == {"l-n000"}
+
+    load(y, 7600, 1)
+    rebalance_cycle(group, manager.clusters, tick=1)
+    assert "x-n000" in y.nodes
+    load(y, 11000, 2)
+    outcomes = rebalance_cycle(group, manager.clusters, tick=2)
+    # x's last own node stays: the borrowed l-n000 goes home when l exits.
+    assert outcomes[0].attempts == (("l", "MinActiveNodes"), ("x", "MinActiveNodes"))
+
+    manager.remove_cluster("g", "l")
+    assert set(x.nodes) == {"x-n001"}
+    assert cluster_utilization(x).u == 0.5

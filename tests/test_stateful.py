@@ -116,6 +116,13 @@ class GroupManagerMachine(RuleBasedStateMachine):
                 assert cid in self.manager.groups[cluster.group].members
 
     @invariant()
+    def clusters_keep_enough_nodes_of_their_own(self):
+        # Any exit may recall a borrowed node, so only own nodes are safe.
+        for cid, cluster in self.manager.clusters.items():
+            own = sum(node.origin_cluster == cid for node in cluster.nodes.values())
+            assert own >= cluster.min_active_nodes
+
+    @invariant()
     def moves_leave_donors_at_or_below_t_high(self):
         for event in self.recorder.events:
             if event.kind == EventKind.MOVE_COMPLETED.value:
