@@ -32,7 +32,7 @@ from .model import (
     Thresholds,
     build_cluster,
     cluster_utilization,
-    node_demand,
+    node_demand,  # noqa: F401  unused here; perfbench/tracing.SITES wraps engine.node_demand
 )
 from .reporting import EventRecorder, RebalanceEvent, TickRecord, compose_comparison, summarize
 from .rules import validate_thresholds
@@ -380,7 +380,7 @@ def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
         u_cpu=util.u_cpu,
         u_mem=util.u_mem,
         u=util.u,
-        active_nodes=len(cluster.active_nodes()),
+        active_nodes=sum(n.state is NodeState.ACTIVE for n in cluster.nodes.values()),
         pending_pods=len(pending),
         # Records live all run and most have no backlog: they share ZERO.
         pending_demand=ResourceVector(cpu, memory) if pending else ZERO,
@@ -388,9 +388,31 @@ def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
 
 
 def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> None:
-    """Structural audit at tick end; violations abort the run."""
+    """Structural audit at tick end; violations abort the run.
+
+    Each node's demand is summed here in one pass of the audit's own over the
+    cluster's pods, never through the scheduler's or the model's demand
+    helpers, so the audit stays an independent cross-check of both.
+    """
     seen: Counter = Counter()
+    # An Enum member lookup costs ~0.2 us on Python 3.10-3.11: once, not per pod.
+    running_state = PodState.RUNNING
     for cluster_id, cluster in manager.clusters.items():
+        used = {node_id: [0, 0] for node_id in cluster.nodes}
+        for pod in cluster.pods.values():
+            running = pod.state is running_state
+            if running != (pod.assignment is not None):
+                raise InvariantViolation(
+                    f"tick {tick}: pod {pod.id!r} state/assignment mismatch"
+                )
+            if running:
+                total = used.get(pod.assignment)
+                if total is None:
+                    raise InvariantViolation(
+                        f"tick {tick}: pod {pod.id!r} assigned to missing node {pod.assignment!r}"
+                    )
+                total[0] += pod.demand.cpu
+                total[1] += pod.demand.memory
         for node_id, node in cluster.nodes.items():
             seen[node_id] += 1
             if node.state in (NodeState.DRAINING, NodeState.IN_TRANSIT):
@@ -402,20 +424,11 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
                     f"tick {tick}: node {node_id!r} hosted by {cluster_id!r} "
                     f"but records host_cluster={node.host_cluster!r}"
                 )
-            demand = node_demand(cluster, node_id)
-            if not demand.fits_within(node.capacity):
+            cpu, memory = used[node_id]
+            if cpu > node.capacity.cpu or memory > node.capacity.memory:
                 raise InvariantViolation(
-                    f"tick {tick}: node {node_id!r} over capacity: {demand} > {node.capacity}"
-                )
-        for pod in cluster.pods.values():
-            running = pod.state is PodState.RUNNING
-            if running != (pod.assignment is not None):
-                raise InvariantViolation(
-                    f"tick {tick}: pod {pod.id!r} state/assignment mismatch"
-                )
-            if running and pod.assignment not in cluster.nodes:
-                raise InvariantViolation(
-                    f"tick {tick}: pod {pod.id!r} assigned to missing node {pod.assignment!r}"
+                    f"tick {tick}: node {node_id!r} over capacity: "
+                    f"{ResourceVector(cpu, memory)} > {node.capacity}"
                 )
     if seen != expected_nodes:
         raise InvariantViolation(

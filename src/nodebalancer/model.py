@@ -181,8 +181,8 @@ def demand_by_node(cluster: Cluster) -> dict[str | None, ResourceVector]:
 
     Keys are the ids of nodes hosting at least one pod; Pending pods are
     summed under None. Placement and drain plans read this map; cluster-wide
-    totals sum the pods directly, and node_demand stays as the independent
-    per-node scan the audits use.
+    totals sum the pods directly, the engine's audit sums per node in a pass
+    of its own, and node_demand serves only victim selection.
     """
     sums: dict[str | None, list[int]] = {}
     for pod in cluster.pods.values():
@@ -208,12 +208,12 @@ def cluster_utilization(cluster: Cluster) -> Utilization:
     Pending pods are excluded: they consume nothing yet. Raises ZeroCapacity
     when no node is Active, since the ratio is undefined.
     """
-    actives = cluster.active_nodes()
-    if not actives:
+    capacities = [n.capacity for n in cluster.nodes.values() if n.state is NodeState.ACTIVE]
+    if not capacities:
         raise ZeroCapacity(f"cluster {cluster.id!r} has no Active nodes")
     assigned = [pod.demand for pod in cluster.pods.values() if pod.assignment is not None]
-    u_cpu = sum(d.cpu for d in assigned) / sum(n.capacity.cpu for n in actives)
-    u_mem = sum(d.memory for d in assigned) / sum(n.capacity.memory for n in actives)
+    u_cpu = sum(d.cpu for d in assigned) / sum(c.cpu for c in capacities)
+    u_mem = sum(d.memory for d in assigned) / sum(c.memory for c in capacities)
     return Utilization(u_cpu=u_cpu, u_mem=u_mem, u=max(u_cpu, u_mem))
 
 

@@ -290,7 +290,7 @@ def summarize(events: list[RebalanceEvent], records: list[TickRecord]) -> dict:
             counts[event.kind] += 1
 
     per_cluster: dict[str, dict] = {}
-    for rec in sorted(records, key=lambda r: (r.cluster_id, r.tick)):
+    for rec in records:
         stats = per_cluster.setdefault(
             rec.cluster_id,
             {"peak_utilization": 0.0, "min_active_nodes": rec.active_nodes,

@@ -55,7 +55,10 @@ def place_pending(cluster: Cluster) -> list[tuple[str, str]]:
 
     Pods that fit nowhere stay Pending. Placing nothing is not an error.
     """
-    placements, _ = _plan(cluster, cluster.pending_pods(), cluster.active_nodes())
+    pending = cluster.pending_pods()
+    if not pending:
+        return []
+    placements, _ = _plan(cluster, pending, cluster.active_nodes())
     for pod_id, node_id in placements:
         pod = cluster.pods[pod_id]
         pod.assignment = node_id

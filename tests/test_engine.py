@@ -7,7 +7,9 @@ import pytest
 from nodebalancer import (
     EventKind,
     GroupManager,
+    Node,
     NodeState,
+    PodState,
     ResourceVector,
     Scenario,
     TickRecord,
@@ -405,6 +407,60 @@ def test_audit_flags_a_host_cluster_mismatch():
     manager, expected = _audited_world()
     manager.clusters["a"].nodes["a-n001"].host_cluster = "b"
     with pytest.raises(InvariantViolation, match="node 'a-n001' hosted by 'a'.*host_cluster='b'"):
+        _verify_world(manager, expected, tick=3)
+
+
+def test_audit_accepts_nodes_that_over_commit_only_when_summed_together():
+    manager, expected = _audited_world()
+    # Each node stays within capacity on both dimensions; their sum does not,
+    # which a cluster-wide or mis-keyed sum would flag.
+    run_pod(manager.clusters["a"], "p0", "a-n000", 3000, 5000)
+    run_pod(manager.clusters["a"], "p1", "a-n001", 4000, 8192)
+    _verify_world(manager, expected, tick=3)
+
+
+@pytest.mark.parametrize(
+    "state, assignment",
+    [(PodState.RUNNING, None), (PodState.PENDING, "a-n001")],
+    ids=["running-unassigned", "pending-assigned"],
+)
+def test_audit_flags_a_pod_state_assignment_mismatch(state, assignment):
+    manager, expected = _audited_world()
+    pod = pending_pod(manager.clusters["a"], "x", 100)
+    pod.state, pod.assignment = state, assignment
+    with pytest.raises(InvariantViolation, match="tick 3: pod 'x' state/assignment mismatch"):
+        _verify_world(manager, expected, tick=3)
+
+
+def test_audit_flags_a_pod_on_a_node_its_cluster_does_not_host():
+    manager, expected = _audited_world()
+    # b-n000 exists, but in the other cluster.
+    run_pod(manager.clusters["a"], "x", "b-n000", 100)
+    with pytest.raises(
+        InvariantViolation, match="tick 3: pod 'x' assigned to missing node 'b-n000'"
+    ):
+        _verify_world(manager, expected, tick=3)
+
+
+def test_audit_flags_a_missing_node():
+    manager, expected = _audited_world()
+    del manager.clusters["b"].nodes["b-n000"]
+    with pytest.raises(
+        InvariantViolation,
+        match=r"tick 3: node conservation broken; missing=\['b-n000'\] extra=\[\]",
+    ):
+        _verify_world(manager, expected, tick=3)
+
+
+def test_audit_flags_an_extra_node():
+    manager, expected = _audited_world()
+    manager.clusters["b"].nodes["c-n000"] = Node(
+        id="c-n000", capacity=ResourceVector(4000, 8192), origin_cluster="c", host_cluster="b"
+    )
+    with pytest.raises(
+        InvariantViolation,
+        match=r"tick 3: node conservation broken; missing=\[\] extra=\['c-n000'\]",
+    ):
         _verify_world(manager, expected, tick=3)
 
 

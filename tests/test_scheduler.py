@@ -10,6 +10,7 @@ from nodebalancer import (
     drain_node,
     place_pending,
 )
+from nodebalancer import scheduler
 from nodebalancer.errors import LastNodeGuard, NodeNotActive
 from nodebalancer.model import node_demand
 
@@ -26,6 +27,24 @@ def test_place_single_pod_on_first_node():
 def test_place_with_no_pending_is_a_no_op():
     cluster = make_cluster("a", [4000])
     assert place_pending(cluster) == []
+
+
+def test_placement_with_nothing_pending_builds_no_demand_map(monkeypatch):
+    def no_map(cluster):
+        raise RuntimeError(f"demand map built for {cluster.id!r}")
+
+    monkeypatch.setattr(scheduler, "demand_by_node", no_map)
+    running = make_cluster("a", [4000, 4000])
+    run_pod(running, "r0", "a-n000", 1000)
+    run_pod(running, "r1", "a-n001", 500)
+    assert place_pending(running) == []
+
+    waiting = make_cluster("b", [4000])
+    pending_pod(waiting, "p0", 500)
+    with pytest.raises(RuntimeError, match="demand map built for 'b'"):
+        place_pending(waiting)
+    monkeypatch.undo()
+    assert place_pending(waiting) == [("p0", "b-n000")]
 
 
 def test_oversized_pod_stays_pending():
