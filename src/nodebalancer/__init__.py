@@ -36,6 +36,7 @@ from .groups import GroupManager, MembershipAction, MembershipChange, Restoratio
 from .model import (
     Cluster,
     Group,
+    Ledger,
     Node,
     NodeState,
     Pod,
@@ -92,6 +93,7 @@ __all__ = [
     "Group",
     "GroupManager",
     "GroupSpec",
+    "Ledger",
     "MembershipAction",
     "MembershipChange",
     "Node",

@@ -372,8 +372,9 @@ def build_world(scenario: Scenario, recorder=None) -> GroupManager:
 
 def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     util = cluster_utilization(cluster)
-    pending = [pod.demand for pod in cluster.pending_pods()]
-    cpu, memory = sum(d.cpu for d in pending), sum(d.memory for d in pending)
+    pending = cluster.ledger.pending.values()
+    cpu = sum(pod.demand.cpu for pod in pending)
+    memory = sum(pod.demand.memory for pod in pending)
     return TickRecord(
         tick=tick,
         cluster_id=cluster.id,
@@ -390,29 +391,34 @@ def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
 def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> None:
     """Structural audit at tick end; violations abort the run.
 
-    Each node's demand is summed here in one pass of the audit's own over the
-    cluster's pods, never through the scheduler's or the model's demand
-    helpers, so the audit stays an independent cross-check of both.
+    Each node's demand and the Pending pods are recomputed here in one pass of
+    the audit's own over the cluster's pods, never through the ledger or the
+    readers built on it. Every ledger field is then compared with its
+    recompute, so the audit stays an independent check of both.
     """
     seen: Counter = Counter()
     # An Enum member lookup costs ~0.2 us on Python 3.10-3.11: once, not per pod.
     running_state = PodState.RUNNING
     for cluster_id, cluster in manager.clusters.items():
         used = {node_id: [0, 0] for node_id in cluster.nodes}
+        pending = []
         for pod in cluster.pods.values():
-            running = pod.state is running_state
-            if running != (pod.assignment is not None):
+            node_id = pod.assignment
+            if (pod.state is running_state) != (node_id is not None):
                 raise InvariantViolation(
                     f"tick {tick}: pod {pod.id!r} state/assignment mismatch"
                 )
-            if running:
-                total = used.get(pod.assignment)
-                if total is None:
-                    raise InvariantViolation(
-                        f"tick {tick}: pod {pod.id!r} assigned to missing node {pod.assignment!r}"
-                    )
-                total[0] += pod.demand.cpu
-                total[1] += pod.demand.memory
+            if node_id is None:
+                pending.append(pod)
+                continue
+            total = used.get(node_id)
+            if total is None:
+                raise InvariantViolation(
+                    f"tick {tick}: pod {pod.id!r} assigned to missing node {node_id!r}"
+                )
+            demand = pod.demand
+            total[0] += demand.cpu
+            total[1] += demand.memory
         for node_id, node in cluster.nodes.items():
             seen[node_id] += 1
             if node.state in (NodeState.DRAINING, NodeState.IN_TRANSIT):
@@ -430,10 +436,52 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
                     f"tick {tick}: node {node_id!r} over capacity: "
                     f"{ResourceVector(cpu, memory)} > {node.capacity}"
                 )
+        _verify_ledger(cluster, used, pending, tick)
     if seen != expected_nodes:
         raise InvariantViolation(
             f"tick {tick}: node conservation broken; "
             f"missing={sorted(expected_nodes - seen)} extra={sorted(seen - expected_nodes)}"
+        )
+
+
+def _verify_ledger(cluster: Cluster, used: dict, pending: list, tick: int) -> None:
+    """Compare each ledger field with the audit's recompute from the pods.
+
+    used maps every hosted node to its Running pods' [cpu, memory], and
+    pending lists the Pending pods. A ledger entry for a node the cluster does
+    not host must be zero or absent.
+    """
+    ledger = cluster.ledger
+    where = f"tick {tick}: cluster {cluster.id!r} ledger"
+    if len(ledger.pending) != len(pending) or any(
+        ledger.pending.get(pod.id) is not pod for pod in pending
+    ):
+        raise InvariantViolation(
+            f"{where} 'pending' does not hold exactly the Pending pod objects: "
+            f"it has {sorted(ledger.pending)}, the pods {sorted(pod.id for pod in pending)}"
+        )
+    # A zero entry and no entry both mean no demand, so only nonzero ones must match.
+    kept = {node_id: total for node_id, total in ledger.used.items() if total[0] or total[1]}
+    summed = {node_id: total for node_id, total in used.items() if total[0] or total[1]}
+    if kept != summed:
+        node_id = min(n for n in kept.keys() | summed.keys() if kept.get(n) != summed.get(n))
+        raise InvariantViolation(
+            f"{where} 'used' holds {kept.get(node_id, [0, 0])} for node {node_id!r}, "
+            f"but its pods sum to {summed.get(node_id, [0, 0])}"
+        )
+    cpu = memory = 0
+    for node_cpu, node_memory in summed.values():
+        cpu += node_cpu
+        memory += node_memory
+    if ledger.assigned != [cpu, memory]:
+        raise InvariantViolation(
+            f"{where} 'assigned' holds {ledger.assigned}, "
+            f"but the Running pods sum to {[cpu, memory]}"
+        )
+    total_cpu = cpu + sum(pod.demand.cpu for pod in pending)
+    if ledger.total_cpu != total_cpu:
+        raise InvariantViolation(
+            f"{where} 'total_cpu' holds {ledger.total_cpu}, but the pods sum to {total_cpu}"
         )
 
 

@@ -7,8 +7,10 @@ from measured usage, so results are exactly reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 from .errors import NodeNotActive, NodeNotInCluster, ZeroCapacity
 
@@ -34,9 +36,6 @@ class ResourceVector:
 
     def fits_within(self, other: "ResourceVector") -> bool:
         return self.cpu <= other.cpu and self.memory <= other.memory
-
-    def scaled(self, factor: int) -> "ResourceVector":
-        return ResourceVector(self.cpu * factor, self.memory * factor)
 
 
 ZERO = ResourceVector(0, 0)
@@ -91,27 +90,116 @@ class Pod:
 
 
 @dataclass
+class Ledger:
+    """A cluster's pod totals, kept in step with every pod change as plain ints.
+
+    Only Cluster.add_pod, delete_pod, bind and unbind write it, so readers
+    need not scan the pods. The engine's audit recomputes every field from
+    the pods each tick and compares. A node with no Running pod may have a
+    zero entry in used or none, including a node the cluster no longer hosts.
+    """
+
+    pending: dict[str, Pod] = field(default_factory=dict)  # the Pending pods by id
+    used: dict[str, list[int]] = field(default_factory=dict)  # node id -> [cpu, memory] on it
+    assigned: list[int] = field(default_factory=lambda: [0, 0])  # [cpu, memory] of Running pods
+    total_cpu: int = 0  # cpu of every pod, Running or Pending
+
+
+@dataclass
 class Cluster:
-    """A set of nodes and the pods running (or waiting to run) on them."""
+    """A set of nodes and the pods running (or waiting to run) on them.
+
+    Pods change only through add_pod, delete_pod, bind and unbind, which keep
+    the ledger in step; pods is a read-only view.
+    """
 
     id: str
     nodes: dict[str, Node] = field(default_factory=dict)
-    pods: dict[str, Pod] = field(default_factory=dict)
     original_node_ids: frozenset[str] = frozenset()
     group: str | None = None
     min_active_nodes: int = 1
+    _pods: dict[str, Pod] = field(default_factory=dict, init=False)
+    ledger: Ledger = field(default_factory=Ledger, init=False, repr=False)
+
+    @property
+    def pods(self) -> Mapping[str, Pod]:
+        """The pods by id, read-only: a store raises TypeError."""
+        # A property, not a proxy attribute: copy.deepcopy cannot copy a proxy.
+        return MappingProxyType(self._pods)
+
+    def add_pod(self, pod: Pod) -> None:
+        """Add a pod: Pending if pod.assignment is None, else Running there.
+
+        A pod already held under the same id is deleted first, so the new one
+        replaces it, as a dict store would.
+        """
+        if pod.id in self._pods:
+            self.delete_pod(pod.id)
+        self._pods[pod.id] = pod
+        self.ledger.total_cpu += pod.demand.cpu
+        if pod.assignment is None:
+            self.ledger.pending[pod.id] = pod
+        else:
+            self._charge(pod, pod.assignment, 1)
+
+    def delete_pod(self, pod_id: str) -> Pod:
+        """Remove a pod, Running or Pending, and return it; KeyError if absent."""
+        pod = self._pods.pop(pod_id)
+        self.ledger.total_cpu -= pod.demand.cpu
+        if pod.assignment is None:
+            del self.ledger.pending[pod_id]
+        else:
+            self._charge(pod, pod.assignment, -1)
+        return pod
+
+    def bind(self, pod_id: str, node_id: str) -> None:
+        """Run a pod on a node.
+
+        A Pending pod starts Running there; a Running pod moves there from its
+        current node, as a drain's relocation does. The node is not checked:
+        the engine's audit flags a pod on a node its cluster does not host.
+        """
+        pod = self._pods[pod_id]
+        if pod.assignment is None:
+            del self.ledger.pending[pod_id]
+        else:
+            self._charge(pod, pod.assignment, -1)
+        self._charge(pod, node_id, 1)
+        pod.assignment = node_id
+        pod.state = PodState.RUNNING
+
+    def unbind(self, pod_id: str) -> None:
+        """Take a Running pod off its node; it waits Pending for placement."""
+        pod = self._pods[pod_id]
+        if pod.assignment is None:
+            raise ValueError(f"pod {pod_id!r} is not bound to a node")
+        self._charge(pod, pod.assignment, -1)
+        self.ledger.pending[pod_id] = pod
+        pod.assignment = None
+        pod.state = PodState.PENDING
+
+    def _charge(self, pod: Pod, node_id: str, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) the pod's demand on the node and
+        in the assigned totals."""
+        cpu, memory = sign * pod.demand.cpu, sign * pod.demand.memory
+        used = self.ledger.used.setdefault(node_id, [0, 0])
+        used[0] += cpu
+        used[1] += memory
+        assigned = self.ledger.assigned
+        assigned[0] += cpu
+        assigned[1] += memory
 
     def active_nodes(self) -> list[Node]:
         """Active nodes in ascending id order (the scheduler's scan order)."""
         return [n for _, n in sorted(self.nodes.items()) if n.state is NodeState.ACTIVE]
 
     def pending_pods(self) -> list[Pod]:
-        """Pending pods in pod-dict order; placement sorts them itself."""
-        return [p for p in self.pods.values() if p.state is PodState.PENDING]
+        """Pending pods from the ledger; placement sorts them itself."""
+        return list(self.ledger.pending.values())
 
     def pods_on(self, node_id: str) -> list[Pod]:
         """Pods assigned to the node, in pod-dict order."""
-        return [p for p in self.pods.values() if p.assignment == node_id]
+        return [p for p in self._pods.values() if p.assignment == node_id]
 
 
 def build_cluster(
@@ -176,28 +264,9 @@ class Utilization:
     u: float
 
 
-def demand_by_node(cluster: Cluster) -> dict[str | None, ResourceVector]:
-    """Requested demand summed per pod assignment, in one pass over the pods.
-
-    Keys are the ids of nodes hosting at least one pod; Pending pods are
-    summed under None. Placement and drain plans read this map; cluster-wide
-    totals sum the pods directly, the engine's audit sums per node in a pass
-    of its own, and node_demand serves only victim selection.
-    """
-    sums: dict[str | None, list[int]] = {}
-    for pod in cluster.pods.values():
-        total = sums.setdefault(pod.assignment, [0, 0])
-        total[0] += pod.demand.cpu
-        total[1] += pod.demand.memory
-    return {key: ResourceVector(cpu, memory) for key, (cpu, memory) in sums.items()}
-
-
 def node_demand(cluster: Cluster, node_id: str) -> ResourceVector:
-    cpu = memory = 0
-    for pod in cluster.pods.values():
-        if pod.assignment == node_id:
-            cpu += pod.demand.cpu
-            memory += pod.demand.memory
+    """Requested demand of the node's Running pods, read from the ledger."""
+    cpu, memory = cluster.ledger.used.get(node_id, (0, 0))
     # Empty nodes are common; ZERO spares them the costly vector construction.
     return ResourceVector(cpu, memory) if cpu or memory else ZERO
 
@@ -208,12 +277,17 @@ def cluster_utilization(cluster: Cluster) -> Utilization:
     Pending pods are excluded: they consume nothing yet. Raises ZeroCapacity
     when no node is Active, since the ratio is undefined.
     """
-    capacities = [n.capacity for n in cluster.nodes.values() if n.state is NodeState.ACTIVE]
-    if not capacities:
+    active = NodeState.ACTIVE  # an Enum member lookup per node would cost more than the sum
+    capacity_cpu = capacity_memory = 0
+    for node in cluster.nodes.values():
+        if node.state is active:
+            capacity_cpu += node.capacity.cpu
+            capacity_memory += node.capacity.memory
+    if not capacity_cpu:  # capacities are strictly positive
         raise ZeroCapacity(f"cluster {cluster.id!r} has no Active nodes")
-    assigned = [pod.demand for pod in cluster.pods.values() if pod.assignment is not None]
-    u_cpu = sum(d.cpu for d in assigned) / sum(c.cpu for c in capacities)
-    u_mem = sum(d.memory for d in assigned) / sum(c.memory for c in capacities)
+    cpu, memory = cluster.ledger.assigned
+    u_cpu = cpu / capacity_cpu
+    u_mem = memory / capacity_memory
     return Utilization(u_cpu=u_cpu, u_mem=u_mem, u=max(u_cpu, u_mem))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LastNodeGuard, NodeNotActive
-from .model import ZERO, Cluster, Node, NodeState, Pod, PodState, demand_by_node
+from .model import Cluster, Node, NodeState, Pod
 from .reporting import NULL_RECORDER, EventKind
 
 
@@ -35,15 +35,20 @@ def _plan(
     cluster: Cluster, pods: list[Pod], nodes: list[Node]
 ) -> tuple[list[tuple[str, str]], list[str]]:
     """First-fit-decreasing plan of pods onto the nodes' free capacity."""
-    demand = demand_by_node(cluster)
-    free = {node.id: node.capacity - demand.get(node.id, ZERO) for node in nodes}
+    used = cluster.ledger.used
+    free = []  # [node id, free cpu, free memory] in the nodes' order
+    for node in nodes:
+        cpu, memory = used.get(node.id, (0, 0))
+        free.append([node.id, node.capacity.cpu - cpu, node.capacity.memory - memory])
     placements: list[tuple[str, str]] = []
     unplaced: list[str] = []
     for pod in _placement_order(pods):
-        for node in nodes:
-            if pod.demand.fits_within(free[node.id]):
-                free[node.id] = free[node.id] - pod.demand
-                placements.append((pod.id, node.id))
+        cpu, memory = pod.demand.cpu, pod.demand.memory
+        for slot in free:
+            if cpu <= slot[1] and memory <= slot[2]:
+                slot[1] -= cpu
+                slot[2] -= memory
+                placements.append((pod.id, slot[0]))
                 break
         else:
             unplaced.append(pod.id)
@@ -60,9 +65,7 @@ def place_pending(cluster: Cluster) -> list[tuple[str, str]]:
         return []
     placements, _ = _plan(cluster, pending, cluster.active_nodes())
     for pod_id, node_id in placements:
-        pod = cluster.pods[pod_id]
-        pod.assignment = node_id
-        pod.state = PodState.RUNNING
+        cluster.bind(pod_id, node_id)
     return placements
 
 
@@ -107,11 +110,9 @@ def drain_node(
 
     node.state = NodeState.DRAINING
     for pod_id, target_id in placements:
-        cluster.pods[pod_id].assignment = target_id
+        cluster.bind(pod_id, target_id)
     for pod_id in unplaced:
-        pod = cluster.pods[pod_id]
-        pod.assignment = None
-        pod.state = PodState.PENDING
+        cluster.unbind(pod_id)
     node.state = NodeState.RESERVED
     return DrainOutcome(
         node=node_id, relocated=tuple(placements), restored=False, pending=tuple(sorted(unplaced))

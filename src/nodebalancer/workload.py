@@ -121,20 +121,21 @@ def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDel
     """
     target = target_demand(trace, tick)
     quantum = trace.pod_quantum
-    current = sum(pod.demand.cpu for pod in cluster.pods.values())
+    current = cluster.ledger.total_cpu
 
     deleted = []
-    for newest in sorted(cluster.pods, reverse=True):
-        if current - target.cpu < quantum.cpu:
-            break
-        current -= cluster.pods.pop(newest).demand.cpu
-        deleted.append(newest)
+    if current - target.cpu >= quantum.cpu:  # most ticks delete nothing: skip the sort
+        for newest in sorted(cluster.pods, reverse=True):
+            if current - target.cpu < quantum.cpu:
+                break
+            current -= cluster.delete_pod(newest).demand.cpu
+            deleted.append(newest)
 
     created = []
     if current < target.cpu:
         count = int((target.cpu - current) / quantum.cpu + 0.5)
         for i in range(count):
             pod_id = f"{cluster.id}-p{tick:05d}-{i:04d}"
-            cluster.pods[pod_id] = Pod(id=pod_id, demand=quantum)
+            cluster.add_pod(Pod(id=pod_id, demand=quantum))
             created.append(pod_id)
     return WorkloadDelta(created=tuple(created), deleted=tuple(deleted))

@@ -15,6 +15,7 @@ from nodebalancer import (
     Cluster,
     ConstantTrace,
     GroupManager,
+    Ledger,
     Node,
     Pod,
     PodState,
@@ -54,13 +55,13 @@ def make_cluster(cid, cpus, memory=8192, min_active=1) -> Cluster:
 
 def run_pod(cluster, pid, node_id, cpu, memory=None) -> Pod:
     pod = Pod(id=pid, demand=rv(cpu, memory), assignment=node_id, state=PodState.RUNNING)
-    cluster.pods[pid] = pod
+    cluster.add_pod(pod)
     return pod
 
 
 def pending_pod(cluster, pid, cpu, memory=None) -> Pod:
     pod = Pod(id=pid, demand=rv(cpu, memory))
-    cluster.pods[pid] = pod
+    cluster.add_pod(pod)
     return pod
 
 
@@ -69,6 +70,32 @@ def fill(cluster, node_id, total_cpu, quantum=100, prefix=None):
     prefix = prefix or f"{node_id}-fill"
     for i in range(total_cpu // quantum):
         run_pod(cluster, f"{prefix}-{i:04d}", node_id, quantum)
+
+
+def ledger_from_pods(cluster) -> Ledger:
+    """The cluster's ledger recomputed from its pods, with no zero entries."""
+    ledger = Ledger()
+    for pod in cluster.pods.values():
+        ledger.total_cpu += pod.demand.cpu
+        if pod.assignment is None:
+            ledger.pending[pod.id] = pod
+            continue
+        used = ledger.used.setdefault(pod.assignment, [0, 0])
+        used[0] += pod.demand.cpu
+        used[1] += pod.demand.memory
+        ledger.assigned[0] += pod.demand.cpu
+        ledger.assigned[1] += pod.demand.memory
+    return ledger
+
+
+def assert_ledger_matches_pods(cluster):
+    """Every ledger field equals its recompute; zero per-node entries may stay."""
+    expected, ledger = ledger_from_pods(cluster), cluster.ledger
+    assert ledger.pending.keys() == expected.pending.keys()
+    assert all(ledger.pending[pid] is pod for pid, pod in expected.pending.items())
+    assert {nid: used for nid, used in ledger.used.items() if used != [0, 0]} == expected.used
+    assert ledger.assigned == expected.assigned
+    assert ledger.total_cpu == expected.total_cpu
 
 
 def snapshot(obj):

@@ -464,6 +464,65 @@ def test_audit_flags_an_extra_node():
         _verify_world(manager, expected, tick=3)
 
 
+def _corrupt_pending(ledger):
+    ledger.pending.pop("waiting")
+
+
+def _corrupt_pending_object(ledger):
+    # An equal copy is not the pod the cluster holds.
+    ledger.pending["waiting"] = dataclasses.replace(ledger.pending["waiting"])
+
+
+def _corrupt_used(ledger):
+    ledger.used["a-n000"][1] += 1
+
+
+def _corrupt_used_off_cluster(ledger):
+    ledger.used["b-n000"] = [100, 0]
+
+
+def _corrupt_assigned(ledger):
+    ledger.assigned[0] -= 100
+
+
+def _corrupt_total_cpu(ledger):
+    ledger.total_cpu += 100
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    # Each corrupts one field only; every other field still matches the pods.
+    [
+        (_corrupt_pending, r"'pending' does not hold exactly the Pending pod objects: "
+                           r"it has \[\], the pods \['waiting'\]"),
+        (_corrupt_pending_object, r"'pending' does not hold exactly the Pending pod objects: "
+                                  r"it has \['waiting'\], the pods \['waiting'\]"),
+        (_corrupt_used, r"'used' holds \[1000, 1281\] for node 'a-n000', "
+                        r"but its pods sum to \[1000, 1280\]"),
+        (_corrupt_used_off_cluster, r"'used' holds \[100, 0\] for node 'b-n000', "
+                                    r"but its pods sum to \[0, 0\]"),
+        (_corrupt_assigned, r"'assigned' holds \[900, 1280\], "
+                            r"but the Running pods sum to \[1000, 1280\]"),
+        (_corrupt_total_cpu, r"'total_cpu' holds 1600, but the pods sum to 1500"),
+    ],
+    ids=["pending", "pending-object", "used", "used-off-cluster", "assigned", "total_cpu"],
+)
+def test_audit_flags_a_ledger_field_drifting_from_the_pods(corrupt, message):
+    manager, expected = _audited_world()
+    pending_pod(manager.clusters["a"], "waiting", 500)
+    _verify_world(manager, expected, tick=3)
+    corrupt(manager.clusters["a"].ledger)
+    with pytest.raises(InvariantViolation, match=r"^tick 3: cluster 'a' ledger " + message + "$"):
+        _verify_world(manager, expected, tick=3)
+
+
+def test_audit_accepts_a_zero_ledger_entry_for_a_node_the_cluster_does_not_host():
+    manager, expected = _audited_world()
+    # A drained node keeps a zero entry in the ledger of the cluster it left.
+    manager.clusters["a"].ledger.used["b-n000"] = [0, 0]
+    _verify_world(manager, expected, tick=3)
+
+
 def test_tick_record_counts_and_sums_only_pending_pods():
     cluster = make_cluster("a", [4000, 4000])
     run_pod(cluster, "r0", "a-n000", 1000, 512)

@@ -5,7 +5,7 @@ import pytest
 from nodebalancer import (
     Node,
     NodeState,
-    PodState,
+    Pod,
     ResourceVector,
     Utilization,
     build_cluster,
@@ -14,9 +14,18 @@ from nodebalancer import (
     place_pending,
 )
 from nodebalancer.errors import NodeNotActive, NodeNotInCluster, ZeroCapacity
-from nodebalancer.model import ZERO, demand_by_node, node_demand
+from nodebalancer.model import node_demand
 
-from helpers import make_cluster, pending_pod, random_world, randomize_load, run_pod, rv
+from helpers import (
+    assert_ledger_matches_pods,
+    ledger_from_pods,
+    make_cluster,
+    pending_pod,
+    random_world,
+    randomize_load,
+    run_pod,
+    rv,
+)
 
 
 def test_resource_vector_arithmetic():
@@ -26,7 +35,6 @@ def test_resource_vector_arithmetic():
     assert a - b == ResourceVector(200, 384)
     assert b.fits_within(a)
     assert not a.fits_within(b)
-    assert b.scaled(3) == ResourceVector(300, 384)
 
 
 def test_resource_vector_rejects_negative_components():
@@ -93,9 +101,10 @@ def test_pending_pods_do_not_count_as_demand():
     run_pod(cluster, "p0", "a-n000", 500)
     pending_pod(cluster, "p1", 5000)
     assert cluster_utilization(cluster).u == pytest.approx(0.5, abs=1e-9)
-    demand = demand_by_node(cluster)
-    assert demand[None].cpu == 5000
-    assert demand["a-n000"].cpu == 500
+    assert [pod.id for pod in cluster.pending_pods()] == ["p1"]
+    assert cluster.ledger.pending["p1"].demand.cpu == 5000
+    assert node_demand(cluster, "a-n000").cpu == 500
+    assert cluster.ledger.total_cpu == 5500
 
 
 def test_only_active_nodes_provide_capacity():
@@ -132,7 +141,8 @@ def test_node_and_free_accounting():
     run_pod(cluster, "p0", "a-n000", 300, 200)
     run_pod(cluster, "p1", "a-n000", 100, 100)
     assert node_demand(cluster, "a-n000") == ResourceVector(400, 300)
-    assert demand_by_node(cluster) == {"a-n000": ResourceVector(400, 300)}
+    assert cluster.ledger.used == {"a-n000": [400, 300]}
+    assert cluster.ledger.assigned == [400, 300]
     node = cluster.nodes["a-n000"]
     assert node.capacity - node_demand(cluster, node.id) == ResourceVector(600, 700)
 
@@ -179,7 +189,7 @@ def test_node_utilization_never_exceeds_one_for_scheduled_pods():
             assert node_utilization(node, cluster) <= 1.0 + 1e-12
 
 
-def test_demand_by_node_matches_per_node_scans():
+def test_ledger_matches_a_recompute_from_the_pods():
     rng = random.Random(505)
     saw_pending = False
     for trial in range(100):
@@ -187,13 +197,42 @@ def test_demand_by_node_matches_per_node_scans():
         for cluster in manager.clusters.values():
             for tick in (0, 1):  # the second load both creates and deletes pods
                 randomize_load(rng, cluster, tick)
-            demand = demand_by_node(cluster)
+            assert_ledger_matches_pods(cluster)
+            expected = ledger_from_pods(cluster)
             for node_id in cluster.nodes:
-                assert demand.get(node_id, ZERO) == node_demand(cluster, node_id)
-            pending = [p.demand for p in cluster.pods.values() if p.state is PodState.PENDING]
-            assert demand.get(None, ZERO) == ResourceVector(
-                sum(d.cpu for d in pending), sum(d.memory for d in pending)
-            )
-            assert set(demand) <= set(cluster.nodes) | {None}
-            saw_pending = saw_pending or bool(pending)
+                assert node_demand(cluster, node_id) == rv(*expected.used.get(node_id, (0, 0)))
+            assert set(expected.used) <= set(cluster.nodes)
+            saw_pending = saw_pending or bool(expected.pending)
     assert saw_pending
+
+
+def test_pods_are_a_read_only_view():
+    cluster = make_cluster("a", [1000])
+    pod = pending_pod(cluster, "p0", 100)
+    with pytest.raises(TypeError):
+        cluster.pods["x"] = pod
+    with pytest.raises(TypeError):
+        del cluster.pods["p0"]
+    assert dict(cluster.pods) == {"p0": pod}
+    assert_ledger_matches_pods(cluster)
+
+
+def test_mutation_api_keeps_the_ledger():
+    cluster = make_cluster("a", [1000, 1000], memory=1000)
+    run_pod(cluster, "r0", "a-n000", 300, 200)
+    pending_pod(cluster, "p0", 200, 100)
+    cluster.bind("p0", "a-n001")
+    cluster.bind("r0", "a-n001")  # a drain's move: Running to Running
+    assert cluster.ledger.used == {"a-n000": [0, 0], "a-n001": [500, 300]}
+    cluster.unbind("p0")
+    assert cluster.pending_pods() == [cluster.pods["p0"]]
+    with pytest.raises(ValueError, match="'p0' is not bound"):
+        cluster.unbind("p0")
+    # A store under a held id replaces the pod, as a dict store would.
+    cluster.add_pod(Pod(id="r0", demand=rv(100, 50)))
+    assert cluster.ledger.assigned == [0, 0] and cluster.ledger.total_cpu == 300
+    assert_ledger_matches_pods(cluster)
+    assert cluster.delete_pod("p0").id == "p0"
+    assert cluster.delete_pod("r0").id == "r0"
+    assert not cluster.pods and cluster.ledger.pending == {} and cluster.ledger.total_cpu == 0
+    assert_ledger_matches_pods(cluster)

@@ -30,10 +30,10 @@ def test_place_with_no_pending_is_a_no_op():
 
 
 def test_placement_with_nothing_pending_builds_no_demand_map(monkeypatch):
-    def no_map(cluster):
-        raise RuntimeError(f"demand map built for {cluster.id!r}")
+    def no_plan(cluster, pods, nodes):
+        raise RuntimeError(f"plan built for {cluster.id!r}")
 
-    monkeypatch.setattr(scheduler, "demand_by_node", no_map)
+    monkeypatch.setattr(scheduler, "_plan", no_plan)
     running = make_cluster("a", [4000, 4000])
     run_pod(running, "r0", "a-n000", 1000)
     run_pod(running, "r1", "a-n001", 500)
@@ -41,7 +41,7 @@ def test_placement_with_nothing_pending_builds_no_demand_map(monkeypatch):
 
     waiting = make_cluster("b", [4000])
     pending_pod(waiting, "p0", 500)
-    with pytest.raises(RuntimeError, match="demand map built for 'b'"):
+    with pytest.raises(RuntimeError, match="plan built for 'b'"):
         place_pending(waiting)
     monkeypatch.undo()
     assert place_pending(waiting) == [("p0", "b-n000")]

@@ -28,6 +28,8 @@ from nodebalancer import (
 )
 from nodebalancer.errors import AlreadyGrouped
 
+from helpers import assert_ledger_matches_pods
+
 CLUSTERS = ("c0", "c1", "c2", "c3")
 # In g1 a 2-node donor just below t_low lands above t_high on one node, so
 # balancing there must reverse moves.
@@ -121,6 +123,12 @@ class GroupManagerMachine(RuleBasedStateMachine):
         for cid, cluster in self.manager.clusters.items():
             own = sum(node.origin_cluster == cid for node in cluster.nodes.values())
             assert own >= cluster.min_active_nodes
+
+    @invariant()
+    def ledgers_match_the_pods(self):
+        # Forced drains, recalls and returns here never reach the engine's audit.
+        for cluster in self.manager.clusters.values():
+            assert_ledger_matches_pods(cluster)
 
     @invariant()
     def moves_leave_donors_at_or_below_t_high(self):
