@@ -87,7 +87,6 @@ def rebalance_cycle(
     clusters: dict[str, Cluster],
     *,
     recorder=None,
-    tick: int = 0,
 ) -> list[RebalanceOutcome]:
     """Run one balancing cycle over the group; returns one outcome per
     overutilized cluster (reversals appear as extra outcomes as they happen).
@@ -98,7 +97,7 @@ def rebalance_cycle(
     and guarantees termination.
     """
     rec = recorder if recorder is not None else NULL_RECORDER
-    evaluation = evaluate_group(group, clusters, tick=tick)
+    evaluation = evaluate_group(group, clusters)
     t_high = group.thresholds.t_high
     outcomes: list[RebalanceOutcome] = []
     used: set[str] = set()  # clusters that already played a role this cycle

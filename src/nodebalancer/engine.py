@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -27,7 +28,6 @@ from .model import (
     ZERO,
     Cluster,
     NodeState,
-    PodState,
     ResourceVector,
     Thresholds,
     build_cluster,
@@ -375,13 +375,14 @@ def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     pending = cluster.ledger.pending.values()
     cpu = sum(pod.demand.cpu for pod in pending)
     memory = sum(pod.demand.memory for pod in pending)
+    active = NodeState.ACTIVE  # an Enum member lookup per node would cost more than the count
     return TickRecord(
         tick=tick,
         cluster_id=cluster.id,
         u_cpu=util.u_cpu,
         u_mem=util.u_mem,
         u=util.u,
-        active_nodes=sum(n.state is NodeState.ACTIVE for n in cluster.nodes.values()),
+        active_nodes=sum(n.state is active for n in cluster.nodes.values()),
         pending_pods=len(pending),
         # Records live all run and most have no backlog: they share ZERO.
         pending_demand=ResourceVector(cpu, memory) if pending else ZERO,
@@ -396,18 +397,13 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
     readers built on it. Every ledger field is then compared with its
     recompute, so the audit stays an independent check of both.
     """
-    seen: Counter = Counter()
-    # An Enum member lookup costs ~0.2 us on Python 3.10-3.11: once, not per pod.
-    running_state = PodState.RUNNING
+    # Enum member lookups cost ~0.2 us on Python 3.10-3.11: once, not per node.
+    unfinished = (NodeState.DRAINING, NodeState.IN_TRANSIT)
     for cluster_id, cluster in manager.clusters.items():
         used = {node_id: [0, 0] for node_id in cluster.nodes}
         pending = []
         for pod in cluster.pods.values():
             node_id = pod.assignment
-            if (pod.state is running_state) != (node_id is not None):
-                raise InvariantViolation(
-                    f"tick {tick}: pod {pod.id!r} state/assignment mismatch"
-                )
             if node_id is None:
                 pending.append(pod)
                 continue
@@ -420,8 +416,7 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
             total[0] += demand.cpu
             total[1] += demand.memory
         for node_id, node in cluster.nodes.items():
-            seen[node_id] += 1
-            if node.state in (NodeState.DRAINING, NodeState.IN_TRANSIT):
+            if node.state in unfinished:
                 raise InvariantViolation(
                     f"tick {tick}: node {node_id!r} ended the tick {node.state.value}"
                 )
@@ -431,13 +426,17 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
                     f"but records host_cluster={node.host_cluster!r}"
                 )
             cpu, memory = used[node_id]
-            if cpu > node.capacity.cpu or memory > node.capacity.memory:
+            capacity = node.capacity
+            if cpu > capacity.cpu or memory > capacity.memory:
                 raise InvariantViolation(
                     f"tick {tick}: node {node_id!r} over capacity: "
-                    f"{ResourceVector(cpu, memory)} > {node.capacity}"
+                    f"{ResourceVector(cpu, memory)} > {capacity}"
                 )
         _verify_ledger(cluster, used, pending, tick)
-    if seen != expected_nodes:
+    seen = Counter(chain.from_iterable(cluster.nodes for cluster in manager.clusters.values()))
+    # Neither Counter holds a zero count, so dict equality (in C) is Counter
+    # equality without its per-key Python loop.
+    if not dict.__eq__(seen, expected_nodes):
         raise InvariantViolation(
             f"tick {tick}: node conservation broken; "
             f"missing={sorted(expected_nodes - seen)} extra={sorted(seen - expected_nodes)}"
@@ -452,37 +451,46 @@ def _verify_ledger(cluster: Cluster, used: dict, pending: list, tick: int) -> No
     not host must be zero or absent.
     """
     ledger = cluster.ledger
-    where = f"tick {tick}: cluster {cluster.id!r} ledger"
     if len(ledger.pending) != len(pending) or any(
         ledger.pending.get(pod.id) is not pod for pod in pending
     ):
         raise InvariantViolation(
-            f"{where} 'pending' does not hold exactly the Pending pod objects: "
-            f"it has {sorted(ledger.pending)}, the pods {sorted(pod.id for pod in pending)}"
+            f"{_ledger_where(cluster, tick)} 'pending' does not hold exactly the Pending "
+            f"pod objects: it has {sorted(ledger.pending)}, "
+            f"the pods {sorted(pod.id for pod in pending)}"
         )
     # A zero entry and no entry both mean no demand, so only nonzero ones must match.
-    kept = {node_id: total for node_id, total in ledger.used.items() if total[0] or total[1]}
-    summed = {node_id: total for node_id, total in used.items() if total[0] or total[1]}
-    if kept != summed:
+    kept, no_demand = ledger.used, [0, 0]
+    if any(kept.get(node_id, no_demand) != total for node_id, total in used.items()) or any(
+        kept[node_id] != no_demand for node_id in kept.keys() - used.keys()
+    ):
+        kept = {node_id: total for node_id, total in kept.items() if total != no_demand}
+        summed = {node_id: total for node_id, total in used.items() if total != no_demand}
         node_id = min(n for n in kept.keys() | summed.keys() if kept.get(n) != summed.get(n))
         raise InvariantViolation(
-            f"{where} 'used' holds {kept.get(node_id, [0, 0])} for node {node_id!r}, "
-            f"but its pods sum to {summed.get(node_id, [0, 0])}"
+            f"{_ledger_where(cluster, tick)} 'used' holds {kept.get(node_id, no_demand)} "
+            f"for node {node_id!r}, but its pods sum to {summed.get(node_id, no_demand)}"
         )
     cpu = memory = 0
-    for node_cpu, node_memory in summed.values():
+    for node_cpu, node_memory in used.values():
         cpu += node_cpu
         memory += node_memory
     if ledger.assigned != [cpu, memory]:
         raise InvariantViolation(
-            f"{where} 'assigned' holds {ledger.assigned}, "
+            f"{_ledger_where(cluster, tick)} 'assigned' holds {ledger.assigned}, "
             f"but the Running pods sum to {[cpu, memory]}"
         )
     total_cpu = cpu + sum(pod.demand.cpu for pod in pending)
     if ledger.total_cpu != total_cpu:
         raise InvariantViolation(
-            f"{where} 'total_cpu' holds {ledger.total_cpu}, but the pods sum to {total_cpu}"
+            f"{_ledger_where(cluster, tick)} 'total_cpu' holds {ledger.total_cpu}, "
+            f"but the pods sum to {total_cpu}"
         )
+
+
+def _ledger_where(cluster: Cluster, tick: int) -> str:
+    """The prefix of every ledger violation, formatted only once one is found."""
+    return f"tick {tick}: cluster {cluster.id!r} ledger"
 
 
 def run(
@@ -527,9 +535,7 @@ def run(
                 group = manager.groups[group_id]
                 if tick % group.balance_interval != 0:
                     continue
-                outcomes = rebalance_cycle(
-                    group, manager.clusters, recorder=recorder, tick=tick
-                )
+                outcomes = rebalance_cycle(group, manager.clusters, recorder=recorder)
                 for outcome in outcomes:
                     if outcome.kind is OutcomeKind.MOVED:
                         received.add(outcome.high_cluster)

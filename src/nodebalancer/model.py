@@ -15,7 +15,7 @@ from types import MappingProxyType
 from .errors import NodeNotActive, NodeNotInCluster, ZeroCapacity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceVector:
     """A (cpu millicores, memory MiB) pair, combined and compared componentwise."""
 
@@ -55,7 +55,7 @@ class PodState(str, Enum):
     PENDING = "Pending"
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """A capacity-bearing unit.
 
@@ -76,7 +76,7 @@ class Node:
             raise ValueError(f"node {self.id!r}: capacity must be strictly positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class Pod:
     """A unit of workload with a fixed resource demand.
 
@@ -86,7 +86,11 @@ class Pod:
     id: str
     demand: ResourceVector
     assignment: str | None = None
-    state: PodState = PodState.PENDING
+
+    @property
+    def state(self) -> PodState:
+        """Running exactly while the pod is assigned to a node; read-only."""
+        return PodState.PENDING if self.assignment is None else PodState.RUNNING
 
 
 @dataclass
@@ -130,11 +134,10 @@ class Cluster:
     def add_pod(self, pod: Pod) -> None:
         """Add a pod: Pending if pod.assignment is None, else Running there.
 
-        A pod already held under the same id is deleted first, so the new one
-        replaces it, as a dict store would.
+        Raises ValueError if the cluster already holds a pod with that id.
         """
         if pod.id in self._pods:
-            self.delete_pod(pod.id)
+            raise ValueError(f"cluster {self.id!r} already holds a pod {pod.id!r}")
         self._pods[pod.id] = pod
         self.ledger.total_cpu += pod.demand.cpu
         if pod.assignment is None:
@@ -166,7 +169,6 @@ class Cluster:
             self._charge(pod, pod.assignment, -1)
         self._charge(pod, node_id, 1)
         pod.assignment = node_id
-        pod.state = PodState.RUNNING
 
     def unbind(self, pod_id: str) -> None:
         """Take a Running pod off its node; it waits Pending for placement."""
@@ -176,7 +178,6 @@ class Cluster:
         self._charge(pod, pod.assignment, -1)
         self.ledger.pending[pod_id] = pod
         pod.assignment = None
-        pod.state = PodState.PENDING
 
     def _charge(self, pod: Pod, node_id: str, sign: int) -> None:
         """Add (sign 1) or remove (sign -1) the pod's demand on the node and
@@ -255,7 +256,7 @@ class Group:
     balance_interval: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utilization:
     """Per-dimension load ratios and their max, the headline number."""
 

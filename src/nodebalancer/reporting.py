@@ -30,7 +30,7 @@ class EventKind(str, Enum):
     RESTORATION_COMPLETED = "RestorationCompleted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RebalanceEvent:
     """One timestamped fact about a run.
 
@@ -84,7 +84,7 @@ class NullRecorder:
 NULL_RECORDER = NullRecorder()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TickRecord:
     """Per-(tick, cluster) sample of utilization and scheduling backlog."""
 

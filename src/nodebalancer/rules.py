@@ -10,7 +10,7 @@ from .model import Cluster, Group, Thresholds, cluster_utilization
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Snapshot of which members sit outside the band at a given tick.
+    """Snapshot of which members sit outside the band.
 
     overutilized is ordered by descending utilization, underutilized by
     ascending utilization; ties break by ascending cluster id in both.
@@ -19,7 +19,6 @@ class Evaluation:
 
     overutilized: tuple[str, ...]
     underutilized: tuple[str, ...]
-    sampled_at: int
 
 
 def validate_thresholds(thresholds: Thresholds) -> None:
@@ -35,7 +34,7 @@ def validate_thresholds(thresholds: Thresholds) -> None:
         )
 
 
-def evaluate_group(group: Group, clusters: dict[str, Cluster], tick: int = 0) -> Evaluation:
+def evaluate_group(group: Group, clusters: dict[str, Cluster]) -> Evaluation:
     """Classify every member against the group's thresholds.
 
     Both comparisons are strict: a cluster sitting exactly on a threshold is
@@ -57,5 +56,4 @@ def evaluate_group(group: Group, clusters: dict[str, Cluster], tick: int = 0) ->
     return Evaluation(
         overutilized=tuple(cid for _, cid in over),
         underutilized=tuple(cid for _, cid in under),
-        sampled_at=tick,
     )

@@ -117,7 +117,9 @@ def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDel
     Demand above the target is shed by deleting pods newest-first (highest
     pod id), but only while a whole quantum of excess remains, rounding
     toward fewer deletions. Demand below the target is topped up with new
-    Pending pods of one quantum each; placement is the scheduler's job.
+    Pending pods of one quantum each; placement is the scheduler's job. New
+    pod ids are unique per cluster and tick, so a second top-up at the same
+    tick raises ValueError.
     """
     target = target_demand(trace, tick)
     quantum = trace.pod_quantum

@@ -18,7 +18,6 @@ from nodebalancer import (
     Ledger,
     Node,
     Pod,
-    PodState,
     ResourceVector,
     Thresholds,
     apply_workload,
@@ -54,7 +53,7 @@ def make_cluster(cid, cpus, memory=8192, min_active=1) -> Cluster:
 
 
 def run_pod(cluster, pid, node_id, cpu, memory=None) -> Pod:
-    pod = Pod(id=pid, demand=rv(cpu, memory), assignment=node_id, state=PodState.RUNNING)
+    pod = Pod(id=pid, demand=rv(cpu, memory), assignment=node_id)
     cluster.add_pod(pod)
     return pod
 

@@ -219,7 +219,7 @@ def test_criterion_5_restoration_exactness():
         for tick in range(rng.randint(0, 20)):
             for cluster in manager.clusters.values():
                 randomize_load(rng, cluster, tick)
-            rebalance_cycle(group, manager.clusters, tick=tick)
+            rebalance_cycle(group, manager.clusters)
         victim = rng.choice(sorted(manager.clusters))
         manager.remove_cluster("g0", victim)
         cluster = manager.clusters[victim]

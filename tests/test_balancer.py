@@ -122,7 +122,7 @@ def _pair_world():
 def test_cycle_moves_a_node_from_quiet_to_hot():
     clusters, group = _pair_world()
     recorder = EventRecorder()
-    outcomes = rebalance_cycle(group, clusters, recorder=recorder, tick=0)
+    outcomes = rebalance_cycle(group, clusters, recorder=recorder)
 
     assert [o.kind for o in outcomes] == [OutcomeKind.MOVED]
     move = outcomes[0]
@@ -375,7 +375,7 @@ def test_conservation_and_origin_immutability_over_random_cycles():
         for tick in range(rng.randint(1, 10)):
             for cluster in manager.clusters.values():
                 randomize_load(rng, cluster, tick)
-            rebalance_cycle(group, manager.clusters, tick=tick)
+            rebalance_cycle(group, manager.clusters)
             assert node_multiset(manager.clusters) == nodes_before
             assert origin_map(manager.clusters) == origins_before
 

@@ -9,7 +9,6 @@ from nodebalancer import (
     GroupManager,
     Node,
     NodeState,
-    PodState,
     ResourceVector,
     Scenario,
     TickRecord,
@@ -417,19 +416,6 @@ def test_audit_accepts_nodes_that_over_commit_only_when_summed_together():
     run_pod(manager.clusters["a"], "p0", "a-n000", 3000, 5000)
     run_pod(manager.clusters["a"], "p1", "a-n001", 4000, 8192)
     _verify_world(manager, expected, tick=3)
-
-
-@pytest.mark.parametrize(
-    "state, assignment",
-    [(PodState.RUNNING, None), (PodState.PENDING, "a-n001")],
-    ids=["running-unassigned", "pending-assigned"],
-)
-def test_audit_flags_a_pod_state_assignment_mismatch(state, assignment):
-    manager, expected = _audited_world()
-    pod = pending_pod(manager.clusters["a"], "x", 100)
-    pod.state, pod.assignment = state, assignment
-    with pytest.raises(InvariantViolation, match="tick 3: pod 'x' state/assignment mismatch"):
-        _verify_world(manager, expected, tick=3)
 
 
 def test_audit_flags_a_pod_on_a_node_its_cluster_does_not_host():

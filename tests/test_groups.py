@@ -275,7 +275,7 @@ def test_restoration_after_random_balancing():
         for tick in range(rng.randint(0, 12)):
             for cluster in manager.clusters.values():
                 randomize_load(rng, cluster, tick)
-            rebalance_cycle(group, manager.clusters, tick=tick)
+            rebalance_cycle(group, manager.clusters)
         victim = rng.choice(list(group.members))
         manager.remove_cluster("g0", victim)
 
@@ -321,18 +321,18 @@ def test_exit_leaves_every_member_a_node_of_its_own():
 
     load(x, 7000, 0)
     load(y, 4000, 0)
-    rebalance_cycle(group, manager.clusters, tick=0)
+    rebalance_cycle(group, manager.clusters)
     assert "l-n000" in x.nodes
     # New pods fill nodes in id order, so x's whole load lands on l-n000.
     load(x, 0, 1)
-    load(x, 2000, 1)
+    load(x, 2000, 2)
     assert {pod.assignment for pod in x.pods.values()} == {"l-n000"}
 
     load(y, 7600, 1)
-    rebalance_cycle(group, manager.clusters, tick=1)
+    rebalance_cycle(group, manager.clusters)
     assert "x-n000" in y.nodes
     load(y, 11000, 2)
-    outcomes = rebalance_cycle(group, manager.clusters, tick=2)
+    outcomes = rebalance_cycle(group, manager.clusters)
     # x's last own node stays: the borrowed l-n000 goes home when l exits.
     assert outcomes[0].attempts == (("l", "MinActiveNodes"), ("x", "MinActiveNodes"))
 

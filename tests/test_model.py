@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,10 +8,14 @@ from nodebalancer import (
     Node,
     NodeState,
     Pod,
+    PodState,
+    RebalanceEvent,
     ResourceVector,
+    TickRecord,
     Utilization,
     build_cluster,
     cluster_utilization,
+    drain_node,
     node_utilization,
     place_pending,
 )
@@ -228,11 +234,82 @@ def test_mutation_api_keeps_the_ledger():
     assert cluster.pending_pods() == [cluster.pods["p0"]]
     with pytest.raises(ValueError, match="'p0' is not bound"):
         cluster.unbind("p0")
-    # A store under a held id replaces the pod, as a dict store would.
-    cluster.add_pod(Pod(id="r0", demand=rv(100, 50)))
-    assert cluster.ledger.assigned == [0, 0] and cluster.ledger.total_cpu == 300
+    # A second pod under a held id is refused; the held pod and the ledger stay.
+    held = cluster.pods["r0"]
+    with pytest.raises(ValueError, match="cluster 'a' already holds a pod 'r0'"):
+        cluster.add_pod(Pod(id="r0", demand=rv(100, 50)))
+    assert cluster.pods["r0"] is held
+    assert cluster.ledger.assigned == [300, 200] and cluster.ledger.total_cpu == 500
     assert_ledger_matches_pods(cluster)
     assert cluster.delete_pod("p0").id == "p0"
     assert cluster.delete_pod("r0").id == "r0"
     assert not cluster.pods and cluster.ledger.pending == {} and cluster.ledger.total_cpu == 0
     assert_ledger_matches_pods(cluster)
+
+
+def _mixed_cluster():
+    """Two nodes with Running pods, one Pending pod too large for either."""
+    cluster = make_cluster("a", [1000, 1000])
+    run_pod(cluster, "r0", "a-n000", 600)
+    run_pod(cluster, "r1", "a-n001", 300)
+    pending_pod(cluster, "big", 1500)
+    return cluster
+
+
+def _states(cluster):
+    return {pid: pod.state for pid, pod in cluster.pods.items()}
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["deepcopy", "pickle"],
+)
+def test_slotted_records_survive_deepcopy_and_pickle(clone):
+    cluster = _mixed_cluster()
+    twin = clone(cluster)
+    assert dict(twin.pods) == dict(cluster.pods)
+    assert _states(twin) == {
+        "r0": PodState.RUNNING, "r1": PodState.RUNNING, "big": PodState.PENDING,
+    }
+    # The twin's ledger holds the twin's own pod objects, not the originals.
+    assert twin.pods["big"] is not cluster.pods["big"]
+    assert_ledger_matches_pods(twin)
+    assert twin.ledger == cluster.ledger and twin.nodes == cluster.nodes
+    records = (
+        cluster_utilization(cluster),
+        TickRecord(1, "a", 0.45, 0.45, 0.45, 2, 1, rv(1500)),
+        RebalanceEvent(1, 0, "DrainStarted", cluster="a", node="a-n000", detail={"pods": 1}),
+    )
+    assert clone(records) == records
+
+
+def test_pod_state_follows_bind_unbind_and_forced_drains():
+    cluster = _mixed_cluster()
+    cluster.unbind("r1")
+    assert _states(cluster) == {
+        "r0": PodState.RUNNING, "r1": PodState.PENDING, "big": PodState.PENDING,
+    }
+    cluster.bind("r1", "a-n000")
+    assert _states(cluster) == {
+        "r0": PodState.RUNNING, "r1": PodState.RUNNING, "big": PodState.PENDING,
+    }
+    run_pod(cluster, "r2", "a-n001", 700)
+    # a-n001 has room for r1 (300m) but not r0 (600m): one moves, one waits.
+    drain = drain_node(cluster, "a-n000", force=True)
+    assert drain.pending == ("r0",)
+    assert cluster.pods["r1"].assignment == "a-n001"
+    assert _states(cluster) == {
+        "r0": PodState.PENDING, "r1": PodState.RUNNING,
+        "big": PodState.PENDING, "r2": PodState.RUNNING,
+    }
+    assert_ledger_matches_pods(cluster)
+
+
+def test_pod_state_cannot_be_assigned():
+    pod = Pod(id="p0", demand=rv(100))
+    with pytest.raises(AttributeError):
+        pod.state = PodState.RUNNING
+    with pytest.raises(AttributeError):
+        pod.note = "slotted records take no new attributes"
+    assert pod.state is PodState.PENDING and pod.assignment is None

@@ -37,7 +37,7 @@ def test_bad_thresholds_rejected(t_low, t_high):
 def test_classification_and_ordering():
     clusters = _world([900, 300, 200])
     group = Group(id="g", members=["c0", "c1", "c2"], thresholds=Thresholds(0.4, 0.8))
-    evaluation = evaluate_group(group, clusters, tick=5)
+    evaluation = evaluate_group(group, clusters)
 
     # Reference partition from raw ratios.
     ratios = {cid: (900, 300, 200)[i] / 1000 for i, cid in enumerate(group.members)}
@@ -46,7 +46,6 @@ def test_classification_and_ordering():
 
     assert evaluation.overutilized == tuple(over) == ("c0",)
     assert evaluation.underutilized == tuple(under) == ("c2", "c1")
-    assert evaluation.sampled_at == 5
 
 
 def test_band_interior_is_quiet():

@@ -85,15 +85,17 @@ class GroupManagerMachine(RuleBasedStateMachine):
 
     @rule(cid=cluster_ids, pods=pod_counts)
     def set_load(self, cid, pods):
+        # Pod ids are unique only per (cluster, tick), so each load takes a fresh tick.
         cluster = self.manager.clusters[cid]
         apply_workload(cluster, ConstantTrace(level=pods * 100), self.tick)
         place_pending(cluster)
+        self.tick += 1
 
     @rule()
     def rebalance(self):
         self.recorder.tick = self.tick
         for group in self.manager.groups.values():
-            rebalance_cycle(group, self.manager.clusters, recorder=self.recorder, tick=self.tick)
+            rebalance_cycle(group, self.manager.clusters, recorder=self.recorder)
         for cluster in self.manager.clusters.values():
             place_pending(cluster)
         self.tick += 1

@@ -15,7 +15,7 @@ from nodebalancer import (
     target_demand,
 )
 
-from helpers import make_cluster, run_pod, snapshot
+from helpers import assert_ledger_matches_pods, make_cluster, run_pod, snapshot
 
 
 def test_constant_trace():
@@ -155,6 +155,19 @@ def test_apply_workload_counts_running_and_pending_together():
     # 30 pods, some running; raising to 3100 adds exactly one more.
     delta = apply_workload(cluster, ConstantTrace(level=3100), tick=1)
     assert len(delta.created) == 1 and delta.deleted == ()
+
+
+def test_a_second_load_at_one_tick_raises_and_keeps_the_ledger():
+    # Pod ids are unique per (cluster, tick): a second top-up at the same tick
+    # would reuse c-p00000-0000, so it raises instead of replacing that pod.
+    cluster = make_cluster("c", [4000, 4000], memory=8192)
+    apply_workload(cluster, ConstantTrace(level=3000), tick=0)
+    place_pending(cluster)
+    before = snapshot(cluster)
+    with pytest.raises(ValueError, match="cluster 'c' already holds a pod 'c-p00000-0000'"):
+        apply_workload(cluster, ConstantTrace(level=7000), tick=0)
+    assert cluster == before
+    assert_ledger_matches_pods(cluster)
 
 
 def test_apply_workload_is_deterministic():
