@@ -9,11 +9,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
 from pathlib import Path
 from typing import Iterable
 
 from .errors import IoFailure
-from .model import ResourceVector
+from .model import ZERO, ResourceVector
 
 
 class EventKind(str, Enum):
@@ -104,24 +105,48 @@ METRICS_HEADER = (
 )
 
 
+# One encoder for every line, where json.dumps would build a JSONEncoder per
+# call. Its defaults match json.dumps, so a str takes the same ASCII-escaping
+# C function, and a dict (which still gets a C encoder per call) is encoded
+# exactly as json.dumps does.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _event_line(event: RebalanceEvent) -> str:
-    # Key order is fixed: tick, sequence, kind, subjects (alphabetical), detail.
-    obj: dict = {"tick": event.tick, "sequence": event.sequence, "kind": event.kind}
-    for key, value in (("cluster", event.cluster), ("group", event.group), ("node", event.node)):
-        if value is not None:
-            obj[key] = value
-    obj["detail"] = {key: event.detail[key] for key in sorted(event.detail)}
-    return json.dumps(obj, separators=(",", ":"))
+    """One event as compact JSON, byte-identical to json.dumps of the object
+    {tick, sequence, kind, cluster?, group?, node?, detail} with "," and ":"
+    separators, where a None subject is omitted and detail keys are sorted.
+
+    tick and sequence must be plain ints, as the recorder stamps them: %d is
+    what json.dumps writes for an int, but not for a bool or a float.
+    """
+    line = '{"tick":%d,"sequence":%d,"kind":%s' % (
+        event.tick, event.sequence, _ENCODE(event.kind))
+    if event.cluster is not None:
+        line += ',"cluster":' + _ENCODE(event.cluster)
+    if event.group is not None:
+        line += ',"group":' + _ENCODE(event.group)
+    if event.node is not None:
+        line += ',"node":' + _ENCODE(event.node)
+    detail = event.detail
+    if not detail:
+        return line + ',"detail":{}}'
+    return line + ',"detail":' + _ENCODE({key: detail[key] for key in sorted(detail)}) + "}"
 
 
 def write_events(events: Iterable[RebalanceEvent], path: str | Path) -> None:
     """Write the event log as JSONL, one object per line."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            for event in events:
-                handle.write(_event_line(event) + "\n")
+            handle.writelines(_event_line(event) + "\n" for event in events)
     except OSError as exc:
         raise IoFailure(f"cannot write event log {path}: {exc}") from exc
+
+
+# json.loads's own decoder, without json.loads's per-call checks. A line it
+# rejects, or does not consume whole, is decoded again by json.loads, so the
+# error raised for it is exactly json.loads's.
+_DECODE = json.JSONDecoder().raw_decode
 
 
 def read_events(path: str | Path) -> list[RebalanceEvent]:
@@ -133,25 +158,43 @@ def read_events(path: str | Path) -> list[RebalanceEvent]:
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IoFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-                events.append(_event_from(obj, f"{path}:{lineno}"))
+                    obj, end = _DECODE(line)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(line):
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise IoFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                events.append(_event_from(obj, path, lineno))
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read event log {path}: {exc}") from exc
     return events
 
 
 # The type of each RebalanceEvent field in an event line. The first three are
-# required; the others may be absent or null.
+# required; the others may be absent or null. A bool is not an int here.
 _EVENT_FIELDS = {
     "tick": int, "sequence": int, "kind": str,
     "cluster": str, "group": str, "node": str, "detail": dict,
 }
 
 
-def _event_from(obj, where: str) -> RebalanceEvent:
+def _event_from(obj, path: str | Path, lineno: int) -> RebalanceEvent:
     """Build an event from one decoded line, naming the first malformed field."""
+    if type(obj) is dict:
+        # The decoder yields exact types, so one test passes every
+        # well-formed line; the loop below only names what is wrong.
+        get = obj.get
+        tick, sequence, kind, detail = get("tick"), get("sequence"), get("kind"), get("detail")
+        cluster, group, node = get("cluster"), get("group"), get("node")
+        if (type(tick) is int and type(sequence) is int and type(kind) is str
+                and type(detail) is dict
+                and (cluster is None or type(cluster) is str)
+                and (group is None or type(group) is str)
+                and (node is None or type(node) is str)):
+            return RebalanceEvent(tick, sequence, kind, cluster, group, node, detail)
+    where = f"{path}:{lineno}"
     if not isinstance(obj, dict):
         raise IoFailure(f"{where}: expected a JSON object, got {type(obj).__name__}")
     fields = {}
@@ -160,7 +203,7 @@ def _event_from(obj, where: str) -> RebalanceEvent:
         if value is None:
             if key in ("tick", "sequence", "kind"):
                 raise IoFailure(f"{where}: missing field {key!r}")
-        elif not isinstance(value, kind):
+        elif not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise IoFailure(f"{where}: field {key!r} must be {kind.__name__}, got {value!r}")
         else:
             fields[key] = value
@@ -240,16 +283,17 @@ def read_metrics(path: str | Path) -> list[TickRecord]:
         if len(parts) != 9:
             raise IoFailure(f"{path}:{lineno}: expected 9 columns, got {len(parts)}")
         try:
+            tick, active, pending = int(parts[0]), int(parts[5]), int(parts[6])
+            u_cpu, u_mem, u = float(parts[2]), float(parts[3]), float(parts[4])
+            cpu, memory = int(parts[7]), int(parts[8])
+            if (tick < 0 or active < 0 or pending < 0
+                    or not (isfinite(u_cpu) and isfinite(u_mem) and isfinite(u))):
+                raise ValueError
             records.append(
                 TickRecord(
-                    tick=int(parts[0]),
-                    cluster_id=parts[1],
-                    u_cpu=float(parts[2]),
-                    u_mem=float(parts[3]),
-                    u=float(parts[4]),
-                    active_nodes=int(parts[5]),
-                    pending_pods=int(parts[6]),
-                    pending_demand=ResourceVector(int(parts[7]), int(parts[8])),
+                    tick, parts[1], u_cpu, u_mem, u, active, pending,
+                    # Most rows have no backlog: they share ZERO, as live records do.
+                    ResourceVector(cpu, memory) if cpu or memory else ZERO,
                 )
             )
         except ValueError:
@@ -257,18 +301,24 @@ def read_metrics(path: str | Path) -> list[TickRecord]:
     return records
 
 
-# How read_metrics parses each cell, in METRICS_HEADER order; only used to
-# name the cell a row failed on, so the per-row path stays short.
+# How read_metrics parses each cell, in METRICS_HEADER order, and the columns
+# that must not be negative; only used to name the cell a row failed on, so
+# the per-row path stays short.
 _METRICS_PARSERS = (int, str, float, float, float, int, int, int, int)
+_NON_NEGATIVE = ("tick", "active_nodes", "pending_pods")
 
 
 def _bad_cell(parts: list[str]) -> str:
-    """Describe the first cell of a metrics row that does not parse."""
+    """Describe the first cell of a metrics row that does not parse or is out of range."""
     for column, parse, text in zip(METRICS_HEADER.split(","), _METRICS_PARSERS, parts):
         try:
-            parse(text)
+            value = parse(text)
         except ValueError:
             return f"field {column!r}: cannot read {text!r}"
+        if parse is float and not isfinite(value):
+            return f"field {column!r}: must be finite, got {value}"
+        if column in _NON_NEGATIVE and value < 0:
+            return f"field {column!r}: must be >= 0, got {value}"
     return f"fields 'pending_cpu_millicores', 'pending_memory_mib': must be >= 0, got {parts[7:]}"
 
 

@@ -172,14 +172,23 @@ def test_report_on_unreadable_metrics(scenario_file, tmp_path, capsys):
         ("events.jsonl", 0, '{"sequence":0,"kind":"GroupCreated","group":"g","detail":{}}',
          "events.jsonl:1: missing field 'tick'"),
         ("events.jsonl", 1, "[1, 2]", "events.jsonl:2: expected a JSON object, got list"),
+        ("events.jsonl", 0, '{"tick":false,"sequence":false,"kind":"GroupCreated","detail":{}}',
+         "events.jsonl:1: field 'tick' must be int, got False"),
         ("metrics.csv", 2, "0,b,0.250000,0.156250,0.250000,two,0,0,0",
          "metrics.csv:3: field 'active_nodes': cannot read 'two'"),
+        ("metrics.csv", 2, "-7,b,0.250000,0.156250,0.250000,-3,-2,0,0",
+         "metrics.csv:3: field 'tick': must be >= 0, got -7"),
+        ("metrics.csv", 2, "0,b,nan,0.156250,0.250000,2,0,0,0",
+         "metrics.csv:3: field 'u_cpu': must be finite, got nan"),
         ("metrics.csv", 1, "0,a,0.5,0.5,0.5,2,0,\udcff,0", "cannot read metrics"),
     ],
     ids=[
         "event-without-tick",
         "event-not-an-object",
+        "event-boolean-tick",
         "metrics-cell-not-an-integer",
+        "metrics-negative-count",
+        "metrics-not-finite",
         "metrics-not-utf8",
     ],
 )

@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodebalancer import (
     EventKind,
@@ -71,6 +73,71 @@ def test_event_line_omits_absent_subjects():
     assert _event_line(event) == '{"tick":0,"sequence":0,"kind":"GroupCreated","group":"g","detail":{}}'
 
 
+def _reference_event_line(event: RebalanceEvent) -> str:
+    """Reference for _event_line: json.dumps of the event's object."""
+    obj: dict = {"tick": event.tick, "sequence": event.sequence, "kind": event.kind}
+    for key, value in (("cluster", event.cluster), ("group", event.group), ("node", event.node)):
+        if value is not None:
+            obj[key] = value
+    obj["detail"] = {key: event.detail[key] for key in sorted(event.detail)}
+    return json.dumps(obj, separators=(",", ":"))
+
+
+# Quotes, backslashes, control characters, line separators and non-ASCII text
+# all need escaping; any code point, lone surrogates included, may follow.
+_texts = st.text(
+    st.sampled_from('"\\/\x00\x1f\n\t\x7f\u2028\xe9\u2603\U0001f600ab')
+    | st.integers(0, 0x10FFFF).map(chr),
+    max_size=8,
+)
+
+
+def _detail_values(allow_nan):
+    scalars = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=allow_nan) | _texts)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+def _events(allow_nan=True):
+    subjects = st.none() | _texts
+    return st.builds(
+        RebalanceEvent,
+        tick=st.integers(min_value=0),
+        sequence=st.integers(min_value=0),
+        kind=_texts,
+        cluster=subjects,
+        group=subjects,
+        node=subjects,
+        # Dictionaries keep the order they were drawn in, so keys arrive unsorted.
+        detail=st.dictionaries(_texts, _detail_values(allow_nan), max_size=4),
+    )
+
+
+_CODEC_SETTINGS = dict(deadline=None, derandomize=True, database=None)
+
+
+@settings(max_examples=80, **_CODEC_SETTINGS)
+@given(_events())
+def test_event_line_matches_json_dumps(event):
+    assert _event_line(event) == _reference_event_line(event)
+
+
+# NaN is left out here only because it never equals itself.
+@settings(max_examples=25, **_CODEC_SETTINGS)
+@given(st.lists(_events(allow_nan=False), max_size=3))
+def test_write_then_read_gives_the_events_back(tmp_path_factory, events):
+    path = tmp_path_factory.mktemp("codec") / "events.jsonl"
+    write_events(events, path)
+    assert path.read_text(encoding="utf-8") == "".join(
+        _reference_event_line(event) + "\n" for event in events
+    )
+    assert read_events(path) == events
+
+
 def test_events_round_trip(tmp_path):
     recorder = EventRecorder()
     recorder.emit(EventKind.GROUP_CREATED, group="g", t_low=0.3, t_high=0.8)
@@ -91,6 +158,39 @@ def test_read_events_rejects_bad_json(tmp_path):
     path.write_text('{"tick":0,"sequence":0,"kind":"GroupCreated","detail":{}}\nnot json\n')
     with pytest.raises(IoFailure, match="events.jsonl:2"):
         read_events(path)
+
+
+_GOOD_LINE = '{"tick":0,"sequence":0,"kind":"GroupCreated","group":"g","detail":{}}'
+
+
+# The first five messages are json.loads's and the field checks' own:
+# decoding well-formed lines faster must not change what a malformed one says.
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("not json", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (_GOOD_LINE + ' {"x":1}', "not valid JSON: Extra data: line 1 column 71 (char 70)"),
+        ("\ufeff" + _GOOD_LINE,
+         "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"tick":0,"sequence":0,"kind":"GroupCreated","detail":[]}',
+         "field 'detail' must be dict, got []"),
+        ('{"tick":true,"sequence":0,"kind":"GroupCreated","detail":{}}',
+         "field 'tick' must be int, got True"),
+        ('{"tick":0,"sequence":true,"kind":"GroupCreated","detail":{}}',
+         "field 'sequence' must be int, got True"),
+        ('{"tick":false,"sequence":false,"kind":"GroupCreated","detail":{}}',
+         "field 'tick' must be int, got False"),
+    ],
+    ids=["not-json", "extra-data", "bom", "array", "detail-not-a-dict",
+         "tick-true", "sequence-true", "both-false"],
+)
+def test_read_events_names_malformed_lines(tmp_path, line, message):
+    path = tmp_path / "events.jsonl"
+    path.write_text(line + "\n" + _GOOD_LINE + "\n", encoding="utf-8")
+    with pytest.raises(IoFailure) as info:
+        read_events(path)
+    assert str(info.value) == f"{path}:1: {message}"
 
 
 def test_read_events_missing_file(tmp_path):
@@ -197,12 +297,29 @@ def test_metrics_sorted_on_write(tmp_path):
         ("", "empty metrics"),
         ("tick,wrong,header\n", "unexpected header"),
         (METRICS_HEADER + "\n0,a,0.5\n", "expected 9 columns"),
+        pytest.param(METRICS_HEADER + "\n-7,a,0.5,0.5,0.5,2,0,0,0\n",
+                     "metrics.csv:2: field 'tick': must be >= 0, got -7", id="negative-tick"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,-3,0,0,0\n",
+                     "metrics.csv:2: field 'active_nodes': must be >= 0, got -3",
+                     id="negative-active-nodes"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,2,-2,0,0\n",
+                     "metrics.csv:2: field 'pending_pods': must be >= 0, got -2",
+                     id="negative-pending-pods"),
+        pytest.param(METRICS_HEADER + "\n0,a,inf,0.5,0.5,2,0,0,0\n",
+                     "metrics.csv:2: field 'u_cpu': must be finite, got inf", id="u-cpu-inf"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.5,-inf,0.5,2,0,0,0\n",
+                     "metrics.csv:2: field 'u_mem': must be finite, got -inf", id="u-mem-minus-inf"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,nan,2,0,0,0\n",
+                     "metrics.csv:2: field 'u': must be finite, got nan", id="u-nan"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,2,0,-5,0\n",
+                     "metrics.csv:2: fields 'pending_cpu_millicores', 'pending_memory_mib': "
+                     "must be >= 0, got ['-5', '0']", id="negative-pending-demand"),
     ],
 )
 def test_read_metrics_rejects_malformed_files(tmp_path, content, message):
     path = tmp_path / "metrics.csv"
     path.write_text(content)
-    with pytest.raises(IoFailure, match=message):
+    with pytest.raises(IoFailure, match=re.escape(message)):
         read_metrics(path)
 
 
