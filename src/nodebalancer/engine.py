@@ -346,7 +346,7 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioInvalid(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioInvalid(f"{path}: not valid JSON: {exc}") from exc
@@ -377,15 +377,11 @@ def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     memory = sum(pod.demand.memory for pod in pending)
     active = NodeState.ACTIVE  # an Enum member lookup per node would cost more than the count
     return TickRecord(
-        tick=tick,
-        cluster_id=cluster.id,
-        u_cpu=util.u_cpu,
-        u_mem=util.u_mem,
-        u=util.u,
-        active_nodes=sum(n.state is active for n in cluster.nodes.values()),
-        pending_pods=len(pending),
+        tick, cluster.id, util.u_cpu, util.u_mem, util.u,
+        sum(n.state is active for n in cluster.nodes.values()),
+        len(pending),
         # Records live all run and most have no backlog: they share ZERO.
-        pending_demand=ResourceVector(cpu, memory) if pending else ZERO,
+        ResourceVector(cpu, memory) if pending else ZERO,
     )
 
 

@@ -7,11 +7,12 @@ bytes, so artifacts can be diffed and hashed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from math import isfinite
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import IoFailure
 from .model import ZERO, ResourceVector
@@ -31,21 +32,32 @@ class EventKind(str, Enum):
     RESTORATION_COMPLETED = "RestorationCompleted"
 
 
-@dataclass(frozen=True, slots=True)
-class RebalanceEvent:
-    """One timestamped fact about a run.
-
-    sequence is gap-free from 0 across the whole run, so the log totally
-    orders events even within a tick.
-    """
-
+class _RebalanceEventFields(NamedTuple):
     tick: int
     sequence: int
     kind: str
     cluster: str | None = None
     group: str | None = None
     node: str | None = None
-    detail: dict = field(default_factory=dict)
+    detail: dict | None = None
+
+
+class RebalanceEvent(_RebalanceEventFields):
+    """One timestamped fact about a run.
+
+    sequence is gap-free from 0 across the whole run, so the log totally
+    orders events even within a tick.
+
+    An immutable tuple: one allocation where a frozen dataclass sets each
+    field through object.__setattr__. Copy one with _replace. An event built
+    without detail gets a fresh empty dict, never one shared between events.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tick, sequence, kind, cluster=None, group=None, node=None, detail=None):
+        return tuple.__new__(
+            cls, (tick, sequence, kind, cluster, group, node, {} if detail is None else detail))
 
 
 class EventRecorder:
@@ -59,18 +71,13 @@ class EventRecorder:
         self.tick = 0
 
     def emit(self, kind: EventKind | str, *, cluster=None, group=None, node=None, **detail):
-        value = kind.value if isinstance(kind, EventKind) else str(kind)
-        self.events.append(
-            RebalanceEvent(
-                tick=self.tick,
-                sequence=len(self.events),
-                kind=value,
-                cluster=cluster,
-                group=group,
-                node=node,
-                detail={key: detail[key] for key in sorted(detail)},
-            )
-        )
+        events = self.events
+        events.append(RebalanceEvent(
+            self.tick, len(events), kind.value if isinstance(kind, EventKind) else str(kind),
+            cluster, group, node,
+            # **detail is a fresh dict on every call, so an empty one is kept as is.
+            {key: detail[key] for key in sorted(detail)} if detail else detail,
+        ))
 
 
 class NullRecorder:
@@ -85,9 +92,11 @@ class NullRecorder:
 NULL_RECORDER = NullRecorder()
 
 
-@dataclass(frozen=True, slots=True)
-class TickRecord:
-    """Per-(tick, cluster) sample of utilization and scheduling backlog."""
+class TickRecord(NamedTuple):
+    """Per-(tick, cluster) sample of utilization and scheduling backlog.
+
+    An immutable tuple, like RebalanceEvent; copy one with _replace.
+    """
 
     tick: int
     cluster_id: str
@@ -105,11 +114,41 @@ METRICS_HEADER = (
 )
 
 
-# One encoder for every line, where json.dumps would build a JSONEncoder per
-# call. Its defaults match json.dumps, so a str takes the same ASCII-escaping
-# C function, and a dict (which still gets a C encoder per call) is encoded
-# exactly as json.dumps does.
+# One encoder for a detail that holds more than plain scalars, where
+# json.dumps would build a JSONEncoder per call. Its defaults match
+# json.dumps, so it encodes such a detail exactly as json.dumps does.
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+# What json.dumps writes for a str, an exact int and a finite exact float.
+_STR, _INT, _FLOAT = encode_basestring_ascii, int.__repr__, float.__repr__
+
+
+def _detail_json(detail: dict) -> str:
+    """A non-empty detail with sorted keys, as json.dumps writes it.
+
+    A detail whose keys are all str and whose values all have the exact type
+    str, int or finite float is written here directly; anything else (lists,
+    bool, None, non-finite floats, subclasses, non-str keys) goes through
+    _ENCODE, which would otherwise build a C encoder for every event.
+    """
+    keys = sorted(detail)
+    fields = []
+    for key in keys:
+        value = detail[key]
+        kind = type(value)
+        if type(key) is not str:
+            break
+        if kind is str:
+            text = _STR(value)
+        elif kind is int:
+            text = _INT(value)
+        elif kind is float and isfinite(value):
+            text = _FLOAT(value)
+        else:
+            break
+        fields.append(_STR(key) + ":" + text)
+    else:
+        return "{" + ",".join(fields) + "}"
+    return _ENCODE({key: detail[key] for key in keys})
 
 
 def _event_line(event: RebalanceEvent) -> str:
@@ -118,20 +157,20 @@ def _event_line(event: RebalanceEvent) -> str:
     separators, where a None subject is omitted and detail keys are sorted.
 
     tick and sequence must be plain ints, as the recorder stamps them: %d is
-    what json.dumps writes for an int, but not for a bool or a float.
+    what json.dumps writes for an int, but not for a bool or a float. kind and
+    any subject that is not None must be str.
     """
-    line = '{"tick":%d,"sequence":%d,"kind":%s' % (
-        event.tick, event.sequence, _ENCODE(event.kind))
-    if event.cluster is not None:
-        line += ',"cluster":' + _ENCODE(event.cluster)
-    if event.group is not None:
-        line += ',"group":' + _ENCODE(event.group)
-    if event.node is not None:
-        line += ',"node":' + _ENCODE(event.node)
-    detail = event.detail
+    tick, sequence, kind, cluster, group, node, detail = event
+    line = '{"tick":%d,"sequence":%d,"kind":%s' % (tick, sequence, _STR(kind))
+    if cluster is not None:
+        line += ',"cluster":' + _STR(cluster)
+    if group is not None:
+        line += ',"group":' + _STR(group)
+    if node is not None:
+        line += ',"node":' + _STR(node)
     if not detail:
         return line + ',"detail":{}}'
-    return line + ',"detail":' + _ENCODE({key: detail[key] for key in sorted(detail)}) + "}"
+    return line + ',"detail":' + _detail_json(detail) + "}"
 
 
 def write_events(events: Iterable[RebalanceEvent], path: str | Path) -> None:
@@ -219,17 +258,19 @@ def verify_event_log(events: list[RebalanceEvent]) -> list[str]:
     """
     violations = []
     last_tick = None
-    for position, event in enumerate(events):
-        if event.sequence != position:
+    for position, (tick, sequence, _, _, _, _, _) in enumerate(events):
+        if sequence != position:
             violations.append(
-                f"sequence gap at position {position}: expected {position}, got {event.sequence}"
+                f"sequence gap at position {position}: expected {position}, got {sequence}"
             )
-        if last_tick is not None and event.tick < last_tick:
+        if last_tick is not None and tick < last_tick:
             violations.append(
-                f"tick went backwards at sequence {event.sequence}: {last_tick} -> {event.tick}"
+                f"tick went backwards at sequence {sequence}: {last_tick} -> {tick}"
             )
-        last_tick = event.tick
+        last_tick = tick
 
+    # Enum member values are read through a property: once, not per event.
+    move_completed = EventKind.MOVE_COMPLETED.value
     required = (
         EventKind.DRAIN_STARTED.value,
         EventKind.NODE_DEPROVISIONED.value,
@@ -237,31 +278,31 @@ def verify_event_log(events: list[RebalanceEvent]) -> list[str]:
     )
     # (tick, node) -> required kinds logged so far; a tuple takes a third of a set's memory
     seen: dict[tuple[int, str | None], tuple[str, ...]] = {}
-    for event in events:
-        key = (event.tick, event.node)
-        if event.kind == EventKind.MOVE_COMPLETED.value:
-            for kind in required:
-                if kind not in seen.get(key, ()):
+    for tick, sequence, kind, _, _, node, _ in events:
+        if kind == move_completed:
+            logged = seen.get((tick, node), ())
+            for needed in required:
+                if needed not in logged:
                     violations.append(
-                        f"MoveCompleted at sequence {event.sequence} for node {event.node!r}"
-                        f" lacks a same-tick {kind} before it"
+                        f"MoveCompleted at sequence {sequence} for node {node!r}"
+                        f" lacks a same-tick {needed} before it"
                     )
-        elif event.kind in required:
-            seen[key] = seen.get(key, ()) + (event.kind,)
+        elif kind in required:
+            key = (tick, node)
+            seen[key] = seen.get(key, ()) + (kind,)
     return violations
 
 
 def write_metrics(records: Iterable[TickRecord], path: str | Path) -> None:
     """Write the per-tick metrics table as CSV, sorted by (tick, cluster_id)."""
-    ordered = sorted(records, key=lambda r: (r.tick, r.cluster_id))
+    ordered = sorted(records, key=itemgetter(0, 1))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(METRICS_HEADER + "\n")
-            for rec in ordered:
+            for tick, cluster_id, u_cpu, u_mem, u, active, pending, demand in ordered:
                 handle.write(
-                    f"{rec.tick},{rec.cluster_id},{rec.u_cpu:.6f},{rec.u_mem:.6f},"
-                    f"{rec.u:.6f},{rec.active_nodes},{rec.pending_pods},"
-                    f"{rec.pending_demand.cpu},{rec.pending_demand.memory}\n"
+                    f"{tick},{cluster_id},{u_cpu:.6f},{u_mem:.6f},{u:.6f},{active},{pending},"
+                    f"{demand.cpu},{demand.memory}\n"
                 )
     except OSError as exc:
         raise IoFailure(f"cannot write metrics {path}: {exc}") from exc
@@ -336,29 +377,33 @@ def summarize(events: list[RebalanceEvent], records: list[TickRecord]) -> dict:
     """
     counts = {kind.value: 0 for kind in EventKind}
     for event in events:
-        if event.kind in counts:
-            counts[event.kind] += 1
+        kind = event.kind
+        if kind in counts:
+            counts[kind] += 1
 
-    per_cluster: dict[str, dict] = {}
-    for rec in records:
-        stats = per_cluster.setdefault(
-            rec.cluster_id,
-            {"peak_utilization": 0.0, "min_active_nodes": rec.active_nodes,
-             "max_active_nodes": rec.active_nodes, "pending_pod_ticks": 0},
-        )
-        stats["peak_utilization"] = max(stats["peak_utilization"], rec.u)
-        stats["min_active_nodes"] = min(stats["min_active_nodes"], rec.active_nodes)
-        stats["max_active_nodes"] = max(stats["max_active_nodes"], rec.active_nodes)
-        stats["pending_pod_ticks"] += rec.pending_pods
+    # cluster_id -> [peak utilization, min active nodes, max active nodes,
+    # pending pod-ticks]; comparisons, not max/min calls, on every row.
+    per_cluster: dict[str, list] = {}
+    for _, cluster_id, _, _, u, active, pending, _ in records:
+        stats = per_cluster.get(cluster_id)
+        if stats is None:
+            stats = per_cluster[cluster_id] = [0.0, active, active, 0]
+        if u > stats[0]:
+            stats[0] = u
+        if active < stats[1]:
+            stats[1] = active
+        elif active > stats[2]:
+            stats[2] = active
+        stats[3] += pending
 
     clusters = {
         cid: {
-            "peak_utilization": _quantized(stats["peak_utilization"]),
-            "min_active_nodes": stats["min_active_nodes"],
-            "max_active_nodes": stats["max_active_nodes"],
-            "pending_pod_ticks": stats["pending_pod_ticks"],
+            "peak_utilization": _quantized(peak),
+            "min_active_nodes": low,
+            "max_active_nodes": high,
+            "pending_pod_ticks": pending,
         }
-        for cid, stats in sorted(per_cluster.items())
+        for cid, (peak, low, high, pending) in sorted(per_cluster.items())
     }
 
     return {
@@ -409,7 +454,7 @@ def read_summary(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read summary {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoFailure(f"{path}: not valid JSON: {exc}") from exc

@@ -76,6 +76,20 @@ def test_run_rejects_missing_scenario(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+def test_non_utf8_scenario_is_a_scenario_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"clusters": "\xff"}')
+    args = [command, "--scenario", str(path)]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: cannot read scenario {path}: ")
+    assert "utf-8" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_bad_override(scenario_file, tmp_path, capsys):
     code = main(
         ["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"), "--ticks", "0"]
