@@ -54,6 +54,8 @@ from .reporting import (
     RebalanceEvent,
     TickRecord,
     compose_comparison,
+    iter_events,
+    iter_metrics,
     read_events,
     read_metrics,
     read_summary,
@@ -126,6 +128,8 @@ __all__ = [
     "drain_node",
     "errors",
     "evaluate_group",
+    "iter_events",
+    "iter_metrics",
     "load_scenario",
     "node_utilization",
     "parse_scenario",

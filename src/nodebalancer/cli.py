@@ -13,15 +13,17 @@ from pathlib import Path
 from .engine import apply_overrides, compare, load_scenario, run
 from .errors import BalancingError, ScenarioInvalid
 from .reporting import (
+    _check_events,
+    _summarize_records,
     compose_comparison,
-    read_events,
-    read_metrics,
-    summarize,
-    verify_event_log,
+    iter_events,
+    iter_metrics,
     write_events,
     write_metrics,
     write_summary,
 )
+# Unused here; perfbench/tracing.SITES wraps these names in cli.
+from .reporting import read_events, read_metrics, summarize, verify_event_log  # noqa: F401
 
 EXIT_OK = 0
 EXIT_SCENARIO = 1
@@ -133,14 +135,17 @@ def _cmd_compare(args) -> int:
 
 
 def _rebuild_summary(run_dir: Path) -> dict | None:
-    """Verify a run's logs and rebuild its summary.json; None if verification failed."""
-    events = read_events(run_dir / "events.jsonl")
-    violations = verify_event_log(events)
+    """Verify a run's logs and rebuild its summary.json; None if verification failed.
+
+    Each file is streamed once and no event or row is kept: the event log is
+    read and checked whole before metrics.csv is opened.
+    """
+    violations, kind_counts = _check_events(iter_events(run_dir / "events.jsonl"))
     if violations:
         for violation in violations:
             print(f"{run_dir}: {violation}", file=sys.stderr)
         return None
-    summary = summarize(events, read_metrics(run_dir / "metrics.csv"))
+    summary = _summarize_records(kind_counts, iter_metrics(run_dir / "metrics.csv"))
     write_summary(summary, run_dir / "summary.json")
     return summary
 

@@ -11,11 +11,15 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import NodeNotActive, NodeNotInCluster, ZeroCapacity
 
 
-@dataclass(frozen=True, slots=True)
+# Not slots=True: a frozen dataclass with slots raises TypeError, not
+# AttributeError, when a new attribute is stored (its generated __setattr__
+# calls super() on the class that slots=True replaced), on Python 3.10-3.13.
+@dataclass(frozen=True)
 class ResourceVector:
     """A (cpu millicores, memory MiB) pair, combined and compared componentwise."""
 
@@ -256,9 +260,11 @@ class Group:
     balance_interval: int = 1
 
 
-@dataclass(frozen=True, slots=True)
-class Utilization:
-    """Per-dimension load ratios and their max, the headline number."""
+class Utilization(NamedTuple):
+    """Per-dimension load ratios and their max, the headline number.
+
+    An immutable tuple, like the artifact records in reporting.py.
+    """
 
     u_cpu: float
     u_mem: float

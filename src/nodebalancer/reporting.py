@@ -9,10 +9,10 @@ from __future__ import annotations
 import json
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from math import isfinite
+from math import inf, isfinite
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import IoFailure
 from .model import ZERO, ResourceVector
@@ -188,8 +188,11 @@ def write_events(events: Iterable[RebalanceEvent], path: str | Path) -> None:
 _DECODE = json.JSONDecoder().raw_decode
 
 
-def read_events(path: str | Path) -> list[RebalanceEvent]:
-    events = []
+def iter_events(path: str | Path) -> Iterator[RebalanceEvent]:
+    """The event log's events in file order, each decoded and checked as it
+    is read; a malformed line raises IoFailure naming its file line when the
+    stream reaches it. The file is open while the stream is, and closed when
+    the stream ends, fails or is closed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -205,10 +208,13 @@ def read_events(path: str | Path) -> list[RebalanceEvent]:
                         obj = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise IoFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-                events.append(_event_from(obj, path, lineno))
+                yield _event_from(obj, path, lineno)
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read event log {path}: {exc}") from exc
-    return events
+
+
+def read_events(path: str | Path) -> list[RebalanceEvent]:
+    return list(iter_events(path))
 
 
 # The type of each RebalanceEvent field in an event line. The first three are
@@ -249,26 +255,22 @@ def _event_from(obj, path: str | Path, lineno: int) -> RebalanceEvent:
     return RebalanceEvent(**fields)
 
 
-def verify_event_log(events: list[RebalanceEvent]) -> list[str]:
+def verify_event_log(events: Iterable[RebalanceEvent]) -> list[str]:
     """Check ordering and causality; returns human-readable violations.
 
     Sequence numbers must be gap-free from 0, and every MoveCompleted must be
     preceded, within the same tick, by the DrainStarted, NodeDeprovisioned,
     and NodeProvisioned events for the same node.
     """
-    violations = []
-    last_tick = None
-    for position, (tick, sequence, _, _, _, _, _) in enumerate(events):
-        if sequence != position:
-            violations.append(
-                f"sequence gap at position {position}: expected {position}, got {sequence}"
-            )
-        if last_tick is not None and tick < last_tick:
-            violations.append(
-                f"tick went backwards at sequence {sequence}: {last_tick} -> {tick}"
-            )
-        last_tick = tick
+    return _check_events(events)[0]
 
+
+def _check_events(events: Iterable[RebalanceEvent]) -> tuple[list[str], dict[str, int]]:
+    """One pass over a log: verify_event_log's violations (the sequence and
+    tick ones, then the causality ones) and the number of events per kind."""
+    ordering: list[str] = []
+    causality: list[str] = []
+    counts: dict[str, int] = {}
     # Enum member values are read through a property: once, not per event.
     move_completed = EventKind.MOVE_COMPLETED.value
     required = (
@@ -278,19 +280,30 @@ def verify_event_log(events: list[RebalanceEvent]) -> list[str]:
     )
     # (tick, node) -> required kinds logged so far; a tuple takes a third of a set's memory
     seen: dict[tuple[int, str | None], tuple[str, ...]] = {}
-    for tick, sequence, kind, _, _, node, _ in events:
+    last_tick = None
+    for position, (tick, sequence, kind, _, _, node, _) in enumerate(events):
+        if sequence != position:
+            ordering.append(
+                f"sequence gap at position {position}: expected {position}, got {sequence}"
+            )
+        if last_tick is not None and tick < last_tick:
+            ordering.append(
+                f"tick went backwards at sequence {sequence}: {last_tick} -> {tick}"
+            )
+        last_tick = tick
+        counts[kind] = counts.get(kind, 0) + 1
         if kind == move_completed:
             logged = seen.get((tick, node), ())
             for needed in required:
                 if needed not in logged:
-                    violations.append(
+                    causality.append(
                         f"MoveCompleted at sequence {sequence} for node {node!r}"
                         f" lacks a same-tick {needed} before it"
                     )
         elif kind in required:
             key = (tick, node)
             seen[key] = seen.get(key, ()) + (kind,)
-    return violations
+    return ordering + causality, counts
 
 
 def write_metrics(records: Iterable[TickRecord], path: str | Path) -> None:
@@ -308,38 +321,46 @@ def write_metrics(records: Iterable[TickRecord], path: str | Path) -> None:
         raise IoFailure(f"cannot write metrics {path}: {exc}") from exc
 
 
-def read_metrics(path: str | Path) -> list[TickRecord]:
-    records = []
+def iter_metrics(path: str | Path) -> Iterator[TickRecord]:
+    """The metrics table's rows in file order, each parsed and checked as it
+    is read; a malformed row raises IoFailure naming its file line when the
+    stream reaches it. Blank lines are skipped. The file is open while the
+    stream is, and closed when the stream ends, fails or is closed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.rstrip("\n") for line in handle if line.strip()]
+            header_seen = False
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                line = line.rstrip("\n")
+                if not header_seen:
+                    if line != METRICS_HEADER:
+                        raise IoFailure(f"{path}: unexpected header {line!r}")
+                    header_seen = True
+                    continue
+                parts = line.split(",")
+                if len(parts) != 9:
+                    raise IoFailure(f"{path}:{lineno}: expected 9 columns, got {len(parts)}")
+                try:
+                    tick, active, pending = int(parts[0]), int(parts[5]), int(parts[6])
+                    u_cpu, u_mem, u = float(parts[2]), float(parts[3]), float(parts[4])
+                    cpu, memory = int(parts[7]), int(parts[8])
+                    if (tick < 0 or active < 0 or pending < 0
+                            or not (isfinite(u_cpu) and isfinite(u_mem) and isfinite(u))):
+                        raise ValueError
+                    # Most rows have no backlog: they share ZERO, as live records do.
+                    demand = ResourceVector(cpu, memory) if cpu or memory else ZERO
+                except ValueError:
+                    raise IoFailure(f"{path}:{lineno}: {_bad_cell(parts)}") from None
+                yield TickRecord(tick, parts[1], u_cpu, u_mem, u, active, pending, demand)
+            if not header_seen:
+                raise IoFailure(f"{path}: empty metrics file")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read metrics {path}: {exc}") from exc
-    if not lines:
-        raise IoFailure(f"{path}: empty metrics file")
-    if lines[0] != METRICS_HEADER:
-        raise IoFailure(f"{path}: unexpected header {lines[0]!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 9:
-            raise IoFailure(f"{path}:{lineno}: expected 9 columns, got {len(parts)}")
-        try:
-            tick, active, pending = int(parts[0]), int(parts[5]), int(parts[6])
-            u_cpu, u_mem, u = float(parts[2]), float(parts[3]), float(parts[4])
-            cpu, memory = int(parts[7]), int(parts[8])
-            if (tick < 0 or active < 0 or pending < 0
-                    or not (isfinite(u_cpu) and isfinite(u_mem) and isfinite(u))):
-                raise ValueError
-            records.append(
-                TickRecord(
-                    tick, parts[1], u_cpu, u_mem, u, active, pending,
-                    # Most rows have no backlog: they share ZERO, as live records do.
-                    ResourceVector(cpu, memory) if cpu or memory else ZERO,
-                )
-            )
-        except ValueError:
-            raise IoFailure(f"{path}:{lineno}: {_bad_cell(parts)}") from None
-    return records
+
+
+def read_metrics(path: str | Path) -> list[TickRecord]:
+    return list(iter_metrics(path))
 
 
 # How read_metrics parses each cell, in METRICS_HEADER order, and the columns
@@ -375,16 +396,25 @@ def summarize(events: list[RebalanceEvent], records: list[TickRecord]) -> dict:
     Everything here is derivable from the event log and metrics table alone,
     which is what lets `report` rebuild the file from existing output.
     """
-    counts = {kind.value: 0 for kind in EventKind}
+    counts: dict[str, int] = {}
     for event in events:
         kind = event.kind
-        if kind in counts:
-            counts[kind] += 1
+        counts[kind] = counts.get(kind, 0) + 1
+    return _summarize_records(counts, records)
 
+
+def _summarize_records(counts: dict[str, int], records: Iterable[TickRecord]) -> dict:
+    """The summary of a run from its event count per kind and one pass over
+    its metrics records."""
     # cluster_id -> [peak utilization, min active nodes, max active nodes,
     # pending pod-ticks]; comparisons, not max/min calls, on every row.
     per_cluster: dict[str, list] = {}
-    for _, cluster_id, _, _, u, active, pending, _ in records:
+    last_tick = -inf  # any record replaces it
+    pending_total = 0
+    for tick, cluster_id, _, _, u, active, pending, _ in records:
+        if tick > last_tick:
+            last_tick = tick
+        pending_total += pending
         stats = per_cluster.get(cluster_id)
         if stats is None:
             stats = per_cluster[cluster_id] = [0.0, active, active, 0]
@@ -406,16 +436,17 @@ def summarize(events: list[RebalanceEvent], records: list[TickRecord]) -> dict:
         for cid, (peak, low, high, pending) in sorted(per_cluster.items())
     }
 
+    count = counts.get
     return {
-        "ticks": (max(rec.tick for rec in records) + 1) if records else 0,
+        "ticks": last_tick + 1 if per_cluster else 0,
         "totals": {
-            "moves": counts[EventKind.MOVE_COMPLETED.value],
-            "reversals": counts[EventKind.MOVE_REVERSED.value],
-            "no_candidate": counts[EventKind.NO_CANDIDATE.value],
-            "restorations": counts[EventKind.RESTORATION_COMPLETED.value],
-            "drains_started": counts[EventKind.DRAIN_STARTED.value],
-            "drains_restored": counts[EventKind.DRAIN_RESTORED.value],
-            "pending_pod_ticks": sum(rec.pending_pods for rec in records),
+            "moves": count(EventKind.MOVE_COMPLETED.value, 0),
+            "reversals": count(EventKind.MOVE_REVERSED.value, 0),
+            "no_candidate": count(EventKind.NO_CANDIDATE.value, 0),
+            "restorations": count(EventKind.RESTORATION_COMPLETED.value, 0),
+            "drains_started": count(EventKind.DRAIN_STARTED.value, 0),
+            "drains_restored": count(EventKind.DRAIN_RESTORED.value, 0),
+            "pending_pod_ticks": pending_total,
         },
         "clusters": clusters,
     }

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from nodebalancer.cli import main
+from nodebalancer.reporting import read_events
 
 
 SCENARIO = {
@@ -195,6 +197,8 @@ def test_report_on_unreadable_metrics(scenario_file, tmp_path, capsys):
         ("metrics.csv", 2, "0,b,nan,0.156250,0.250000,2,0,0,0",
          "metrics.csv:3: field 'u_cpu': must be finite, got nan"),
         ("metrics.csv", 1, "0,a,0.5,0.5,0.5,2,0,\udcff,0", "cannot read metrics"),
+        ("metrics.csv", 2, "\n\n0,b,x,0.156250,0.250000,2,0,0,0",
+         "metrics.csv:5: field 'u_cpu': cannot read 'x'"),
     ],
     ids=[
         "event-without-tick",
@@ -204,6 +208,7 @@ def test_report_on_unreadable_metrics(scenario_file, tmp_path, capsys):
         "metrics-negative-count",
         "metrics-not-finite",
         "metrics-not-utf8",
+        "metrics-after-blank-lines",
     ],
 )
 def test_report_names_malformed_artifact_lines(
@@ -219,6 +224,81 @@ def test_report_names_malformed_artifact_lines(
     err = capsys.readouterr().err
     assert err.startswith("report failed: ")
     assert message in err
+
+
+def _tamper(path, replace):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(replace(lines)) + "\n")
+
+
+def test_report_stops_at_violations_before_reading_metrics(scenario_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+    _tamper(out / "events.jsonl",
+            lambda lines: [line for line in lines if '"kind":"DrainStarted"' not in line])
+    _tamper(out / "metrics.csv", lambda lines: lines[:1] + ["not,a,row"])
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "sequence gap" in err and "lacks a same-tick DrainStarted" in err
+    assert "metrics.csv" not in err
+
+
+def test_report_names_a_malformed_event_log_before_metrics(scenario_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+    _tamper(out / "events.jsonl", lambda lines: lines[:2] + ["[1, 2]"] + lines[3:])
+    _tamper(out / "metrics.csv", lambda lines: lines[:1] + ["not,a,row"])
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "events.jsonl:3: expected a JSON object, got list" in err
+    assert "metrics.csv" not in err
+
+
+def test_report_memory_does_not_grow_with_the_log(tmp_path):
+    """report streams both files: its peak stays well below what the event
+    log takes once read into memory."""
+    capacity = {"cpu_millicores": 4000, "memory_mib": 8192}
+    ticks = 120
+    doc = {
+        "clusters": [
+            {"id": "hot", "node_count": 3, "node_capacity": capacity,
+             "trace": {"kind": "Constant", "level": 10500}},
+            {"id": "cold", "node_count": 3, "node_capacity": capacity,
+             "trace": {"kind": "Constant", "level": 1000}},
+        ],
+        "groups": [{"id": "g", "thresholds": {"t_low": 0.3, "t_high": 0.8},
+                    "balance_interval": 1, "members": ["hot", "cold"]}],
+        # cold leaves and rejoins every other tick, so a node moves to hot
+        # and is recalled again on alternate ticks.
+        "membership_changes": [
+            change
+            for tick in range(1, ticks - 1, 2)
+            for change in (
+                {"tick": tick, "action": "Remove", "cluster": "cold", "group": "g"},
+                {"tick": tick + 1, "action": "Add", "cluster": "cold", "group": "g"},
+            )
+        ],
+        "ticks": ticks,
+        "seed": 1,
+    }
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+
+    tracemalloc.start()
+    try:
+        events = read_events(out / "events.jsonl")
+        held = tracemalloc.get_traced_memory()[0]
+        del events
+        tracemalloc.reset_peak()
+        assert main(["report", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held / 2
 
 
 def test_console_script_entry_point(scenario_file, tmp_path):

@@ -1,8 +1,10 @@
 import copy
+import gc
 import json
 import pickle
 import random
 import re
+import warnings
 from enum import IntEnum
 
 import pytest
@@ -14,6 +16,8 @@ from nodebalancer import (
     RebalanceEvent,
     TickRecord,
     compose_comparison,
+    iter_events,
+    iter_metrics,
     read_events,
     read_metrics,
     read_summary,
@@ -24,7 +28,7 @@ from nodebalancer import (
     write_summary,
 )
 from nodebalancer.errors import IoFailure
-from nodebalancer.model import ResourceVector
+from nodebalancer.model import ResourceVector, Utilization
 from nodebalancer.reporting import METRICS_HEADER, _event_line
 
 from helpers import rv
@@ -70,11 +74,17 @@ def test_record_fields_are_read_only(record):
 
 # A frozen dataclass with slots=True raised TypeError here (its __setattr__
 # calls super() on the class that slots=True replaced).
-@pytest.mark.parametrize("record", _records(), ids=["tick-record", "event"])
+@pytest.mark.parametrize(
+    "record",
+    _records() + [ResourceVector(1, 2), Utilization(0.5, 0.25, 0.5)],
+    ids=["tick-record", "event", "resource-vector", "utilization"],
+)
 def test_records_take_no_new_attributes(record):
     with pytest.raises(AttributeError):
         record.extra = 1
-    assert not hasattr(record, "__dict__")
+    assert not hasattr(record, "extra")
+    if isinstance(record, tuple):
+        assert not hasattr(record, "__dict__")
 
 
 @pytest.mark.parametrize("record", _records(), ids=["tick-record", "event"])
@@ -291,6 +301,29 @@ def test_read_events_names_malformed_lines(tmp_path, line, message):
     assert str(info.value) == f"{path}:1: {message}"
 
 
+def test_iter_events_is_lazy(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text(_GOOD_LINE + "\nnot json\n", encoding="utf-8")
+    events = iter_events(path)
+    assert next(events) == RebalanceEvent(0, 0, "GroupCreated", group="g")
+    with pytest.raises(IoFailure, match="events.jsonl:2: not valid JSON"):
+        next(events)
+
+
+def test_abandoned_streams_close_their_files(tmp_path):
+    events_path = tmp_path / "events.jsonl"
+    events_path.write_text(_GOOD_LINE + "\n" + _GOOD_LINE + "\n", encoding="utf-8")
+    metrics_path = tmp_path / "metrics.csv"
+    write_metrics([_record(0, "a", 0.5, 0.25), _record(1, "a", 0.5, 0.25)], metrics_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for stream in (iter_events(events_path), iter_metrics(metrics_path)):
+            next(stream)
+            del stream
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_read_events_missing_file(tmp_path):
     with pytest.raises(IoFailure, match="cannot read"):
         read_events(tmp_path / "nope.jsonl")
@@ -363,6 +396,20 @@ def test_verify_flags_provenance_logged_after_the_move():
     ]
 
 
+def test_verify_gives_the_same_violations_from_a_one_shot_iterator():
+    events = _move_sequence(tick=1) + [
+        event._replace(sequence=event.sequence + 5) for event in _move_sequence(tick=2)
+    ]
+    # The second move lacks its DrainStarted and starts a sequence gap.
+    del events[4]
+    events.append(RebalanceEvent(0, 12, EventKind.MOVE_COMPLETED.value, cluster="a", node="x"))
+    violations = verify_event_log(events)
+    assert any("sequence gap" in v for v in violations)
+    assert any("tick went backwards" in v for v in violations)
+    assert any("lacks a same-tick DrainStarted" in v for v in violations)
+    assert verify_event_log(iter(events)) == violations
+
+
 def test_metrics_round_trip(tmp_path):
     records = [
         _record(0, "a", 0.5, 0.25),
@@ -412,6 +459,8 @@ def test_metrics_sorted_on_write(tmp_path):
         pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,2,0,-5,0\n",
                      "metrics.csv:2: fields 'pending_cpu_millicores', 'pending_memory_mib': "
                      "must be >= 0, got ['-5', '0']", id="negative-pending-demand"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,2,0,0,0\n\n\n1,a,x,0.1,0.1,1,0,0,0\n",
+                     "metrics.csv:5: field 'u_cpu': cannot read 'x'", id="file-line-after-blanks"),
     ],
 )
 def test_read_metrics_rejects_malformed_files(tmp_path, content, message):
