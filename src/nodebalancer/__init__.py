@@ -36,11 +36,9 @@ from .groups import GroupManager, MembershipAction, MembershipChange, Restoratio
 from .model import (
     Cluster,
     Group,
-    Ledger,
     Node,
     NodeState,
     Pod,
-    PodState,
     ResourceVector,
     Thresholds,
     Utilization,
@@ -95,14 +93,12 @@ __all__ = [
     "Group",
     "GroupManager",
     "GroupSpec",
-    "Ledger",
     "MembershipAction",
     "MembershipChange",
     "Node",
     "NodeState",
     "OutcomeKind",
     "Pod",
-    "PodState",
     "RebalanceEvent",
     "RebalanceOutcome",
     "ResourceVector",

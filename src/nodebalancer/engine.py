@@ -372,7 +372,7 @@ def build_world(scenario: Scenario, recorder=None) -> GroupManager:
 
 def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     util = cluster_utilization(cluster)
-    pending = cluster.ledger.pending.values()
+    pending = cluster.pending.values()
     cpu = sum(pod.demand.cpu for pod in pending)
     memory = sum(pod.demand.memory for pod in pending)
     active = NodeState.ACTIVE  # an Enum member lookup per node would cost more than the count
@@ -389,9 +389,9 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
     """Structural audit at tick end; violations abort the run.
 
     Each node's demand and the Pending pods are recomputed here in one pass of
-    the audit's own over the cluster's pods, never through the ledger or the
-    readers built on it. Every ledger field is then compared with its
-    recompute, so the audit stays an independent check of both.
+    the audit's own over the cluster's pods, never through node.used,
+    cluster.pending or the readers built on them. Both are then compared with
+    that recompute, so the audit stays an independent check of both.
     """
     # Enum member lookups cost ~0.2 us on Python 3.10-3.11: once, not per node.
     unfinished = (NodeState.DRAINING, NodeState.IN_TRANSIT)
@@ -421,14 +421,26 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
                     f"tick {tick}: node {node_id!r} hosted by {cluster_id!r} "
                     f"but records host_cluster={node.host_cluster!r}"
                 )
-            cpu, memory = used[node_id]
+            total = used[node_id]
+            cpu, memory = total
             capacity = node.capacity
             if cpu > capacity.cpu or memory > capacity.memory:
                 raise InvariantViolation(
                     f"tick {tick}: node {node_id!r} over capacity: "
                     f"{ResourceVector(cpu, memory)} > {capacity}"
                 )
-        _verify_ledger(cluster, used, pending, tick)
+            if node.used != total:
+                raise InvariantViolation(
+                    f"tick {tick}: node {node_id!r} 'used' holds {node.used}, "
+                    f"but its pods sum to {total}"
+                )
+        held = cluster.pending
+        if len(held) != len(pending) or any(held.get(pod.id) is not pod for pod in pending):
+            raise InvariantViolation(
+                f"tick {tick}: cluster {cluster_id!r} 'pending' does not hold exactly the "
+                f"Pending pod objects: it has {sorted(held)}, "
+                f"the pods {sorted(pod.id for pod in pending)}"
+            )
     seen = Counter(chain.from_iterable(cluster.nodes for cluster in manager.clusters.values()))
     # Neither Counter holds a zero count, so dict equality (in C) is Counter
     # equality without its per-key Python loop.
@@ -437,56 +449,6 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
             f"tick {tick}: node conservation broken; "
             f"missing={sorted(expected_nodes - seen)} extra={sorted(seen - expected_nodes)}"
         )
-
-
-def _verify_ledger(cluster: Cluster, used: dict, pending: list, tick: int) -> None:
-    """Compare each ledger field with the audit's recompute from the pods.
-
-    used maps every hosted node to its Running pods' [cpu, memory], and
-    pending lists the Pending pods. A ledger entry for a node the cluster does
-    not host must be zero or absent.
-    """
-    ledger = cluster.ledger
-    if len(ledger.pending) != len(pending) or any(
-        ledger.pending.get(pod.id) is not pod for pod in pending
-    ):
-        raise InvariantViolation(
-            f"{_ledger_where(cluster, tick)} 'pending' does not hold exactly the Pending "
-            f"pod objects: it has {sorted(ledger.pending)}, "
-            f"the pods {sorted(pod.id for pod in pending)}"
-        )
-    # A zero entry and no entry both mean no demand, so only nonzero ones must match.
-    kept, no_demand = ledger.used, [0, 0]
-    if any(kept.get(node_id, no_demand) != total for node_id, total in used.items()) or any(
-        kept[node_id] != no_demand for node_id in kept.keys() - used.keys()
-    ):
-        kept = {node_id: total for node_id, total in kept.items() if total != no_demand}
-        summed = {node_id: total for node_id, total in used.items() if total != no_demand}
-        node_id = min(n for n in kept.keys() | summed.keys() if kept.get(n) != summed.get(n))
-        raise InvariantViolation(
-            f"{_ledger_where(cluster, tick)} 'used' holds {kept.get(node_id, no_demand)} "
-            f"for node {node_id!r}, but its pods sum to {summed.get(node_id, no_demand)}"
-        )
-    cpu = memory = 0
-    for node_cpu, node_memory in used.values():
-        cpu += node_cpu
-        memory += node_memory
-    if ledger.assigned != [cpu, memory]:
-        raise InvariantViolation(
-            f"{_ledger_where(cluster, tick)} 'assigned' holds {ledger.assigned}, "
-            f"but the Running pods sum to {[cpu, memory]}"
-        )
-    total_cpu = cpu + sum(pod.demand.cpu for pod in pending)
-    if ledger.total_cpu != total_cpu:
-        raise InvariantViolation(
-            f"{_ledger_where(cluster, tick)} 'total_cpu' holds {ledger.total_cpu}, "
-            f"but the pods sum to {total_cpu}"
-        )
-
-
-def _ledger_where(cluster: Cluster, tick: int) -> str:
-    """The prefix of every ledger violation, formatted only once one is found."""
-    return f"tick {tick}: cluster {cluster.id!r} ledger"
 
 
 def run(

@@ -21,25 +21,16 @@ from .errors import NodeNotActive, NodeNotInCluster, ZeroCapacity
 # calls super() on the class that slots=True replaced), on Python 3.10-3.13.
 @dataclass(frozen=True)
 class ResourceVector:
-    """A (cpu millicores, memory MiB) pair, combined and compared componentwise."""
+    """A (cpu millicores, memory MiB) pair."""
 
     cpu: int = 0
     memory: int = 0
 
     def __post_init__(self):
         # Valid states never hold negative resources; catching it here turns
-        # subtraction bugs into immediate failures instead of silent corruption.
+        # accounting bugs into immediate failures instead of silent corruption.
         if self.cpu < 0 or self.memory < 0:
             raise ValueError(f"resource components must be non-negative, got {self!r}")
-
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.cpu + other.cpu, self.memory + other.memory)
-
-    def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.cpu - other.cpu, self.memory - other.memory)
-
-    def fits_within(self, other: "ResourceVector") -> bool:
-        return self.cpu <= other.cpu and self.memory <= other.memory
 
 
 ZERO = ResourceVector(0, 0)
@@ -54,11 +45,6 @@ class NodeState(str, Enum):
     IN_TRANSIT = "InTransit"  # removed from one cluster, not yet provisioned
 
 
-class PodState(str, Enum):
-    RUNNING = "Running"
-    PENDING = "Pending"
-
-
 @dataclass(slots=True)
 class Node:
     """A capacity-bearing unit.
@@ -66,7 +52,9 @@ class Node:
     origin_cluster is fixed when the node is first provisioned and never
     changes afterwards; it is what makes a cluster's original configuration
     restorable after nodes have been loaned around a group. host_cluster is
-    None exactly while the node is InTransit.
+    None exactly while the node is InTransit. used is the [cpu, memory] of
+    the Running pods on the node, written only by Cluster._charge; a node
+    leaves its cluster drained, so it travels with [0, 0].
     """
 
     id: str
@@ -74,6 +62,7 @@ class Node:
     origin_cluster: str
     host_cluster: str | None
     state: NodeState = NodeState.ACTIVE
+    used: list[int] = field(default_factory=lambda: [0, 0], init=False)
 
     def __post_init__(self):
         if self.capacity.cpu <= 0 or self.capacity.memory <= 0:
@@ -91,34 +80,15 @@ class Pod:
     demand: ResourceVector
     assignment: str | None = None
 
-    @property
-    def state(self) -> PodState:
-        """Running exactly while the pod is assigned to a node; read-only."""
-        return PodState.PENDING if self.assignment is None else PodState.RUNNING
-
-
-@dataclass
-class Ledger:
-    """A cluster's pod totals, kept in step with every pod change as plain ints.
-
-    Only Cluster.add_pod, delete_pod, bind and unbind write it, so readers
-    need not scan the pods. The engine's audit recomputes every field from
-    the pods each tick and compares. A node with no Running pod may have a
-    zero entry in used or none, including a node the cluster no longer hosts.
-    """
-
-    pending: dict[str, Pod] = field(default_factory=dict)  # the Pending pods by id
-    used: dict[str, list[int]] = field(default_factory=dict)  # node id -> [cpu, memory] on it
-    assigned: list[int] = field(default_factory=lambda: [0, 0])  # [cpu, memory] of Running pods
-    total_cpu: int = 0  # cpu of every pod, Running or Pending
-
 
 @dataclass
 class Cluster:
     """A set of nodes and the pods running (or waiting to run) on them.
 
     Pods change only through add_pod, delete_pod, bind and unbind, which keep
-    the ledger in step; pods is a read-only view.
+    each node's used and the pending map in step; pods is a read-only view.
+    add_pod and bind raise KeyError, changing nothing, for a node the cluster
+    does not host, so no pod's demand is charged to a node outside it.
     """
 
     id: str
@@ -127,7 +97,7 @@ class Cluster:
     group: str | None = None
     min_active_nodes: int = 1
     _pods: dict[str, Pod] = field(default_factory=dict, init=False)
-    ledger: Ledger = field(default_factory=Ledger, init=False, repr=False)
+    pending: dict[str, Pod] = field(default_factory=dict, init=False, repr=False)  # by id
 
     @property
     def pods(self) -> Mapping[str, Pod]:
@@ -142,36 +112,34 @@ class Cluster:
         """
         if pod.id in self._pods:
             raise ValueError(f"cluster {self.id!r} already holds a pod {pod.id!r}")
-        self._pods[pod.id] = pod
-        self.ledger.total_cpu += pod.demand.cpu
         if pod.assignment is None:
-            self.ledger.pending[pod.id] = pod
+            self.pending[pod.id] = pod
         else:
             self._charge(pod, pod.assignment, 1)
+        self._pods[pod.id] = pod
 
     def delete_pod(self, pod_id: str) -> Pod:
         """Remove a pod, Running or Pending, and return it; KeyError if absent."""
-        pod = self._pods.pop(pod_id)
-        self.ledger.total_cpu -= pod.demand.cpu
+        pod = self._pods[pod_id]
         if pod.assignment is None:
-            del self.ledger.pending[pod_id]
+            del self.pending[pod_id]
         else:
             self._charge(pod, pod.assignment, -1)
+        del self._pods[pod_id]
         return pod
 
     def bind(self, pod_id: str, node_id: str) -> None:
         """Run a pod on a node.
 
         A Pending pod starts Running there; a Running pod moves there from its
-        current node, as a drain's relocation does. The node is not checked:
-        the engine's audit flags a pod on a node its cluster does not host.
+        current node, as a drain's relocation does.
         """
         pod = self._pods[pod_id]
+        self._charge(pod, node_id, 1)  # first, so an unhosted node changes nothing
         if pod.assignment is None:
-            del self.ledger.pending[pod_id]
+            del self.pending[pod_id]
         else:
             self._charge(pod, pod.assignment, -1)
-        self._charge(pod, node_id, 1)
         pod.assignment = node_id
 
     def unbind(self, pod_id: str) -> None:
@@ -180,27 +148,28 @@ class Cluster:
         if pod.assignment is None:
             raise ValueError(f"pod {pod_id!r} is not bound to a node")
         self._charge(pod, pod.assignment, -1)
-        self.ledger.pending[pod_id] = pod
+        self.pending[pod_id] = pod
         pod.assignment = None
 
     def _charge(self, pod: Pod, node_id: str, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) the pod's demand on the node and
-        in the assigned totals."""
-        cpu, memory = sign * pod.demand.cpu, sign * pod.demand.memory
-        used = self.ledger.used.setdefault(node_id, [0, 0])
-        used[0] += cpu
-        used[1] += memory
-        assigned = self.ledger.assigned
-        assigned[0] += cpu
-        assigned[1] += memory
+        """Add (sign 1) or remove (sign -1) the pod's demand on the node.
+
+        Raises KeyError, changing nothing, if the cluster does not host it.
+        """
+        node = self.nodes.get(node_id)
+        if node is None:
+            raise KeyError(f"cluster {self.id!r} does not host a node {node_id!r}")
+        used = node.used
+        used[0] += sign * pod.demand.cpu
+        used[1] += sign * pod.demand.memory
 
     def active_nodes(self) -> list[Node]:
         """Active nodes in ascending id order (the scheduler's scan order)."""
         return [n for _, n in sorted(self.nodes.items()) if n.state is NodeState.ACTIVE]
 
     def pending_pods(self) -> list[Pod]:
-        """Pending pods from the ledger; placement sorts them itself."""
-        return list(self.ledger.pending.values())
+        """The Pending pods; placement sorts them itself."""
+        return list(self.pending.values())
 
     def pods_on(self, node_id: str) -> list[Pod]:
         """Pods assigned to the node, in pod-dict order."""
@@ -272,8 +241,8 @@ class Utilization(NamedTuple):
 
 
 def node_demand(cluster: Cluster, node_id: str) -> ResourceVector:
-    """Requested demand of the node's Running pods, read from the ledger."""
-    cpu, memory = cluster.ledger.used.get(node_id, (0, 0))
+    """Requested demand of the Running pods on a node the cluster hosts."""
+    cpu, memory = cluster.nodes[node_id].used
     # Empty nodes are common; ZERO spares them the costly vector construction.
     return ResourceVector(cpu, memory) if cpu or memory else ZERO
 
@@ -281,18 +250,21 @@ def node_demand(cluster: Cluster, node_id: str) -> ResourceVector:
 def cluster_utilization(cluster: Cluster) -> Utilization:
     """Demand over capacity across Active nodes, per dimension and combined.
 
-    Pending pods are excluded: they consume nothing yet. Raises ZeroCapacity
-    when no node is Active, since the ratio is undefined.
+    Demand counts the Running pods on every node, Active or not; Pending
+    pods are excluded: they consume nothing yet. Raises ZeroCapacity when no
+    node is Active, since the ratio is undefined.
     """
     active = NodeState.ACTIVE  # an Enum member lookup per node would cost more than the sum
-    capacity_cpu = capacity_memory = 0
+    cpu = memory = capacity_cpu = capacity_memory = 0
     for node in cluster.nodes.values():
+        used = node.used
+        cpu += used[0]
+        memory += used[1]
         if node.state is active:
             capacity_cpu += node.capacity.cpu
             capacity_memory += node.capacity.memory
     if not capacity_cpu:  # capacities are strictly positive
         raise ZeroCapacity(f"cluster {cluster.id!r} has no Active nodes")
-    cpu, memory = cluster.ledger.assigned
     u_cpu = cpu / capacity_cpu
     u_mem = memory / capacity_memory
     return Utilization(u_cpu=u_cpu, u_mem=u_mem, u=max(u_cpu, u_mem))

@@ -31,14 +31,11 @@ def _placement_order(pods: list[Pod]) -> list[Pod]:
     return sorted(pods, key=lambda p: (-p.demand.cpu, -p.demand.memory, p.id))
 
 
-def _plan(
-    cluster: Cluster, pods: list[Pod], nodes: list[Node]
-) -> tuple[list[tuple[str, str]], list[str]]:
+def _plan(pods: list[Pod], nodes: list[Node]) -> tuple[list[tuple[str, str]], list[str]]:
     """First-fit-decreasing plan of pods onto the nodes' free capacity."""
-    used = cluster.ledger.used
     free = []  # [node id, free cpu, free memory] in the nodes' order
     for node in nodes:
-        cpu, memory = used.get(node.id, (0, 0))
+        cpu, memory = node.used
         free.append([node.id, node.capacity.cpu - cpu, node.capacity.memory - memory])
     placements: list[tuple[str, str]] = []
     unplaced: list[str] = []
@@ -63,7 +60,7 @@ def place_pending(cluster: Cluster) -> list[tuple[str, str]]:
     pending = cluster.pending_pods()
     if not pending:
         return []
-    placements, _ = _plan(cluster, pending, cluster.active_nodes())
+    placements, _ = _plan(pending, cluster.active_nodes())
     for pod_id, node_id in placements:
         cluster.bind(pod_id, node_id)
     return placements
@@ -95,7 +92,7 @@ def drain_node(
 
     victims = cluster.pods_on(node_id)
     siblings = [n for n in actives if n.id != node_id]
-    placements, unplaced = _plan(cluster, victims, siblings)
+    placements, unplaced = _plan(victims, siblings)
 
     rec.emit(EventKind.DRAIN_STARTED, cluster=cluster.id, node=node_id, pods=len(victims))
     if unplaced and not force:

@@ -123,7 +123,9 @@ def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDel
     """
     target = target_demand(trace, tick)
     quantum = trace.pod_quantum
-    current = cluster.ledger.total_cpu
+    current = sum(node.used[0] for node in cluster.nodes.values()) + sum(
+        pod.demand.cpu for pod in cluster.pending.values()
+    )
 
     deleted = []
     if current - target.cpu >= quantum.cpu:  # most ticks delete nothing: skip the sort

@@ -15,7 +15,6 @@ from nodebalancer import (
     Cluster,
     ConstantTrace,
     GroupManager,
-    Ledger,
     Node,
     Pod,
     ResourceVector,
@@ -71,30 +70,29 @@ def fill(cluster, node_id, total_cpu, quantum=100, prefix=None):
         run_pod(cluster, f"{prefix}-{i:04d}", node_id, quantum)
 
 
-def ledger_from_pods(cluster) -> Ledger:
-    """The cluster's ledger recomputed from its pods, with no zero entries."""
-    ledger = Ledger()
+def ledger_from_pods(cluster) -> tuple[dict, dict]:
+    """(used, pending) recomputed from the cluster's pods: the [cpu, memory]
+    of each node that has a Running pod, and the Pending pods by id."""
+    used, pending = {}, {}
     for pod in cluster.pods.values():
-        ledger.total_cpu += pod.demand.cpu
         if pod.assignment is None:
-            ledger.pending[pod.id] = pod
+            pending[pod.id] = pod
             continue
-        used = ledger.used.setdefault(pod.assignment, [0, 0])
-        used[0] += pod.demand.cpu
-        used[1] += pod.demand.memory
-        ledger.assigned[0] += pod.demand.cpu
-        ledger.assigned[1] += pod.demand.memory
-    return ledger
+        total = used.setdefault(pod.assignment, [0, 0])
+        total[0] += pod.demand.cpu
+        total[1] += pod.demand.memory
+    return used, pending
 
 
 def assert_ledger_matches_pods(cluster):
-    """Every ledger field equals its recompute; zero per-node entries may stay."""
-    expected, ledger = ledger_from_pods(cluster), cluster.ledger
-    assert ledger.pending.keys() == expected.pending.keys()
-    assert all(ledger.pending[pid] is pod for pid, pod in expected.pending.items())
-    assert {nid: used for nid, used in ledger.used.items() if used != [0, 0]} == expected.used
-    assert ledger.assigned == expected.assigned
-    assert ledger.total_cpu == expected.total_cpu
+    """Every node's used and the cluster's pending equal their recompute."""
+    used, pending = ledger_from_pods(cluster)
+    assert used.keys() <= cluster.nodes.keys()
+    assert {nid: node.used for nid, node in cluster.nodes.items()} == {
+        nid: used.get(nid, [0, 0]) for nid in cluster.nodes
+    }
+    assert cluster.pending.keys() == pending.keys()
+    assert all(cluster.pending[pid] is pod for pid, pod in pending.items())
 
 
 def snapshot(obj):

@@ -27,7 +27,7 @@ from nodebalancer import (
 )
 from nodebalancer.cli import main as cli_main
 from nodebalancer.errors import LastNodeGuard
-from nodebalancer.model import PodState, node_demand
+from nodebalancer.model import node_demand
 
 from helpers import (
     fill,
@@ -268,13 +268,14 @@ def test_criterion_6_drain_atomicity():
             overfull = [
                 node.id
                 for node in cluster.nodes.values()
-                if not node_demand(cluster, node.id).fits_within(node.capacity)
+                if (demand := node_demand(cluster, node.id)).cpu > node.capacity.cpu
+                or demand.memory > node.capacity.memory
             ]
             if overfull:
                 problems.append(f"trial {trial}: capacity exceeded on {overfull}")
                 break
-            running_before = {p.id for p in before.pods.values() if p.state is PodState.RUNNING}
-            running_after = {p.id for p in cluster.pods.values() if p.state is PodState.RUNNING}
+            running_before = {p.id for p in before.pods.values() if p.assignment is not None}
+            running_after = {p.id for p in cluster.pods.values() if p.assignment is not None}
             if running_before != running_after:
                 problems.append(f"trial {trial}: running-pod set changed")
                 break

@@ -420,10 +420,14 @@ def test_audit_accepts_nodes_that_over_commit_only_when_summed_together():
 
 def test_audit_flags_a_pod_on_a_node_its_cluster_does_not_host():
     manager, expected = _audited_world()
-    # b-n000 exists, but in the other cluster.
-    run_pod(manager.clusters["a"], "x", "b-n000", 100)
+    a, b = manager.clusters["a"], manager.clusters["b"]
+    run_pod(a, "x", "a-n001", 100)
+    # The node moves to the other cluster with its pod still bound to it, which
+    # the model's own methods refuse but a direct store does not.
+    node = a.nodes.pop("a-n001")
+    node.host_cluster, b.nodes["a-n001"] = "b", node
     with pytest.raises(
-        InvariantViolation, match="tick 3: pod 'x' assigned to missing node 'b-n000'"
+        InvariantViolation, match="tick 3: pod 'x' assigned to missing node 'a-n001'"
     ):
         _verify_world(manager, expected, tick=3)
 
@@ -450,63 +454,39 @@ def test_audit_flags_an_extra_node():
         _verify_world(manager, expected, tick=3)
 
 
-def _corrupt_pending(ledger):
-    ledger.pending.pop("waiting")
+def _corrupt_pending(cluster):
+    cluster.pending.pop("waiting")
 
 
-def _corrupt_pending_object(ledger):
+def _corrupt_pending_object(cluster):
     # An equal copy is not the pod the cluster holds.
-    ledger.pending["waiting"] = dataclasses.replace(ledger.pending["waiting"])
+    cluster.pending["waiting"] = dataclasses.replace(cluster.pending["waiting"])
 
 
-def _corrupt_used(ledger):
-    ledger.used["a-n000"][1] += 1
-
-
-def _corrupt_used_off_cluster(ledger):
-    ledger.used["b-n000"] = [100, 0]
-
-
-def _corrupt_assigned(ledger):
-    ledger.assigned[0] -= 100
-
-
-def _corrupt_total_cpu(ledger):
-    ledger.total_cpu += 100
+def _corrupt_used(cluster):
+    cluster.nodes["a-n000"].used[1] += 1
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     # Each corrupts one field only; every other field still matches the pods.
     [
-        (_corrupt_pending, r"'pending' does not hold exactly the Pending pod objects: "
-                           r"it has \[\], the pods \['waiting'\]"),
-        (_corrupt_pending_object, r"'pending' does not hold exactly the Pending pod objects: "
-                                  r"it has \['waiting'\], the pods \['waiting'\]"),
-        (_corrupt_used, r"'used' holds \[1000, 1281\] for node 'a-n000', "
+        (_corrupt_pending, r"cluster 'a' 'pending' does not hold exactly the Pending pod "
+                           r"objects: it has \[\], the pods \['waiting'\]"),
+        (_corrupt_pending_object, r"cluster 'a' 'pending' does not hold exactly the Pending "
+                                  r"pod objects: it has \['waiting'\], the pods \['waiting'\]"),
+        (_corrupt_used, r"node 'a-n000' 'used' holds \[1000, 1281\], "
                         r"but its pods sum to \[1000, 1280\]"),
-        (_corrupt_used_off_cluster, r"'used' holds \[100, 0\] for node 'b-n000', "
-                                    r"but its pods sum to \[0, 0\]"),
-        (_corrupt_assigned, r"'assigned' holds \[900, 1280\], "
-                            r"but the Running pods sum to \[1000, 1280\]"),
-        (_corrupt_total_cpu, r"'total_cpu' holds 1600, but the pods sum to 1500"),
     ],
-    ids=["pending", "pending-object", "used", "used-off-cluster", "assigned", "total_cpu"],
+    ids=["pending", "pending-object", "used"],
 )
 def test_audit_flags_a_ledger_field_drifting_from_the_pods(corrupt, message):
     manager, expected = _audited_world()
     pending_pod(manager.clusters["a"], "waiting", 500)
     _verify_world(manager, expected, tick=3)
-    corrupt(manager.clusters["a"].ledger)
-    with pytest.raises(InvariantViolation, match=r"^tick 3: cluster 'a' ledger " + message + "$"):
+    corrupt(manager.clusters["a"])
+    with pytest.raises(InvariantViolation, match=r"^tick 3: " + message + "$"):
         _verify_world(manager, expected, tick=3)
-
-
-def test_audit_accepts_a_zero_ledger_entry_for_a_node_the_cluster_does_not_host():
-    manager, expected = _audited_world()
-    # A drained node keeps a zero entry in the ledger of the cluster it left.
-    manager.clusters["a"].ledger.used["b-n000"] = [0, 0]
-    _verify_world(manager, expected, tick=3)
 
 
 def test_tick_record_counts_and_sums_only_pending_pods():

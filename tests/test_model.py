@@ -8,7 +8,6 @@ from nodebalancer import (
     Node,
     NodeState,
     Pod,
-    PodState,
     RebalanceEvent,
     ResourceVector,
     TickRecord,
@@ -35,19 +34,23 @@ from helpers import (
 
 
 def test_resource_vector_arithmetic():
+    # A vector is a plain value, equal and hashed componentwise. It has no
+    # operators: callers add and compare its components themselves.
     a = ResourceVector(300, 512)
-    b = ResourceVector(100, 128)
-    assert a + b == ResourceVector(400, 640)
-    assert a - b == ResourceVector(200, 384)
-    assert b.fits_within(a)
-    assert not a.fits_within(b)
+    assert a == ResourceVector(300, 512) and hash(a) == hash(ResourceVector(300, 512))
+    assert a != ResourceVector(512, 300)
+    with pytest.raises(TypeError):
+        a + ResourceVector(100, 128)
+    with pytest.raises(TypeError):
+        a - ResourceVector(100, 128)
+    assert not hasattr(a, "fits_within")
 
 
 def test_resource_vector_rejects_negative_components():
     with pytest.raises(ValueError):
         ResourceVector(-1, 0)
     with pytest.raises(ValueError):
-        ResourceVector(100, 128) - ResourceVector(200, 0)
+        ResourceVector(100, -128)
 
 
 def test_node_capacity_must_be_positive():
@@ -108,9 +111,9 @@ def test_pending_pods_do_not_count_as_demand():
     pending_pod(cluster, "p1", 5000)
     assert cluster_utilization(cluster).u == pytest.approx(0.5, abs=1e-9)
     assert [pod.id for pod in cluster.pending_pods()] == ["p1"]
-    assert cluster.ledger.pending["p1"].demand.cpu == 5000
+    assert cluster.pending["p1"].demand.cpu == 5000
     assert node_demand(cluster, "a-n000").cpu == 500
-    assert cluster.ledger.total_cpu == 5500
+    assert cluster.nodes["a-n000"].used == [500, 640]
 
 
 def test_only_active_nodes_provide_capacity():
@@ -146,11 +149,12 @@ def test_node_and_free_accounting():
     cluster = make_cluster("a", [1000], memory=1000)
     run_pod(cluster, "p0", "a-n000", 300, 200)
     run_pod(cluster, "p1", "a-n000", 100, 100)
-    assert node_demand(cluster, "a-n000") == ResourceVector(400, 300)
-    assert cluster.ledger.used == {"a-n000": [400, 300]}
-    assert cluster.ledger.assigned == [400, 300]
-    node = cluster.nodes["a-n000"]
-    assert node.capacity - node_demand(cluster, node.id) == ResourceVector(600, 700)
+    demand = node_demand(cluster, "a-n000")
+    assert demand == ResourceVector(400, 300)
+    assert cluster.nodes["a-n000"].used == [400, 300]
+    assert cluster_utilization(cluster) == Utilization(0.4, 0.3, 0.4)
+    capacity = cluster.nodes["a-n000"].capacity
+    assert (capacity.cpu - demand.cpu, capacity.memory - demand.memory) == (600, 700)
 
 
 def test_scale_consistency():
@@ -204,11 +208,11 @@ def test_ledger_matches_a_recompute_from_the_pods():
             for tick in (0, 1):  # the second load both creates and deletes pods
                 randomize_load(rng, cluster, tick)
             assert_ledger_matches_pods(cluster)
-            expected = ledger_from_pods(cluster)
+            used, pending = ledger_from_pods(cluster)
             for node_id in cluster.nodes:
-                assert node_demand(cluster, node_id) == rv(*expected.used.get(node_id, (0, 0)))
-            assert set(expected.used) <= set(cluster.nodes)
-            saw_pending = saw_pending or bool(expected.pending)
+                assert node_demand(cluster, node_id) == rv(*used.get(node_id, (0, 0)))
+            assert set(used) <= set(cluster.nodes)
+            saw_pending = saw_pending or bool(pending)
     assert saw_pending
 
 
@@ -229,21 +233,49 @@ def test_mutation_api_keeps_the_ledger():
     pending_pod(cluster, "p0", 200, 100)
     cluster.bind("p0", "a-n001")
     cluster.bind("r0", "a-n001")  # a drain's move: Running to Running
-    assert cluster.ledger.used == {"a-n000": [0, 0], "a-n001": [500, 300]}
+    assert [node.used for node in cluster.nodes.values()] == [[0, 0], [500, 300]]
     cluster.unbind("p0")
     assert cluster.pending_pods() == [cluster.pods["p0"]]
     with pytest.raises(ValueError, match="'p0' is not bound"):
         cluster.unbind("p0")
-    # A second pod under a held id is refused; the held pod and the ledger stay.
+    # A second pod under a held id is refused; the held pod and the loads stay.
     held = cluster.pods["r0"]
     with pytest.raises(ValueError, match="cluster 'a' already holds a pod 'r0'"):
         cluster.add_pod(Pod(id="r0", demand=rv(100, 50)))
     assert cluster.pods["r0"] is held
-    assert cluster.ledger.assigned == [300, 200] and cluster.ledger.total_cpu == 500
+    assert cluster.nodes["a-n001"].used == [300, 200] and list(cluster.pending) == ["p0"]
     assert_ledger_matches_pods(cluster)
     assert cluster.delete_pod("p0").id == "p0"
     assert cluster.delete_pod("r0").id == "r0"
-    assert not cluster.pods and cluster.ledger.pending == {} and cluster.ledger.total_cpu == 0
+    assert not cluster.pods and cluster.pending == {}
+    assert all(node.used == [0, 0] for node in cluster.nodes.values())
+    assert_ledger_matches_pods(cluster)
+
+
+def _loads(cluster):
+    return dict(cluster.pods), dict(cluster.pending), {
+        node_id: list(node.used) for node_id, node in cluster.nodes.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "act",
+    [
+        lambda cluster: cluster.bind("p0", "b-n000"),
+        lambda cluster: cluster.bind("r0", "b-n000"),
+        lambda cluster: cluster.add_pod(Pod(id="r1", demand=rv(100), assignment="b-n000")),
+    ],
+    ids=["bind-pending", "bind-running", "add-running"],
+)
+def test_an_unhosted_node_is_refused_before_any_change(act):
+    cluster = make_cluster("a", [1000, 1000])
+    run_pod(cluster, "r0", "a-n000", 300)
+    pending_pod(cluster, "p0", 200)
+    before = _loads(cluster)
+    with pytest.raises(KeyError, match="cluster 'a' does not host a node 'b-n000'"):
+        act(cluster)
+    assert _loads(cluster) == before
+    assert cluster.pods["r0"].assignment == "a-n000" and cluster.pods["p0"].assignment is None
     assert_ledger_matches_pods(cluster)
 
 
@@ -256,8 +288,8 @@ def _mixed_cluster():
     return cluster
 
 
-def _states(cluster):
-    return {pid: pod.state for pid, pod in cluster.pods.items()}
+def _assignments(cluster):
+    return {pid: pod.assignment for pid, pod in cluster.pods.items()}
 
 
 @pytest.mark.parametrize(
@@ -269,13 +301,15 @@ def test_slotted_records_survive_deepcopy_and_pickle(clone):
     cluster = _mixed_cluster()
     twin = clone(cluster)
     assert dict(twin.pods) == dict(cluster.pods)
-    assert _states(twin) == {
-        "r0": PodState.RUNNING, "r1": PodState.RUNNING, "big": PodState.PENDING,
-    }
-    # The twin's ledger holds the twin's own pod objects, not the originals.
+    assert _assignments(twin) == {"r0": "a-n000", "r1": "a-n001", "big": None}
+    # The twin's pending map holds the twin's own pod objects, not the originals.
     assert twin.pods["big"] is not cluster.pods["big"]
     assert_ledger_matches_pods(twin)
-    assert twin.ledger == cluster.ledger and twin.nodes == cluster.nodes
+    assert twin.pending == cluster.pending and twin.nodes == cluster.nodes
+    assert twin.nodes["a-n000"].used is not cluster.nodes["a-n000"].used
+    for slotted in (twin.pods["big"], twin.nodes["a-n000"]):
+        with pytest.raises(AttributeError):
+            slotted.note = "slotted records take no new attributes"
     records = (
         cluster_utilization(cluster),
         TickRecord(1, "a", 0.45, 0.45, 0.45, 2, 1, rv(1500)),
@@ -287,29 +321,14 @@ def test_slotted_records_survive_deepcopy_and_pickle(clone):
 def test_pod_state_follows_bind_unbind_and_forced_drains():
     cluster = _mixed_cluster()
     cluster.unbind("r1")
-    assert _states(cluster) == {
-        "r0": PodState.RUNNING, "r1": PodState.PENDING, "big": PodState.PENDING,
-    }
+    assert _assignments(cluster) == {"r0": "a-n000", "r1": None, "big": None}
     cluster.bind("r1", "a-n000")
-    assert _states(cluster) == {
-        "r0": PodState.RUNNING, "r1": PodState.RUNNING, "big": PodState.PENDING,
-    }
+    assert _assignments(cluster) == {"r0": "a-n000", "r1": "a-n000", "big": None}
     run_pod(cluster, "r2", "a-n001", 700)
     # a-n001 has room for r1 (300m) but not r0 (600m): one moves, one waits.
     drain = drain_node(cluster, "a-n000", force=True)
     assert drain.pending == ("r0",)
     assert cluster.pods["r1"].assignment == "a-n001"
-    assert _states(cluster) == {
-        "r0": PodState.PENDING, "r1": PodState.RUNNING,
-        "big": PodState.PENDING, "r2": PodState.RUNNING,
-    }
+    assert _assignments(cluster) == {"r0": None, "r1": "a-n001", "big": None, "r2": "a-n001"}
     assert_ledger_matches_pods(cluster)
 
-
-def test_pod_state_cannot_be_assigned():
-    pod = Pod(id="p0", demand=rv(100))
-    with pytest.raises(AttributeError):
-        pod.state = PodState.RUNNING
-    with pytest.raises(AttributeError):
-        pod.note = "slotted records take no new attributes"
-    assert pod.state is PodState.PENDING and pod.assignment is None

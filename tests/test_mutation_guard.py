@@ -1,13 +1,14 @@
 """Pods change only through Cluster.add_pod, delete_pod, bind and unbind,
-which keep the cluster's ledger in step. These tests parse the package and
-fail if any module but model.py writes a pod's assignment, the pod map or
-the ledger directly, which would leave the ledger stale until the next
-audit. A pod's state is derived from its assignment and cannot be written."""
+which keep the ledger, each node's used and the cluster's pending map, in
+step. These tests parse the package and fail if any module but model.py
+writes a pod's assignment, the pod map or the ledger directly, which would
+leave the ledger stale until the next audit."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nodebalancer"
+LEDGER = frozenset({"used", "pending"})  # Node.used and Cluster.pending
 
 
 def _stores(node):
@@ -26,17 +27,15 @@ def _stores(node):
         yield from ((target, None) for target in node.targets)
 
 
-def _names(target):
-    """Attribute names along an attribute or subscript target, then its base
-    name: `c.ledger.used[k]` gives used, ledger, c."""
+def _attributes(target):
+    """Attribute names along an attribute or subscript target, outermost
+    first: `c.nodes[k].used[0]` gives used, nodes. A bare name gives none."""
     names = []
     node = target
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         if isinstance(node, ast.Attribute):
             names.append(node.attr)
         node = node.value
-    if isinstance(node, ast.Name) and node is not target:
-        names.append(node.id)
     return names
 
 
@@ -53,8 +52,8 @@ def bypasses(source: str, filename: str) -> list[str]:
                 and target.value.attr == "pods"
             ):
                 why = "stores into .pods[...]"
-            elif "ledger" in _names(target):
-                why = "writes the ledger"
+            elif not LEDGER.isdisjoint(_attributes(target)):
+                why = "writes the ledger through .used or .pending"
             else:
                 continue
             found.append(f"{filename}:{node.lineno}: {why}")
@@ -77,11 +76,13 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
     bad = "\n".join(
         [
             "pod.assignment = node_id",
-            "pod.state, pod.assignment = PodState.RUNNING, None",
+            "pod.demand, pod.assignment = quantum, None",
             "cluster.pods[pod.id] = pod",
             "del cluster.pods[pod.id]",
-            "cluster.ledger.total_cpu += 100",
-            "ledger.used[node_id][0] -= 1",
+            "node.used[0] -= 1",
+            "cluster.nodes[n].used = [0, 0]",
+            "cluster.pending[p.id] = p",
+            "del cluster.pending[p.id]",
         ]
     )
     assert bypasses(bad, "bad.py") == [
@@ -89,16 +90,20 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
         "bad.py:2: assigns .assignment",
         "bad.py:3: stores into .pods[...]",
         "bad.py:4: stores into .pods[...]",
-        "bad.py:5: writes the ledger",
-        "bad.py:6: writes the ledger",
+        "bad.py:5: writes the ledger through .used or .pending",
+        "bad.py:6: writes the ledger through .used or .pending",
+        "bad.py:7: writes the ledger through .used or .pending",
+        "bad.py:8: writes the ledger through .used or .pending",
     ]
     clean = "\n".join(
         [
-            "state = PodState.RUNNING",
-            "running = pod.state is PodState.RUNNING",
+            "running = pod.assignment is not None",
             "node.state = NodeState.ACTIVE",
-            "total = cluster.ledger.total_cpu",
-            "ledger = cluster.ledger",
+            "used = {node_id: [0, 0] for node_id in cluster.nodes}",
+            "used[node_id][0] += demand.cpu",
+            "pending = []",
+            "cpu, memory = node.used",
+            "waiting = cluster.pending[pod_id]",
             "pods = dict(cluster.pods)",
             "pods[pod.id] = pod",
         ]

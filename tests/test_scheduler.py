@@ -6,7 +6,6 @@ from nodebalancer import (
     EventKind,
     EventRecorder,
     NodeState,
-    PodState,
     drain_node,
     place_pending,
 )
@@ -21,7 +20,7 @@ def test_place_single_pod_on_first_node():
     cluster = make_cluster("a", [4000, 4000])
     pending_pod(cluster, "p0", 500)
     assert place_pending(cluster) == [("p0", "a-n000")]
-    assert cluster.pods["p0"].state is PodState.RUNNING
+    assert cluster.pods["p0"].assignment == "a-n000"
 
 
 def test_place_with_no_pending_is_a_no_op():
@@ -30,8 +29,8 @@ def test_place_with_no_pending_is_a_no_op():
 
 
 def test_placement_with_nothing_pending_builds_no_demand_map(monkeypatch):
-    def no_plan(cluster, pods, nodes):
-        raise RuntimeError(f"plan built for {cluster.id!r}")
+    def no_plan(pods, nodes):
+        raise RuntimeError(f"plan built for {[pod.id for pod in pods]}")
 
     monkeypatch.setattr(scheduler, "_plan", no_plan)
     running = make_cluster("a", [4000, 4000])
@@ -41,7 +40,7 @@ def test_placement_with_nothing_pending_builds_no_demand_map(monkeypatch):
 
     waiting = make_cluster("b", [4000])
     pending_pod(waiting, "p0", 500)
-    with pytest.raises(RuntimeError, match="plan built for 'b'"):
+    with pytest.raises(RuntimeError, match=r"plan built for \['p0'\]"):
         place_pending(waiting)
     monkeypatch.undo()
     assert place_pending(waiting) == [("p0", "b-n000")]
@@ -51,7 +50,6 @@ def test_oversized_pod_stays_pending():
     cluster = make_cluster("a", [1000])
     pending_pod(cluster, "p0", 1500)
     assert place_pending(cluster) == []
-    assert cluster.pods["p0"].state is PodState.PENDING
     assert cluster.pods["p0"].assignment is None
 
 
@@ -64,7 +62,7 @@ def test_first_fit_decreasing_order():
     pending_pod(cluster, "p-small", 500, 128)
     placements = place_pending(cluster)
     assert placements == [("p-big", "a-n000"), ("p-mid", "a-n001")]
-    assert cluster.pods["p-small"].state is PodState.PENDING
+    assert cluster.pods["p-small"].assignment is None
     remaining = [n.capacity.cpu - node_demand(cluster, n.id).cpu for n in cluster.active_nodes()]
     assert all(free < 500 for free in remaining)
 
@@ -88,7 +86,7 @@ def test_memory_dimension_also_binds():
     pending_pod(cluster, "p0", 100, 200)
     pending_pod(cluster, "p1", 100, 200)
     assert place_pending(cluster) == [("p0", "a-n000")]
-    assert cluster.pods["p1"].state is PodState.PENDING
+    assert cluster.pods["p1"].assignment is None
 
 
 def test_matches_reference_ffd_on_random_inputs():
@@ -129,7 +127,6 @@ def test_drain_relocates_pods():
     outcome = drain_node(cluster, "a-n000")
     assert outcome.relocated == (("victim", "a-n001"),)
     assert cluster.pods["victim"].assignment == "a-n001"
-    assert cluster.pods["victim"].state is PodState.RUNNING
     assert node_demand(cluster, "a-n001").cpu == 3900
 
 
@@ -174,7 +171,8 @@ def test_drain_is_atomic_on_random_clusters():
                 assert before.pods[pod_id].assignment == target
                 assert cluster.pods[pod_id].assignment == new_node
             for node in cluster.active_nodes():
-                assert node_demand(cluster, node.id).fits_within(node.capacity)
+                demand = node_demand(cluster, node.id)
+                assert demand.cpu <= node.capacity.cpu and demand.memory <= node.capacity.memory
     assert completed > 50 and restored > 50  # both branches exercised
 
 
@@ -186,7 +184,6 @@ def test_forced_drain_parks_unplaceable_pods():
     outcome = drain_node(cluster, "a-n000", force=True)
     assert not outcome.restored
     assert outcome.relocated == (("light", "a-n001"),)
-    assert cluster.pods["heavy"].state is PodState.PENDING
     assert cluster.pods["heavy"].assignment is None
     assert cluster.nodes["a-n000"].state is NodeState.RESERVED
 
@@ -197,7 +194,7 @@ def test_forced_drain_ignores_min_active_guard():
     outcome = drain_node(cluster, "a-n000", force=True)
     assert not outcome.restored
     assert cluster.active_nodes() == []
-    assert cluster.pods["p0"].state is PodState.PENDING
+    assert cluster.pods["p0"].assignment is None
 
 
 def test_last_node_guard():

@@ -5,7 +5,6 @@ import pytest
 
 from nodebalancer import (
     ConstantTrace,
-    PodState,
     ResourceVector,
     SineTrace,
     SpikeTrace,
@@ -96,7 +95,7 @@ def test_apply_workload_creates_pending_pods():
     delta = apply_workload(cluster, ConstantTrace(level=1000), tick=0)
     assert len(delta.created) == 10
     assert delta.deleted == ()
-    assert all(cluster.pods[p].state is PodState.PENDING for p in delta.created)
+    assert all(cluster.pods[p].assignment is None for p in delta.created)
     assert all(cluster.pods[p].demand == ResourceVector(100, 128) for p in delta.created)
 
 
