@@ -63,7 +63,7 @@ from .reporting import (
     write_metrics,
     write_summary,
 )
-from .rules import Evaluation, evaluate_group, validate_thresholds
+from .rules import Evaluation, evaluate_group
 from .scheduler import DrainOutcome, drain_node, place_pending
 from .workload import (
     DEFAULT_POD_QUANTUM,
@@ -139,7 +139,6 @@ __all__ = [
     "summarize",
     "target_demand",
     "validate_scenario",
-    "validate_thresholds",
     "verify_event_log",
     "write_events",
     "write_metrics",

@@ -60,7 +60,6 @@ def deprovision_node(cluster: Cluster, node_id: str, recorder=None) -> Node:
         raise NodeNotReserved(f"cannot deprovision node {node_id!r}: {state}")
     del cluster.nodes[node_id]
     node.state = NodeState.IN_TRANSIT
-    node.host_cluster = None
     rec.emit(EventKind.NODE_DEPROVISIONED, cluster=cluster.id, node=node_id)
     return node
 
@@ -77,7 +76,6 @@ def provision_node(cluster: Cluster, node: Node, recorder=None) -> None:
     if node.id in cluster.nodes:
         raise DuplicateNode(f"cluster {cluster.id!r} already hosts a node {node.id!r}")
     node.state = NodeState.ACTIVE
-    node.host_cluster = cluster.id
     cluster.nodes[node.id] = node
     rec.emit(EventKind.NODE_PROVISIONED, cluster=cluster.id, node=node.id)
 

@@ -3,7 +3,7 @@ protocol that puts every node back where it originally came from."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .balancer import deprovision_node, provision_node
@@ -17,7 +17,6 @@ from .errors import (
 )
 from .model import Cluster, Group, Thresholds
 from .reporting import NULL_RECORDER, EventKind
-from .rules import validate_thresholds
 from .scheduler import drain_node
 
 
@@ -53,8 +52,9 @@ class RestorationReport:
 class GroupManager:
     """Registry of clusters and balancing groups.
 
-    Owns the membership rules (a cluster belongs to at most one group) and
-    the restoration protocol run when a cluster leaves its group.
+    Owns the membership rules (a cluster belongs to at most one group, and
+    Group.members is the only record of which) and the restoration protocol
+    run when a cluster leaves its group.
     """
 
     def __init__(self, clusters: dict[str, Cluster] | None = None, recorder=None):
@@ -70,10 +70,9 @@ class GroupManager:
     def create_group(
         self, group_id: str, thresholds: Thresholds, balance_interval: int = 1
     ) -> Group:
-        """Register an empty group after validating its policy knobs."""
+        """Register an empty group; thresholds were validated when built."""
         if group_id in self.groups:
             raise DuplicateGroup(f"group {group_id!r} already exists")
-        validate_thresholds(thresholds)
         if balance_interval < 1:
             raise ValueError(f"balance_interval must be >= 1, got {balance_interval}")
         group = Group(
@@ -93,15 +92,13 @@ class GroupManager:
         group = self.groups.get(group_id)
         if group is None:
             raise UnknownGroup(f"no group {group_id!r}")
-        cluster = self.clusters.get(cluster_id)
-        if cluster is None:
+        if cluster_id not in self.clusters:
             raise UnknownCluster(f"no cluster {cluster_id!r}")
-        if cluster.group is not None:
-            raise AlreadyGrouped(cluster_id, cluster.group)
+        for holder in self.groups.values():
+            if cluster_id in holder.members:
+                raise AlreadyGrouped(cluster_id, holder.id)
         group.members.append(cluster_id)
-        cluster.group = group_id
         self.recorder.emit(EventKind.CLUSTER_ADDED, group=group_id, cluster=cluster_id)
-        self._check_exclusivity()
 
     def remove_cluster(self, group_id: str, cluster_id: str) -> RestorationReport:
         """Take a cluster out of its group, restoring original configurations.
@@ -142,7 +139,6 @@ class GroupManager:
             pending.extend(self._send_home(self.clusters[host_id], node_id))
 
         group.members.remove(cluster_id)
-        cluster.group = None
         self.recorder.emit(
             EventKind.RESTORATION_COMPLETED,
             group=group_id,
@@ -157,7 +153,6 @@ class GroupManager:
                 f"restoration left cluster {cluster_id!r} with nodes "
                 f"{sorted(cluster.nodes)}, expected {sorted(cluster.original_node_ids)}"
             )
-        self._check_exclusivity()
         return RestorationReport(
             cluster=cluster_id,
             returned=tuple(returned),
@@ -171,26 +166,3 @@ class GroupManager:
         node = deprovision_node(host, node_id, recorder=self.recorder)
         provision_node(self.clusters[node.origin_cluster], node, recorder=self.recorder)
         return [(pod_id, host.id) for pod_id in outcome.pending]
-
-    def _check_exclusivity(self) -> None:
-        # Membership lists and cluster.group back-references must agree, and
-        # no cluster may appear in two groups.
-        seen: dict[str, str] = {}
-        for group in self.groups.values():
-            for member in group.members:
-                if member in seen:
-                    raise InvariantViolation(
-                        f"cluster {member!r} is in groups {seen[member]!r} and {group.id!r}"
-                    )
-                seen[member] = group.id
-                cluster = self.clusters.get(member)
-                if cluster is None or cluster.group != group.id:
-                    raise InvariantViolation(
-                        f"cluster {member!r} does not point back at group {group.id!r}"
-                    )
-        for cluster in self.clusters.values():
-            if cluster.group is not None and seen.get(cluster.id) != cluster.group:
-                raise InvariantViolation(
-                    f"cluster {cluster.id!r} claims group {cluster.group!r} "
-                    f"but is not in its member list"
-                )

@@ -13,7 +13,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import NodeNotActive, NodeNotInCluster, ZeroCapacity
+from .errors import InvalidThresholds, NodeNotActive, NodeNotInCluster, ZeroCapacity
 
 
 # Not slots=True: a frozen dataclass with slots raises TypeError, not
@@ -37,10 +37,10 @@ ZERO = ResourceVector(0, 0)
 
 
 class NodeState(str, Enum):
-    """Lifecycle of a node as it moves within and between clusters."""
+    """Lifecycle of a node as it moves within and between clusters:
+    Active -> Reserved -> InTransit -> Active."""
 
     ACTIVE = "Active"  # hosting pods, counts toward capacity
-    DRAINING = "Draining"  # being emptied; only exists mid-drain
     RESERVED = "Reserved"  # drained, idle, ready to deprovision
     IN_TRANSIT = "InTransit"  # removed from one cluster, not yet provisioned
 
@@ -51,16 +51,16 @@ class Node:
 
     origin_cluster is fixed when the node is first provisioned and never
     changes afterwards; it is what makes a cluster's original configuration
-    restorable after nodes have been loaned around a group. host_cluster is
-    None exactly while the node is InTransit. used is the [cpu, memory] of
-    the Running pods on the node, written only by Cluster._charge; a node
-    leaves its cluster drained, so it travels with [0, 0].
+    restorable after nodes have been loaned around a group. The node's host
+    is the cluster whose nodes dict holds it; while it is InTransit, none
+    does. used is the [cpu, memory] of the Running pods on the node, written
+    only by Cluster._charge; a node leaves its cluster drained, so it
+    travels with [0, 0].
     """
 
     id: str
     capacity: ResourceVector
     origin_cluster: str
-    host_cluster: str | None
     state: NodeState = NodeState.ACTIVE
     used: list[int] = field(default_factory=lambda: [0, 0], init=False)
 
@@ -94,7 +94,6 @@ class Cluster:
     id: str
     nodes: dict[str, Node] = field(default_factory=dict)
     original_node_ids: frozenset[str] = frozenset()
-    group: str | None = None
     min_active_nodes: int = 1
     _pods: dict[str, Pod] = field(default_factory=dict, init=False)
     pending: dict[str, Pod] = field(default_factory=dict, init=False, repr=False)  # by id
@@ -192,12 +191,7 @@ def build_cluster(
     nodes = {}
     for i in range(node_count):
         node_id = f"{cluster_id}-n{i:03d}"
-        nodes[node_id] = Node(
-            id=node_id,
-            capacity=node_capacity,
-            origin_cluster=cluster_id,
-            host_cluster=cluster_id,
-        )
+        nodes[node_id] = Node(id=node_id, capacity=node_capacity, origin_cluster=cluster_id)
     return Cluster(
         id=cluster_id,
         nodes=nodes,
@@ -211,12 +205,22 @@ class Thresholds:
     """User-chosen utilization bounds steering the balancer.
 
     Clusters above t_high ask for capacity; clusters below t_low may give
-    some up. Validation lives in rules.validate_thresholds so that invalid
-    pairs can still be constructed and reported on.
+    some up. Construction enforces 0 < t_low < t_high <= 1, raising
+    InvalidThresholds that names the violated relation.
     """
 
     t_low: float
     t_high: float
+
+    def __post_init__(self):
+        if not 0 < self.t_low < 1:
+            raise InvalidThresholds(f"t_low must be in (0, 1), got {self.t_low}")
+        if not 0 < self.t_high <= 1:
+            raise InvalidThresholds(f"t_high must be in (0, 1], got {self.t_high}")
+        if not self.t_low < self.t_high:
+            raise InvalidThresholds(
+                f"t_low must be strictly less than t_high, got ({self.t_low}, {self.t_high})"
+            )
 
 
 @dataclass

@@ -74,9 +74,8 @@ class EventRecorder:
         events = self.events
         events.append(RebalanceEvent(
             self.tick, len(events), kind.value if isinstance(kind, EventKind) else str(kind),
-            cluster, group, node,
-            # **detail is a fresh dict on every call, so an empty one is kept as is.
-            {key: detail[key] for key in sorted(detail)} if detail else detail,
+            # **detail is a fresh dict on every call; the writer sorts its keys.
+            cluster, group, node, detail,
         ))
 
 
@@ -201,12 +200,12 @@ def iter_events(path: str | Path) -> Iterator[RebalanceEvent]:
                     continue
                 try:
                     obj, end = _DECODE(line)
-                except json.JSONDecodeError:
+                except (ValueError, RecursionError):  # bad syntax, an over-long int, too deep
                     end = -1
                 if end != len(line):
                     try:
                         obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
+                    except (ValueError, RecursionError) as exc:
                         raise IoFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
                 yield _event_from(obj, path, lineno)
     except (OSError, UnicodeDecodeError) as exc:
@@ -487,5 +486,5 @@ def read_summary(path: str | Path) -> dict:
             return json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read summary {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, an over-long int, too deep
         raise IoFailure(f"{path}: not valid JSON: {exc}") from exc

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidThresholds, UnknownCluster
-from .model import Cluster, Group, Thresholds, cluster_utilization
+from .errors import UnknownCluster
+from .model import Cluster, Group, cluster_utilization
 
 
 @dataclass(frozen=True)
@@ -14,24 +14,11 @@ class Evaluation:
 
     overutilized is ordered by descending utilization, underutilized by
     ascending utilization; ties break by ascending cluster id in both.
-    The two lists are always disjoint because t_low < t_high.
+    The two lists are always disjoint: Thresholds enforces t_low < t_high.
     """
 
     overutilized: tuple[str, ...]
     underutilized: tuple[str, ...]
-
-
-def validate_thresholds(thresholds: Thresholds) -> None:
-    """Enforce 0 < t_low < t_high <= 1, naming the violated relation."""
-    if not 0 < thresholds.t_low < 1:
-        raise InvalidThresholds(f"t_low must be in (0, 1), got {thresholds.t_low}")
-    if not 0 < thresholds.t_high <= 1:
-        raise InvalidThresholds(f"t_high must be in (0, 1], got {thresholds.t_high}")
-    if not thresholds.t_low < thresholds.t_high:
-        raise InvalidThresholds(
-            f"t_low must be strictly less than t_high, got "
-            f"({thresholds.t_low}, {thresholds.t_high})"
-        )
 
 
 def evaluate_group(group: Group, clusters: dict[str, Cluster]) -> Evaluation:
@@ -41,7 +28,6 @@ def evaluate_group(group: Group, clusters: dict[str, Cluster]) -> Evaluation:
     neither overutilized nor underutilized. The result depends only on the
     member set, never on its enumeration order.
     """
-    validate_thresholds(group.thresholds)
     loads: list[tuple[str, float]] = []
     for cluster_id in group.members:
         cluster = clusters.get(cluster_id)

@@ -105,7 +105,6 @@ def drain_node(
         )
         return DrainOutcome(node=node_id, relocated=(), restored=True)
 
-    node.state = NodeState.DRAINING
     for pod_id, target_id in placements:
         cluster.bind(pod_id, target_id)
     for pod_id in unplaced:

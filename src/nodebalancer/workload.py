@@ -114,9 +114,9 @@ def target_demand(trace: TraceSpec, tick: int) -> ResourceVector:
 def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDelta:
     """Adjust the cluster's pods toward the trace's target for this tick.
 
-    Demand above the target is shed by deleting pods newest-first (highest
-    pod id), but only while a whole quantum of excess remains, rounding
-    toward fewer deletions. Demand below the target is topped up with new
+    Demand above the target is shed by deleting pods newest-first (most
+    recently added), but only while a whole quantum of excess remains,
+    rounding toward fewer deletions. Demand below the target is topped up with new
     Pending pods of one quantum each; placement is the scheduler's job. New
     pod ids are unique per cluster and tick, so a second top-up at the same
     tick raises ValueError.
@@ -128,12 +128,12 @@ def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDel
     )
 
     deleted = []
-    if current - target.cpu >= quantum.cpu:  # most ticks delete nothing: skip the sort
-        for newest in sorted(cluster.pods, reverse=True):
-            if current - target.cpu < quantum.cpu:
-                break
-            current -= cluster.delete_pod(newest).demand.cpu
-            deleted.append(newest)
+    # Insertion order, not id order: "p99999" sorts above "p100000". Every
+    # unit of current is some pod's demand, so a pod is left to delete.
+    while current - target.cpu >= quantum.cpu:
+        newest = next(reversed(cluster.pods))
+        current -= cluster.delete_pod(newest).demand.cpu
+        deleted.append(newest)
 
     created = []
     if current < target.cpu:

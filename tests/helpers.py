@@ -25,6 +25,13 @@ from nodebalancer import (
 )
 
 
+# JSON that json.loads refuses with RecursionError or ValueError rather than
+# JSONDecodeError: nesting deeper than the recursion limit, and an integer
+# longer than the int-to-str digit limit.
+TOO_DEEP_JSON = "[" * 100_000
+OVER_LONG_INT_JSON = '{"tick":' + "1" * 5000 + "}"
+
+
 def rv(cpu: int, memory: int | None = None) -> ResourceVector:
     """Resource pair; memory defaults to 128 MiB per 100 millicores."""
     if memory is None:
@@ -37,12 +44,7 @@ def make_cluster(cid, cpus, memory=8192, min_active=1) -> Cluster:
     nodes = {}
     for i, cpu in enumerate(cpus):
         nid = f"{cid}-n{i:03d}"
-        nodes[nid] = Node(
-            id=nid,
-            capacity=ResourceVector(cpu, memory),
-            origin_cluster=cid,
-            host_cluster=cid,
-        )
+        nodes[nid] = Node(id=nid, capacity=ResourceVector(cpu, memory), origin_cluster=cid)
     return Cluster(
         id=cid,
         nodes=nodes,
@@ -70,7 +72,7 @@ def fill(cluster, node_id, total_cpu, quantum=100, prefix=None):
         run_pod(cluster, f"{prefix}-{i:04d}", node_id, quantum)
 
 
-def ledger_from_pods(cluster) -> tuple[dict, dict]:
+def load_from_pods(cluster) -> tuple[dict, dict]:
     """(used, pending) recomputed from the cluster's pods: the [cpu, memory]
     of each node that has a Running pod, and the Pending pods by id."""
     used, pending = {}, {}
@@ -84,9 +86,9 @@ def ledger_from_pods(cluster) -> tuple[dict, dict]:
     return used, pending
 
 
-def assert_ledger_matches_pods(cluster):
+def assert_load_matches_pods(cluster):
     """Every node's used and the cluster's pending equal their recompute."""
-    used, pending = ledger_from_pods(cluster)
+    used, pending = load_from_pods(cluster)
     assert used.keys() <= cluster.nodes.keys()
     assert {nid: node.used for nid, node in cluster.nodes.items()} == {
         nid: used.get(nid, [0, 0]) for nid in cluster.nodes

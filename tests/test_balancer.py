@@ -54,7 +54,6 @@ def test_deprovision_detaches_node():
     node = deprovision_node(cluster, "a-n001")
     assert "a-n001" not in cluster.nodes
     assert node.state is NodeState.IN_TRANSIT
-    assert node.host_cluster is None
     assert node.origin_cluster == "a"
 
 
@@ -71,10 +70,7 @@ def test_provision_rejects_duplicate_id():
     node = deprovision_node(donor, "a-n001")
     target = make_cluster("b", [4000])
     target.nodes["a-n001"] = Node(
-        id="a-n001",
-        capacity=ResourceVector(4000, 8192),
-        origin_cluster="b",
-        host_cluster="b",
+        id="a-n001", capacity=ResourceVector(4000, 8192), origin_cluster="b"
     )
     with pytest.raises(DuplicateNode):
         provision_node(target, node)
@@ -92,7 +88,7 @@ def test_provision_attaches_and_feeds_the_scheduler():
 
     provision_node(target, node)
     assert target.nodes["a-n001"].state is NodeState.ACTIVE
-    assert target.nodes["a-n001"].host_cluster == "b"
+    assert target.nodes["a-n001"] is node
     assert target.nodes["a-n001"].origin_cluster == "a"  # origin survives the move
     assert place_pending(target) == [("waiting", "a-n001")]
 
@@ -258,9 +254,10 @@ def test_cycle_rejects_invalid_thresholds_before_acting():
     quiet = make_cluster("b", [4000, 4000])
     clusters = {"a": hot, "b": quiet}
     before = snapshot(clusters)
-    group = Group(id="g", members=["a", "b"], thresholds=Thresholds(0.8, 0.3))
     recorder = EventRecorder()
+    # An invalid pair fails as it is built, so no cycle can act on one.
     with pytest.raises(InvalidThresholds):
+        group = Group(id="g", members=["a", "b"], thresholds=Thresholds(0.8, 0.3))
         rebalance_cycle(group, clusters, recorder=recorder)
     assert clusters == before
     assert recorder.events == []
@@ -347,12 +344,7 @@ def test_midcycle_error_returns_the_in_flight_node():
     # Sabotage: the recipient already hosts a node whose id collides with
     # the donor's drain victim, so provisioning there must fail.
     hot = make_cluster("r", [4000, 4000])
-    hot.nodes["d-n001"] = Node(
-        id="d-n001",
-        capacity=ResourceVector(4000, 8192),
-        origin_cluster="r",
-        host_cluster="r",
-    )
+    hot.nodes["d-n001"] = Node(id="d-n001", capacity=ResourceVector(4000, 8192), origin_cluster="r")
     fill(hot, "r-n000", 4000)
     fill(hot, "r-n001", 4000)
     fill(hot, "d-n001", 1800)  # 9800/12000 > 0.8

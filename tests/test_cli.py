@@ -8,6 +8,8 @@ import pytest
 from nodebalancer.cli import main
 from nodebalancer.reporting import read_events
 
+from helpers import OVER_LONG_INT_JSON, TOO_DEEP_JSON
+
 
 SCENARIO = {
     "clusters": [
@@ -89,6 +91,19 @@ def test_non_utf8_scenario_is_a_scenario_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"scenario error: cannot read scenario {path}: ")
     assert "utf-8" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+@pytest.mark.parametrize("text", [TOO_DEEP_JSON, OVER_LONG_INT_JSON], ids=["deep", "long-int"])
+def test_undecodable_scenario_is_a_scenario_error(tmp_path, capsys, command, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    args = [command, "--scenario", str(path)]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"scenario error: {path}: not valid JSON: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -199,6 +214,9 @@ def test_report_on_unreadable_metrics(scenario_file, tmp_path, capsys):
         ("metrics.csv", 1, "0,a,0.5,0.5,0.5,2,0,\udcff,0", "cannot read metrics"),
         ("metrics.csv", 2, "\n\n0,b,x,0.156250,0.250000,2,0,0,0",
          "metrics.csv:5: field 'u_cpu': cannot read 'x'"),
+        ("events.jsonl", 1, TOO_DEEP_JSON, "events.jsonl:2: not valid JSON: maximum recursion"),
+        ("events.jsonl", 0, OVER_LONG_INT_JSON,
+         "events.jsonl:1: not valid JSON: Exceeds the limit"),
     ],
     ids=[
         "event-without-tick",
@@ -209,6 +227,8 @@ def test_report_on_unreadable_metrics(scenario_file, tmp_path, capsys):
         "metrics-not-finite",
         "metrics-not-utf8",
         "metrics-after-blank-lines",
+        "event-too-deep",
+        "event-over-long-int",
     ],
 )
 def test_report_names_malformed_artifact_lines(

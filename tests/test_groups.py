@@ -73,12 +73,13 @@ def test_membership_rules():
     manager.create_group("g2", Thresholds(0.3, 0.8))
 
     manager.add_cluster("g1", "a")
-    assert a.group == "g1"
     assert manager.groups["g1"].members == ["a"]
 
     with pytest.raises(AlreadyGrouped) as info:
         manager.add_cluster("g2", "a")
-    assert "g1" in str(info.value)  # names the group it already belongs to
+    # Names the group it already belongs to.
+    assert info.value.group_id == "g1" and "'g1'" in str(info.value)
+    assert manager.groups["g2"].members == []
     with pytest.raises(AlreadyGrouped):
         manager.add_cluster("g1", "a")  # even re-adding to the same group
     with pytest.raises(UnknownGroup):
@@ -117,7 +118,6 @@ def test_exit_without_loans_moves_nothing():
     report = manager.remove_cluster("g", "a")
     assert report.returned == () and report.recalled == () and report.pending_pods == ()
     assert set(a.nodes) == set(a.original_node_ids)
-    assert a.group is None
     assert manager.groups["g"].members == ["b"]
 
 
@@ -136,7 +136,7 @@ def test_exit_returns_borrowed_nodes_to_their_origins():
     assert set(a.nodes) == set(a.original_node_ids)
     assert "b-n001" in b.nodes
     assert b.nodes["b-n001"].state is NodeState.ACTIVE
-    assert b.nodes["b-n001"].host_cluster == "b"
+    assert "b-n001" not in a.nodes
 
 
 def test_exit_recalls_lent_nodes_from_their_hosts():
@@ -153,7 +153,6 @@ def test_exit_recalls_lent_nodes_from_their_hosts():
     assert report.recalled == (("b-n001", "a"),)
     assert set(b.nodes) == set(b.original_node_ids)
     assert set(a.nodes) == set(a.original_node_ids)
-    assert b.group is None
     assert manager.groups["g"].members == ["a"]
 
 
@@ -262,7 +261,7 @@ def test_reinstatement_is_idempotent():
         assert set(a.nodes) == set(a.original_node_ids)
         assert set(b.nodes) == set(b.original_node_ids)
         manager.add_cluster("g", "a")
-    assert a.group == "g"
+    assert manager.groups["g"].members == ["b", "a"]
 
 
 def test_restoration_after_random_balancing():

@@ -22,8 +22,8 @@ from nodebalancer.errors import NodeNotActive, NodeNotInCluster, ZeroCapacity
 from nodebalancer.model import node_demand
 
 from helpers import (
-    assert_ledger_matches_pods,
-    ledger_from_pods,
+    assert_load_matches_pods,
+    load_from_pods,
     make_cluster,
     pending_pod,
     random_world,
@@ -55,9 +55,9 @@ def test_resource_vector_rejects_negative_components():
 
 def test_node_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        Node(id="n", capacity=ResourceVector(0, 128), origin_cluster="c", host_cluster="c")
+        Node(id="n", capacity=ResourceVector(0, 128), origin_cluster="c")
     with pytest.raises(ValueError):
-        Node(id="n", capacity=ResourceVector(100, 0), origin_cluster="c", host_cluster="c")
+        Node(id="n", capacity=ResourceVector(100, 0), origin_cluster="c")
 
 
 def test_build_cluster_records_original_configuration():
@@ -65,7 +65,7 @@ def test_build_cluster_records_original_configuration():
     assert sorted(cluster.nodes) == ["a-n000", "a-n001", "a-n002"]
     assert cluster.original_node_ids == frozenset(cluster.nodes)
     assert all(n.state is NodeState.ACTIVE for n in cluster.nodes.values())
-    assert all(n.origin_cluster == "a" and n.host_cluster == "a" for n in cluster.nodes.values())
+    assert all(n.origin_cluster == "a" for n in cluster.nodes.values())
 
 
 def test_empty_cluster_utilization_is_zero():
@@ -207,8 +207,8 @@ def test_ledger_matches_a_recompute_from_the_pods():
         for cluster in manager.clusters.values():
             for tick in (0, 1):  # the second load both creates and deletes pods
                 randomize_load(rng, cluster, tick)
-            assert_ledger_matches_pods(cluster)
-            used, pending = ledger_from_pods(cluster)
+            assert_load_matches_pods(cluster)
+            used, pending = load_from_pods(cluster)
             for node_id in cluster.nodes:
                 assert node_demand(cluster, node_id) == rv(*used.get(node_id, (0, 0)))
             assert set(used) <= set(cluster.nodes)
@@ -224,7 +224,7 @@ def test_pods_are_a_read_only_view():
     with pytest.raises(TypeError):
         del cluster.pods["p0"]
     assert dict(cluster.pods) == {"p0": pod}
-    assert_ledger_matches_pods(cluster)
+    assert_load_matches_pods(cluster)
 
 
 def test_mutation_api_keeps_the_ledger():
@@ -244,12 +244,12 @@ def test_mutation_api_keeps_the_ledger():
         cluster.add_pod(Pod(id="r0", demand=rv(100, 50)))
     assert cluster.pods["r0"] is held
     assert cluster.nodes["a-n001"].used == [300, 200] and list(cluster.pending) == ["p0"]
-    assert_ledger_matches_pods(cluster)
+    assert_load_matches_pods(cluster)
     assert cluster.delete_pod("p0").id == "p0"
     assert cluster.delete_pod("r0").id == "r0"
     assert not cluster.pods and cluster.pending == {}
     assert all(node.used == [0, 0] for node in cluster.nodes.values())
-    assert_ledger_matches_pods(cluster)
+    assert_load_matches_pods(cluster)
 
 
 def _loads(cluster):
@@ -276,7 +276,7 @@ def test_an_unhosted_node_is_refused_before_any_change(act):
         act(cluster)
     assert _loads(cluster) == before
     assert cluster.pods["r0"].assignment == "a-n000" and cluster.pods["p0"].assignment is None
-    assert_ledger_matches_pods(cluster)
+    assert_load_matches_pods(cluster)
 
 
 def _mixed_cluster():
@@ -304,7 +304,7 @@ def test_slotted_records_survive_deepcopy_and_pickle(clone):
     assert _assignments(twin) == {"r0": "a-n000", "r1": "a-n001", "big": None}
     # The twin's pending map holds the twin's own pod objects, not the originals.
     assert twin.pods["big"] is not cluster.pods["big"]
-    assert_ledger_matches_pods(twin)
+    assert_load_matches_pods(twin)
     assert twin.pending == cluster.pending and twin.nodes == cluster.nodes
     assert twin.nodes["a-n000"].used is not cluster.nodes["a-n000"].used
     for slotted in (twin.pods["big"], twin.nodes["a-n000"]):
@@ -330,5 +330,5 @@ def test_pod_state_follows_bind_unbind_and_forced_drains():
     assert drain.pending == ("r0",)
     assert cluster.pods["r1"].assignment == "a-n001"
     assert _assignments(cluster) == {"r0": None, "r1": "a-n001", "big": None, "r2": "a-n001"}
-    assert_ledger_matches_pods(cluster)
+    assert_load_matches_pods(cluster)
 

@@ -1,14 +1,20 @@
 """Pods change only through Cluster.add_pod, delete_pod, bind and unbind,
-which keep the ledger, each node's used and the cluster's pending map, in
-step. These tests parse the package and fail if any module but model.py
-writes a pod's assignment, the pod map or the ledger directly, which would
-leave the ledger stale until the next audit."""
+which keep each node's used and the cluster's pending map in step with the
+pods. These tests parse the package and fail if any module but model.py
+writes a pod's assignment, the pod map, used or pending directly, which
+would leave them stale until the next audit.
+
+A node's state moves only through the scheduler's drain and the balancer's
+deprovision and provision, so the audit's check that every hosted node ends
+the tick Active holds the lifecycle to those two modules. Any other module
+that stores a .state is flagged too."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nodebalancer"
-LEDGER = frozenset({"used", "pending"})  # Node.used and Cluster.pending
+POD_LOAD = frozenset({"used", "pending"})  # Node.used and Cluster.pending
+LIFECYCLE = frozenset({"scheduler.py", "balancer.py"})  # the modules that set Node.state
 
 
 def _stores(node):
@@ -40,11 +46,18 @@ def _attributes(target):
 
 
 def bypasses(source: str, filename: str) -> list[str]:
-    """Every store in the source that changes pods or the ledger directly."""
+    """Every store in the source that changes pods, their load or a node's
+    state outside the module that owns it."""
     found = []
     for node in ast.walk(ast.parse(source, filename)):
         for target, value in _stores(node):
-            if isinstance(target, ast.Attribute) and target.attr == "assignment":
+            if isinstance(target, ast.Attribute) and target.attr == "state":
+                if filename in LIFECYCLE:
+                    continue
+                why = "stores a .state"
+            elif filename == "model.py":
+                continue
+            elif isinstance(target, ast.Attribute) and target.attr == "assignment":
                 why = "assigns .assignment"
             elif (
                 isinstance(target, ast.Subscript)
@@ -52,8 +65,8 @@ def bypasses(source: str, filename: str) -> list[str]:
                 and target.value.attr == "pods"
             ):
                 why = "stores into .pods[...]"
-            elif not LEDGER.isdisjoint(_attributes(target)):
-                why = "writes the ledger through .used or .pending"
+            elif not POD_LOAD.isdisjoint(_attributes(target)):
+                why = "writes .used or .pending directly"
             else:
                 continue
             found.append(f"{filename}:{node.lineno}: {why}")
@@ -66,7 +79,6 @@ def test_only_the_model_changes_pods_or_the_ledger():
     found = [
         line
         for path in modules
-        if path.name != "model.py"
         for line in bypasses(path.read_text(encoding="utf-8"), path.name)
     ]
     assert found == []
@@ -83,6 +95,8 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
             "cluster.nodes[n].used = [0, 0]",
             "cluster.pending[p.id] = p",
             "del cluster.pending[p.id]",
+            "node.state = NodeState.ACTIVE",
+            "node.state, node.used = NodeState.RESERVED, [0, 0]",
         ]
     )
     assert bypasses(bad, "bad.py") == [
@@ -90,15 +104,18 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
         "bad.py:2: assigns .assignment",
         "bad.py:3: stores into .pods[...]",
         "bad.py:4: stores into .pods[...]",
-        "bad.py:5: writes the ledger through .used or .pending",
-        "bad.py:6: writes the ledger through .used or .pending",
-        "bad.py:7: writes the ledger through .used or .pending",
-        "bad.py:8: writes the ledger through .used or .pending",
+        "bad.py:5: writes .used or .pending directly",
+        "bad.py:6: writes .used or .pending directly",
+        "bad.py:7: writes .used or .pending directly",
+        "bad.py:8: writes .used or .pending directly",
+        "bad.py:9: stores a .state",
+        "bad.py:10: stores a .state",
+        "bad.py:10: writes .used or .pending directly",
     ]
     clean = "\n".join(
         [
             "running = pod.assignment is not None",
-            "node.state = NodeState.ACTIVE",
+            "active = node.state is NodeState.ACTIVE",
             "used = {node_id: [0, 0] for node_id in cluster.nodes}",
             "used[node_id][0] += demand.cpu",
             "pending = []",
@@ -109,3 +126,13 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
         ]
     )
     assert bypasses(clean, "clean.py") == []
+    # Each owner may make its own stores, and only those.
+    assert bypasses("node.state = NodeState.RESERVED", "scheduler.py") == []
+    assert bypasses("node.state = NodeState.IN_TRANSIT", "balancer.py") == []
+    assert bypasses("pod.assignment = node_id", "model.py") == []
+    assert bypasses("node.state = NodeState.ACTIVE", "model.py") == [
+        "model.py:1: stores a .state"
+    ]
+    assert bypasses("pod.assignment = node_id", "balancer.py") == [
+        "balancer.py:1: assigns .assignment"
+    ]

@@ -31,7 +31,7 @@ from nodebalancer.errors import IoFailure
 from nodebalancer.model import ResourceVector, Utilization
 from nodebalancer.reporting import METRICS_HEADER, _event_line
 
-from helpers import rv
+from helpers import OVER_LONG_INT_JSON, TOO_DEEP_JSON, rv
 
 
 def _record(tick, cid, u_cpu, u_mem, active=2, pending=0, pending_demand=None):
@@ -56,6 +56,18 @@ def test_recorder_stamps_tick_and_sequence():
     assert [e.tick for e in recorder.events] == [0, 4]
     assert recorder.events[0].detail == {"t_low": 0.3}
     assert recorder.events[1].cluster == "a"
+
+
+def test_recorder_keeps_detail_as_given_and_the_writer_sorts_it():
+    recorder = EventRecorder()
+    recorder.emit(
+        EventKind.MOVE_COMPLETED, group="g", from_cluster="b", donor_utilization_after=0.25
+    )
+    event = recorder.events[0]
+    assert list(event.detail) == ["from_cluster", "donor_utilization_after"]
+    assert _event_line(event).endswith(
+        '"detail":{"donor_utilization_after":0.25,"from_cluster":"b"}}'
+    )
 
 
 def _records():
@@ -559,6 +571,10 @@ def test_read_summary_errors(tmp_path):
     bad.write_text("{oops")
     with pytest.raises(IoFailure, match="not valid JSON"):
         read_summary(bad)
+    for text, cause in ((TOO_DEEP_JSON, "recursion"), (OVER_LONG_INT_JSON, "integer")):
+        bad.write_text(text)
+        with pytest.raises(IoFailure, match=f"{re.escape(str(bad))}: not valid JSON: .*{cause}"):
+            read_summary(bad)
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"ticks": "\xff"}')
     with pytest.raises(IoFailure, match=f"cannot read summary {re.escape(str(latin1))}: .*utf-8"):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nodebalancer import Group, Thresholds, evaluate_group, validate_thresholds
+from nodebalancer import Group, Thresholds, evaluate_group
 from nodebalancer.errors import InvalidThresholds, UnknownCluster
 
 from helpers import make_cluster, run_pod
@@ -21,8 +21,8 @@ def _world(loads, memory=100000):
 
 
 def test_valid_thresholds_accepted():
-    validate_thresholds(Thresholds(0.3, 0.8))
-    validate_thresholds(Thresholds(0.01, 1.0))  # t_high may sit at 1
+    assert Thresholds(0.3, 0.8) == Thresholds(t_low=0.3, t_high=0.8)
+    assert Thresholds(0.01, 1.0).t_high == 1.0  # t_high may sit at 1
 
 
 @pytest.mark.parametrize(
@@ -31,7 +31,21 @@ def test_valid_thresholds_accepted():
 )
 def test_bad_thresholds_rejected(t_low, t_high):
     with pytest.raises(InvalidThresholds):
-        validate_thresholds(Thresholds(t_low, t_high))
+        Thresholds(t_low, t_high)
+
+
+@pytest.mark.parametrize(
+    "t_low,t_high,message",
+    [
+        (0.0, 0.8, r"t_low must be in \(0, 1\), got 0.0"),
+        (0.3, 1.5, r"t_high must be in \(0, 1\], got 1.5"),
+        (0.8, 0.3, r"t_low must be strictly less than t_high, got \(0.8, 0.3\)"),
+        (float("nan"), 0.8, r"t_low must be in \(0, 1\), got nan"),
+    ],
+)
+def test_bad_thresholds_name_the_violated_relation(t_low, t_high, message):
+    with pytest.raises(InvalidThresholds, match=message):
+        Thresholds(t_low, t_high)
 
 
 def test_classification_and_ordering():
@@ -116,7 +130,6 @@ def test_unknown_member_is_an_error():
 
 
 def test_invalid_thresholds_rejected_at_evaluation():
-    clusters = _world([500])
-    group = Group(id="g", members=["c0"], thresholds=Thresholds(0.9, 0.2))
+    # A group cannot hold an invalid pair: the pair fails as it is built.
     with pytest.raises(InvalidThresholds):
-        evaluate_group(group, clusters)
+        Group(id="g", members=["c0"], thresholds=Thresholds(0.9, 0.2))

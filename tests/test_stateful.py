@@ -19,6 +19,7 @@ from nodebalancer import (
     EventKind,
     EventRecorder,
     GroupManager,
+    NodeState,
     ResourceVector,
     Thresholds,
     apply_workload,
@@ -28,7 +29,7 @@ from nodebalancer import (
 )
 from nodebalancer.errors import AlreadyGrouped
 
-from helpers import assert_ledger_matches_pods
+from helpers import assert_load_matches_pods
 
 CLUSTERS = ("c0", "c1", "c2", "c3")
 # In g1 a 2-node donor just below t_low lands above t_high on one node, so
@@ -58,6 +59,11 @@ class GroupManagerMachine(RuleBasedStateMachine):
         )
         self.tick = 0
 
+    def holder(self, cid):
+        """The id of the group whose members list the cluster, or None."""
+        groups = self.manager.groups.values()
+        return next((group.id for group in groups if cid in group.members), None)
+
     @initialize(counts=st.tuples(*[pod_counts] * len(CLUSTERS)))
     def load_every_cluster(self, counts):
         for cid, pods in zip(CLUSTERS, counts):
@@ -65,19 +71,21 @@ class GroupManagerMachine(RuleBasedStateMachine):
 
     @rule(group=group_ids, cid=cluster_ids)
     def add_cluster(self, group, cid):
-        if self.manager.clusters[cid].group is None:
+        holder = self.holder(cid)
+        if holder is None:
             self.manager.add_cluster(group, cid)
         else:
-            with pytest.raises(AlreadyGrouped):
+            with pytest.raises(AlreadyGrouped) as info:
                 self.manager.add_cluster(group, cid)
+            assert info.value.group_id == holder
 
-    @precondition(lambda self: any(c.group for c in self.manager.clusters.values()))
+    @precondition(lambda self: any(group.members for group in self.manager.groups.values()))
     @rule(data=st.data())
     def remove_cluster(self, data):
-        grouped = sorted(cid for cid, c in self.manager.clusters.items() if c.group)
+        grouped = sorted(m for group in self.manager.groups.values() for m in group.members)
         cid = data.draw(st.sampled_from(grouped))
         leaver = self.manager.clusters[cid]
-        self.manager.remove_cluster(leaver.group, cid)
+        self.manager.remove_cluster(self.holder(cid), cid)
         assert set(leaver.nodes) == set(leaver.original_node_ids)
         for other in self.manager.clusters.values():
             if other is not leaver:
@@ -106,18 +114,14 @@ class GroupManagerMachine(RuleBasedStateMachine):
             nid for cluster in self.manager.clusters.values() for nid in cluster.nodes
         )
         assert seen == self.nodes
-        for cid, cluster in self.manager.clusters.items():
-            assert all(node.host_cluster == cid for node in cluster.nodes.values())
+        for cluster in self.manager.clusters.values():
+            assert all(node.state is NodeState.ACTIVE for node in cluster.nodes.values())
 
     @invariant()
     def membership_is_exclusive(self):
         owners = Counter(m for group in self.manager.groups.values() for m in group.members)
         assert all(count == 1 for count in owners.values())
-        for cid, cluster in self.manager.clusters.items():
-            if cluster.group is None:
-                assert cid not in owners
-            else:
-                assert cid in self.manager.groups[cluster.group].members
+        assert owners.keys() <= self.manager.clusters.keys()
 
     @invariant()
     def clusters_keep_enough_nodes_of_their_own(self):
@@ -130,7 +134,7 @@ class GroupManagerMachine(RuleBasedStateMachine):
     def ledgers_match_the_pods(self):
         # Forced drains, recalls and returns here never reach the engine's audit.
         for cluster in self.manager.clusters.values():
-            assert_ledger_matches_pods(cluster)
+            assert_load_matches_pods(cluster)
 
     @invariant()
     def moves_leave_donors_at_or_below_t_high(self):

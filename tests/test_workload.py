@@ -14,7 +14,7 @@ from nodebalancer import (
     target_demand,
 )
 
-from helpers import assert_ledger_matches_pods, make_cluster, run_pod, snapshot
+from helpers import assert_load_matches_pods, make_cluster, run_pod, snapshot
 
 
 def test_constant_trace():
@@ -132,6 +132,27 @@ def test_scale_down_deletes_newest_first():
     assert len(delta.deleted) == 2
 
 
+def test_scale_down_deletes_newest_first_across_a_tick_id_width_change():
+    # Tick 100000 widens the pod id, so "a-p99999-0000" sorts above the newer
+    # "a-p100000-0000"; insertion order still names the newest.
+    cluster = make_cluster("a", [4000])
+    trace = StepTrace(steps=((0, 100), (100_000, 200), (100_001, 100)))
+    apply_workload(cluster, trace, tick=99_999)
+    assert apply_workload(cluster, trace, tick=100_000).created == ("a-p100000-0000",)
+    delta = apply_workload(cluster, trace, tick=100_001)
+    assert delta.deleted == ("a-p100000-0000",)
+    assert list(cluster.pods) == ["a-p99999-0000"]
+
+
+def test_scale_down_deletes_newest_first_across_a_pod_id_width_change():
+    # The 10001st pod of a tick widens its id, so "-9999" sorts above "-10000".
+    cluster = make_cluster("a", [4000])
+    apply_workload(cluster, ConstantTrace(level=10_001 * 100), tick=0)
+    delta = apply_workload(cluster, ConstantTrace(level=10_000 * 100), tick=1)
+    assert delta.deleted == ("a-p00000-10000",)
+    assert "a-p00000-9999" in cluster.pods
+
+
 def test_tracking_error_stays_below_one_quantum():
     rng = random.Random(1313)
     for quantum in (ResourceVector(100, 128), ResourceVector(200, 256)):
@@ -166,7 +187,7 @@ def test_a_second_load_at_one_tick_raises_and_keeps_the_ledger():
     with pytest.raises(ValueError, match="cluster 'c' already holds a pod 'c-p00000-0000'"):
         apply_workload(cluster, ConstantTrace(level=7000), tick=0)
     assert cluster == before
-    assert_ledger_matches_pods(cluster)
+    assert_load_matches_pods(cluster)
 
 
 def test_apply_workload_is_deterministic():
