@@ -3,8 +3,8 @@ rebalancing across groups of container clusters.
 
 Clusters pool their nodes in a balancing group. When a cluster's demand
 rises above its high threshold it asks the group for capacity; members
-sitting below the low threshold give up their least-loaded node, which is
-drained, deprovisioned, and provisioned into the overloaded cluster. Every
+sitting below the low threshold give up their least-loaded node: draining
+it detaches it, and it is provisioned into the overloaded cluster. Every
 node remembers its origin, so a cluster can leave its group at any time and
 get its exact original configuration back.
 """
@@ -14,7 +14,6 @@ from .balancer import (
     AttemptReason,
     OutcomeKind,
     RebalanceOutcome,
-    deprovision_node,
     provision_node,
     rebalance_cycle,
 )
@@ -37,7 +36,6 @@ from .model import (
     Cluster,
     Group,
     Node,
-    NodeState,
     Pod,
     ResourceVector,
     Thresholds,
@@ -96,7 +94,6 @@ __all__ = [
     "MembershipAction",
     "MembershipChange",
     "Node",
-    "NodeState",
     "OutcomeKind",
     "Pod",
     "RebalanceEvent",
@@ -120,7 +117,6 @@ __all__ = [
     "cluster_utilization",
     "compare",
     "compose_comparison",
-    "deprovision_node",
     "drain_node",
     "errors",
     "evaluate_group",

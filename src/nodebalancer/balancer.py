@@ -2,7 +2,7 @@
 
 One cycle walks the overutilized clusters in descending urgency. For each,
 it tries underutilized donors in ascending utilization order, drains the
-donor's least-loaded node, deprovisions it, and re-measures the donor. If
+donor's least-loaded node, which detaches it, and re-measures the donor. If
 giving up the node pushed the donor over t_high the move is reversed (the
 node goes straight back); otherwise the node is provisioned into the
 overloaded cluster. At most one node moves into each overloaded cluster per
@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DuplicateNode, NodeNotInTransit, NodeNotReserved
-from .model import Cluster, Group, Node, NodeState, cluster_utilization, node_utilization
+from .errors import DuplicateNode
+from .model import Cluster, Group, Node, cluster_utilization, node_utilization
 from .reporting import NULL_RECORDER, EventKind
 from .rules import evaluate_group
 from .scheduler import drain_node
@@ -51,31 +51,15 @@ class RebalanceOutcome:
     attempts: tuple[tuple[str, str], ...] = ()
 
 
-def deprovision_node(cluster: Cluster, node_id: str, recorder=None) -> Node:
-    """Detach a drained node from its cluster; the node goes InTransit."""
-    rec = recorder if recorder is not None else NULL_RECORDER
-    node = cluster.nodes.get(node_id)
-    if node is None or node.state is not NodeState.RESERVED:
-        state = node.state.value if node is not None else "absent"
-        raise NodeNotReserved(f"cannot deprovision node {node_id!r}: {state}")
-    del cluster.nodes[node_id]
-    node.state = NodeState.IN_TRANSIT
-    rec.emit(EventKind.NODE_DEPROVISIONED, cluster=cluster.id, node=node_id)
-    return node
-
-
 def provision_node(cluster: Cluster, node: Node, recorder=None) -> None:
-    """Attach an InTransit node to a cluster as a fresh Active node.
+    """Attach to a cluster a node that a completed drain detached.
 
     origin_cluster is deliberately left alone: the node remembers where it
     came from no matter how many times it is re-homed.
     """
     rec = recorder if recorder is not None else NULL_RECORDER
-    if node.state is not NodeState.IN_TRANSIT:
-        raise NodeNotInTransit(f"cannot provision node {node.id!r}: {node.state.value}")
     if node.id in cluster.nodes:
         raise DuplicateNode(f"cluster {cluster.id!r} already hosts a node {node.id!r}")
-    node.state = NodeState.ACTIVE
     cluster.nodes[node.id] = node
     rec.emit(EventKind.NODE_PROVISIONED, cluster=cluster.id, node=node.id)
 
@@ -90,7 +74,7 @@ def rebalance_cycle(
     overutilized cluster (reversals appear as extra outcomes as they happen).
 
     Candidate classification is a single snapshot taken at cycle start. The
-    drain/deprovision/provision mechanics re-measure the live state, but no
+    drain/provision mechanics re-measure the live state, but no
     cluster is reclassified mid-cycle, which keeps the cycle deterministic
     and guarantees termination.
     """
@@ -120,26 +104,25 @@ def rebalance_cycle(
                 attempts.append((low_id, AttemptReason.MIN_ACTIVE_NODES.value))
                 continue
 
-            drain = drain_node(donor, victim.id, recorder=recorder)
+            drain = drain_node(donor, victim.id, recorder=recorder)  # detaches the victim
             if drain.restored:
                 attempts.append((low_id, AttemptReason.DRAIN_INFEASIBLE.value))
                 continue
 
-            node = deprovision_node(donor, victim.id, recorder=recorder)
             try:
                 donor_after = cluster_utilization(donor).u
             except Exception:
-                # Never leave a node stranded InTransit on an error path.
-                provision_node(donor, node, recorder=recorder)
+                # Never leave a node in no cluster on an error path.
+                provision_node(donor, victim, recorder=recorder)
                 raise
 
             if donor_after > t_high:
-                provision_node(donor, node, recorder=recorder)
+                provision_node(donor, victim, recorder=recorder)
                 rec.emit(
                     EventKind.MOVE_REVERSED,
                     group=group.id,
                     cluster=low_id,
-                    node=node.id,
+                    node=victim.id,
                     reason=AttemptReason.WOULD_EXCEED_T_HIGH.value,
                     utilization_after=donor_after,
                     intended_recipient=high_id,
@@ -150,21 +133,21 @@ def rebalance_cycle(
                         kind=OutcomeKind.REVERSED,
                         high_cluster=high_id,
                         low_cluster=low_id,
-                        node=node.id,
+                        node=victim.id,
                     )
                 )
                 continue
 
             try:
-                provision_node(recipient, node, recorder=recorder)
+                provision_node(recipient, victim, recorder=recorder)
             except Exception:
-                provision_node(donor, node, recorder=recorder)
+                provision_node(donor, victim, recorder=recorder)
                 raise
             rec.emit(
                 EventKind.MOVE_COMPLETED,
                 group=group.id,
                 cluster=high_id,
-                node=node.id,
+                node=victim.id,
                 from_cluster=low_id,
                 donor_utilization_after=donor_after,
             )
@@ -173,7 +156,7 @@ def rebalance_cycle(
                     kind=OutcomeKind.MOVED,
                     high_cluster=high_id,
                     low_cluster=low_id,
-                    node=node.id,
+                    node=victim.id,
                     attempts=tuple(attempts),
                 )
             )

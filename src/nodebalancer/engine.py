@@ -27,7 +27,6 @@ from .groups import GroupManager, MembershipAction, MembershipChange
 from .model import (
     ZERO,
     Cluster,
-    NodeState,
     ResourceVector,
     Thresholds,
     build_cluster,
@@ -331,6 +330,25 @@ def validate_scenario(scenario: Scenario) -> None:
             raise ScenarioInvalid(
                 f"{where}.tick: {change.tick} is beyond the last tick {scenario.ticks - 1}"
             )
+    # Replay the changes in the order run applies them (by tick, then file
+    # order), so a join or leave that run would refuse is invalid here.
+    changes = scenario.membership_changes
+    add = MembershipAction.ADD  # once: an Enum member lookup per change costs ~0.2 us
+    for i in sorted(range(len(changes)), key=[change.tick for change in changes].__getitem__):
+        change = changes[i]
+        holder = membership.pop(change.cluster, None)
+        if change.action is add:
+            if holder is not None:
+                raise ScenarioInvalid(
+                    f"membership_changes[{i}]: cluster {change.cluster!r} already belongs "
+                    f"to group {holder!r}"
+                )
+            membership[change.cluster] = change.group
+        elif holder != change.group:
+            raise ScenarioInvalid(
+                f"membership_changes[{i}]: cluster {change.cluster!r} is not a member "
+                f"of group {change.group!r}"
+            )
 
     if scenario.ticks < 1:
         raise ScenarioInvalid(f"scenario.ticks: must be >= 1, got {scenario.ticks}")
@@ -371,10 +389,9 @@ def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     pending = cluster.pending.values()
     cpu = sum(pod.demand.cpu for pod in pending)
     memory = sum(pod.demand.memory for pod in pending)
-    active = NodeState.ACTIVE  # an Enum member lookup per node would cost more than the count
     return TickRecord(
         tick, cluster.id, util.u_cpu, util.u_mem, util.u,
-        sum(n.state is active for n in cluster.nodes.values()),
+        len(cluster.nodes),
         len(pending),
         # Records live all run and most have no backlog: they share ZERO.
         ResourceVector(cpu, memory) if pending else ZERO,
@@ -387,12 +404,9 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
     Each node's demand and the Pending pods are recomputed here in one pass of
     the audit's own over the cluster's pods, never through node.used,
     cluster.pending or the readers built on them. Both are then compared with
-    that recompute, so the audit stays an independent check of both. Every
-    hosted node must end the tick Active; node conservation catches a node
-    that two clusters hold.
+    that recompute, so the audit stays an independent check of both. Node
+    conservation catches a node that two clusters hold, or that none does.
     """
-    # Enum member lookups cost ~0.2 us on Python 3.10-3.11: once, not per node.
-    active = NodeState.ACTIVE
     for cluster_id, cluster in manager.clusters.items():
         used = {node_id: [0, 0] for node_id in cluster.nodes}
         pending = []
@@ -410,10 +424,6 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
             total[0] += demand.cpu
             total[1] += demand.memory
         for node_id, node in cluster.nodes.items():
-            if node.state is not active:
-                raise InvariantViolation(
-                    f"tick {tick}: node {node_id!r} ended the tick {node.state.value}"
-                )
             total = used[node_id]
             cpu, memory = total
             capacity = node.capacity

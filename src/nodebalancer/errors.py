@@ -8,11 +8,7 @@ class BalancingError(Exception):
 
 
 class ZeroCapacity(BalancingError):
-    """A cluster has no Active nodes, so utilization is undefined."""
-
-
-class NodeNotActive(BalancingError):
-    """Operation requires an Active node."""
+    """A cluster hosts no node, so utilization is undefined."""
 
 
 class NodeNotInCluster(BalancingError):
@@ -20,15 +16,7 @@ class NodeNotInCluster(BalancingError):
 
 
 class LastNodeGuard(BalancingError):
-    """Draining the node would leave fewer than min_active_nodes Active nodes."""
-
-
-class NodeNotReserved(BalancingError):
-    """Deprovisioning requires a drained (Reserved) node."""
-
-
-class NodeNotInTransit(BalancingError):
-    """Provisioning requires a node that is between clusters (InTransit)."""
+    """Draining the node would leave the cluster fewer than min_active_nodes nodes."""
 
 
 class DuplicateNode(BalancingError):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .balancer import deprovision_node, provision_node
+from .balancer import provision_node
 from .errors import (
     AlreadyGrouped,
     DuplicateGroup,
@@ -57,8 +57,8 @@ class GroupManager:
     run when a cluster leaves its group.
     """
 
-    def __init__(self, clusters: dict[str, Cluster] | None = None, recorder=None):
-        self.clusters: dict[str, Cluster] = dict(clusters or {})
+    def __init__(self, recorder=None):
+        self.clusters: dict[str, Cluster] = {}
         self.groups: dict[str, Group] = {}
         self.recorder = recorder if recorder is not None else NULL_RECORDER
 
@@ -162,7 +162,7 @@ class GroupManager:
 
     def _send_home(self, host: Cluster, node_id: str) -> list[tuple[str, str]]:
         """Force-drain a node, then move it to its origin; returns (pod, host) left Pending."""
-        outcome = drain_node(host, node_id, force=True, recorder=self.recorder)
-        node = deprovision_node(host, node_id, recorder=self.recorder)
+        node = host.nodes[node_id]
+        outcome = drain_node(host, node_id, force=True, recorder=self.recorder)  # detaches it
         provision_node(self.clusters[node.origin_cluster], node, recorder=self.recorder)
         return [(pod_id, host.id) for pod_id in outcome.pending]

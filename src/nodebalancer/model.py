@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import InvalidThresholds, NodeNotActive, NodeNotInCluster, ZeroCapacity
+from .errors import InvalidThresholds, NodeNotInCluster, ZeroCapacity
 
 
 # Not slots=True: a frozen dataclass with slots raises TypeError, not
@@ -36,32 +35,23 @@ class ResourceVector:
 ZERO = ResourceVector(0, 0)
 
 
-class NodeState(str, Enum):
-    """Lifecycle of a node as it moves within and between clusters:
-    Active -> Reserved -> InTransit -> Active."""
-
-    ACTIVE = "Active"  # hosting pods, counts toward capacity
-    RESERVED = "Reserved"  # drained, idle, ready to deprovision
-    IN_TRANSIT = "InTransit"  # removed from one cluster, not yet provisioned
-
-
 @dataclass(slots=True)
 class Node:
     """A capacity-bearing unit.
 
     origin_cluster is fixed when the node is first provisioned and never
     changes afterwards; it is what makes a cluster's original configuration
-    restorable after nodes have been loaned around a group. The node's host
-    is the cluster whose nodes dict holds it; while it is InTransit, none
-    does. used is the [cpu, memory] of the Running pods on the node, written
-    only by Cluster._charge; a node leaves its cluster drained, so it
-    travels with [0, 0].
+    restorable after nodes have been loaned around a group. A node is active
+    exactly while a cluster's nodes dict holds it; between the drain that
+    detaches it and provision_node, only the caller moving it does. used is
+    the [cpu, memory] of the Running pods on the node, written only by
+    Cluster._charge; a node leaves its cluster drained, so it travels with
+    [0, 0].
     """
 
     id: str
     capacity: ResourceVector
     origin_cluster: str
-    state: NodeState = NodeState.ACTIVE
     used: list[int] = field(default_factory=lambda: [0, 0], init=False)
 
     def __post_init__(self):
@@ -163,8 +153,8 @@ class Cluster:
         used[1] += sign * pod.demand.memory
 
     def active_nodes(self) -> list[Node]:
-        """Active nodes in ascending id order (the scheduler's scan order)."""
-        return [n for _, n in sorted(self.nodes.items()) if n.state is NodeState.ACTIVE]
+        """Hosted nodes in ascending id order (the scheduler's scan order)."""
+        return [n for _, n in sorted(self.nodes.items())]
 
     def pending_pods(self) -> list[Pod]:
         """The Pending pods; placement sorts them itself."""
@@ -252,23 +242,21 @@ def node_demand(cluster: Cluster, node_id: str) -> ResourceVector:
 
 
 def cluster_utilization(cluster: Cluster) -> Utilization:
-    """Demand over capacity across Active nodes, per dimension and combined.
+    """Demand over capacity across the hosted nodes, per dimension and combined.
 
-    Demand counts the Running pods on every node, Active or not; Pending
-    pods are excluded: they consume nothing yet. Raises ZeroCapacity when no
-    node is Active, since the ratio is undefined.
+    Demand counts the Running pods; Pending pods are excluded: they consume
+    nothing yet. Raises ZeroCapacity when the cluster hosts no node, since
+    the ratio is undefined.
     """
-    active = NodeState.ACTIVE  # an Enum member lookup per node would cost more than the sum
     cpu = memory = capacity_cpu = capacity_memory = 0
     for node in cluster.nodes.values():
         used = node.used
         cpu += used[0]
         memory += used[1]
-        if node.state is active:
-            capacity_cpu += node.capacity.cpu
-            capacity_memory += node.capacity.memory
+        capacity_cpu += node.capacity.cpu
+        capacity_memory += node.capacity.memory
     if not capacity_cpu:  # capacities are strictly positive
-        raise ZeroCapacity(f"cluster {cluster.id!r} has no Active nodes")
+        raise ZeroCapacity(f"cluster {cluster.id!r} hosts no node")
     u_cpu = cpu / capacity_cpu
     u_mem = memory / capacity_memory
     return Utilization(u_cpu=u_cpu, u_mem=u_mem, u=max(u_cpu, u_mem))
@@ -278,7 +266,5 @@ def node_utilization(node: Node, cluster: Cluster) -> float:
     """Max of the node's cpu and memory load ratios."""
     if cluster.nodes.get(node.id) is not node:
         raise NodeNotInCluster(f"node {node.id!r} is not hosted by cluster {cluster.id!r}")
-    if node.state is not NodeState.ACTIVE:
-        raise NodeNotActive(f"node {node.id!r} is {node.state.value}, not Active")
     demand = node_demand(cluster, node.id)
     return max(demand.cpu / node.capacity.cpu, demand.memory / node.capacity.memory)

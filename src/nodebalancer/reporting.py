@@ -82,8 +82,6 @@ class EventRecorder:
 class NullRecorder:
     """Recorder stand-in that drops events; lets library calls skip logging."""
 
-    tick = 0
-
     def emit(self, kind, **kwargs):
         pass
 

@@ -1,16 +1,16 @@
 """Simulated pod scheduling: first-fit-decreasing placement and node drains.
 
 Placement order is fully deterministic: pods sort by descending cpu demand
-(ties broken by descending memory, then ascending pod id) and scan Active
-nodes in ascending node-id order.
+(ties broken by descending memory, then ascending pod id) and scan the
+cluster's nodes in ascending node-id order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LastNodeGuard, NodeNotActive
-from .model import Cluster, Node, NodeState, Pod
+from .errors import LastNodeGuard, NodeNotInCluster
+from .model import Cluster, Node, Pod
 from .reporting import NULL_RECORDER, EventKind
 
 
@@ -69,20 +69,20 @@ def place_pending(cluster: Cluster) -> list[tuple[str, str]]:
 def drain_node(
     cluster: Cluster, node_id: str, *, force: bool = False, recorder=None
 ) -> DrainOutcome:
-    """Empty a node so it can be deprovisioned.
+    """Empty a node and detach it from the cluster.
 
     The drain is atomic: the relocation plan is computed first, and if any
-    pod cannot be placed on the remaining Active nodes the cluster is left
-    untouched (restored=True). With force=True the drain always completes
-    and unplaceable pods become Pending; forced drains also skip the
-    min_active_nodes guard, since restoration must be able to empty a
+    pod cannot be placed on the cluster's other nodes the cluster is left
+    untouched (restored=True). Otherwise the pods move, the node leaves
+    cluster.nodes and NodeDeprovisioned is emitted; the caller, which holds
+    the node, provisions it somewhere. With force=True the drain always
+    completes and unplaceable pods become Pending; forced drains also skip
+    the min_active_nodes guard, since restoration must be able to empty a
     cluster's last borrowed node.
     """
     rec = recorder if recorder is not None else NULL_RECORDER
-    node = cluster.nodes.get(node_id)
-    if node is None or node.state is not NodeState.ACTIVE:
-        state = node.state.value if node is not None else "absent"
-        raise NodeNotActive(f"cannot drain node {node_id!r}: {state}")
+    if node_id not in cluster.nodes:
+        raise NodeNotInCluster(f"node {node_id!r} is not hosted by cluster {cluster.id!r}")
     actives = cluster.active_nodes()
     if not force and len(actives) - 1 < cluster.min_active_nodes:
         raise LastNodeGuard(
@@ -109,7 +109,8 @@ def drain_node(
         cluster.bind(pod_id, target_id)
     for pod_id in unplaced:
         cluster.unbind(pod_id)
-    node.state = NodeState.RESERVED
+    del cluster.nodes[node_id]
+    rec.emit(EventKind.NODE_DEPROVISIONED, cluster=cluster.id, node=node_id)
     return DrainOutcome(
         node=node_id, relocated=tuple(placements), restored=False, pending=tuple(sorted(unplaced))
     )

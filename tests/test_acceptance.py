@@ -15,7 +15,6 @@ from nodebalancer import (
     EventKind,
     EventRecorder,
     Group,
-    NodeState,
     OutcomeKind,
     Thresholds,
     cluster_utilization,
@@ -158,6 +157,7 @@ def test_criterion_3_reversal_scenario():
     group = Group(id="g", members=["a", "b"], thresholds=Thresholds(0.6, 0.85))
 
     donor_nodes_before = sorted(donor.nodes)
+    donor_objects_before = dict(donor.nodes)
     recorder = EventRecorder()
     outcomes = rebalance_cycle(group, clusters, recorder=recorder)
 
@@ -173,8 +173,10 @@ def test_criterion_3_reversal_scenario():
             problems.append(f"recorded utilization_after {detail['utilization_after']!r}")
     if sorted(donor.nodes) != donor_nodes_before:
         problems.append(f"donor nodes changed: {sorted(donor.nodes)}")
-    if any(n.state is not NodeState.ACTIVE for n in donor.nodes.values()):
-        problems.append("donor has non-Active nodes after reversal")
+    for reversal in reversals:
+        node = donor_objects_before[reversal.node]
+        if donor.nodes.get(reversal.node) is not node or node.origin_cluster != "b":
+            problems.append(f"reversed node {reversal.node!r} is not back in the donor as it was")
     _verdict(3, "reversal recorded 0.875 and left the donor bit-identical", problems)
 
 

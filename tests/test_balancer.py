@@ -9,23 +9,16 @@ from nodebalancer import (
     EventRecorder,
     Group,
     Node,
-    NodeState,
     OutcomeKind,
     ResourceVector,
     Thresholds,
     cluster_utilization,
-    deprovision_node,
     drain_node,
     place_pending,
     provision_node,
     rebalance_cycle,
 )
-from nodebalancer.errors import (
-    DuplicateNode,
-    InvalidThresholds,
-    NodeNotInTransit,
-    NodeNotReserved,
-)
+from nodebalancer.errors import DuplicateNode, InvalidThresholds
 
 from helpers import (
     fill,
@@ -40,34 +33,23 @@ from helpers import (
 )
 
 
-def test_deprovision_requires_reserved():
-    cluster = make_cluster("a", [4000, 4000])
-    with pytest.raises(NodeNotReserved):
-        deprovision_node(cluster, "a-n000")  # still Active
-    with pytest.raises(NodeNotReserved):
-        deprovision_node(cluster, "a-n999")
-
-
 def test_deprovision_detaches_node():
     cluster = make_cluster("a", [4000, 4000])
-    drain_node(cluster, "a-n001")
-    node = deprovision_node(cluster, "a-n001")
+    node = cluster.nodes["a-n001"]
+    recorder = EventRecorder()
+    drain_node(cluster, "a-n001", recorder=recorder)
     assert "a-n001" not in cluster.nodes
-    assert node.state is NodeState.IN_TRANSIT
     assert node.origin_cluster == "a"
-
-
-def test_provision_requires_in_transit():
-    cluster = make_cluster("a", [4000])
-    other = make_cluster("b", [4000])
-    with pytest.raises(NodeNotInTransit):
-        provision_node(other, cluster.nodes["a-n000"])
+    assert [e.kind for e in recorder.events] == [
+        EventKind.DRAIN_STARTED.value,
+        EventKind.NODE_DEPROVISIONED.value,
+    ]
 
 
 def test_provision_rejects_duplicate_id():
     donor = make_cluster("a", [4000, 4000])
+    node = donor.nodes["a-n001"]
     drain_node(donor, "a-n001")
-    node = deprovision_node(donor, "a-n001")
     target = make_cluster("b", [4000])
     target.nodes["a-n001"] = Node(
         id="a-n001", capacity=ResourceVector(4000, 8192), origin_cluster="b"
@@ -78,8 +60,8 @@ def test_provision_rejects_duplicate_id():
 
 def test_provision_attaches_and_feeds_the_scheduler():
     donor = make_cluster("a", [4000, 4000])
+    node = donor.nodes["a-n001"]
     drain_node(donor, "a-n001")
-    node = deprovision_node(donor, "a-n001")
 
     target = make_cluster("b", [4000])
     fill(target, "b-n000", 4000)  # full
@@ -87,7 +69,6 @@ def test_provision_attaches_and_feeds_the_scheduler():
     assert place_pending(target) == []
 
     provision_node(target, node)
-    assert target.nodes["a-n001"].state is NodeState.ACTIVE
     assert target.nodes["a-n001"] is node
     assert target.nodes["a-n001"].origin_cluster == "a"  # origin survives the move
     assert place_pending(target) == [("waiting", "a-n001")]
@@ -95,12 +76,11 @@ def test_provision_attaches_and_feeds_the_scheduler():
 
 def test_deprovision_provision_round_trip_preserves_node_set():
     cluster = make_cluster("a", [4000, 4000])
-    before = set(cluster.nodes)
+    before = dict(cluster.nodes)
     drain_node(cluster, "a-n000")
-    node = deprovision_node(cluster, "a-n000")
-    provision_node(cluster, node)
-    assert set(cluster.nodes) == before
-    assert cluster.nodes["a-n000"].state is NodeState.ACTIVE
+    provision_node(cluster, before["a-n000"])
+    assert cluster.nodes == before
+    assert all(cluster.nodes[node_id] is node for node_id, node in before.items())
 
 
 def _pair_world():
@@ -155,7 +135,7 @@ def test_cycle_reverses_when_donor_would_go_hot():
     clusters = {"a": hot, "b": donor}
     group = Group(id="g", members=["a", "b"], thresholds=Thresholds(0.6, 0.85))
 
-    donor_nodes_before = set(donor.nodes)
+    donor_nodes_before = dict(donor.nodes)
     recorder = EventRecorder()
     outcomes = rebalance_cycle(group, clusters, recorder=recorder)
 
@@ -165,9 +145,9 @@ def test_cycle_reverses_when_donor_would_go_hot():
     assert reversed_outcome.node == "b-n002"
     assert outcomes[1].attempts == (("b", "WouldExceedTHigh"),)
 
-    # The donor is bit-identical in shape: same node-id set, all Active.
-    assert set(donor.nodes) == donor_nodes_before
-    assert all(n.state is NodeState.ACTIVE for n in donor.nodes.values())
+    # The donor is bit-identical in shape: the same node objects, back in place.
+    assert set(donor.nodes) == set(donor_nodes_before)
+    assert all(donor.nodes[nid] is node for nid, node in donor_nodes_before.items())
     assert cluster_utilization(donor).u == pytest.approx(7000 / 12000, abs=1e-9)
 
     kinds = [e.kind for e in recorder.events]
@@ -300,7 +280,9 @@ def test_infeasible_drain_moves_to_next_candidate():
     assert outcomes[0].low_cluster == "c"
     assert outcomes[0].attempts == (("b", "DrainInfeasible"),)
     assert set(stuck.nodes) == {"b-n000", "b-n001", "b-n002"}
-    assert all(n.state is NodeState.ACTIVE for n in stuck.nodes.values())
+    assert [stuck.nodes[nid].used for nid in sorted(stuck.nodes)] == [
+        [2100, 100], [2000, 100], [2100, 100]
+    ]
 
 
 def test_one_role_per_cluster_per_cycle():
@@ -351,11 +333,11 @@ def test_midcycle_error_returns_the_in_flight_node():
     clusters = {"d": donor, "r": hot}
     group = Group(id="g", members=["d", "r"], thresholds=Thresholds(0.3, 0.8))
 
-    donor_before = set(donor.nodes)
+    donor_before = dict(donor.nodes)
     with pytest.raises(DuplicateNode):
         rebalance_cycle(group, clusters)
-    assert set(donor.nodes) == donor_before
-    assert all(n.state is NodeState.ACTIVE for n in donor.nodes.values())
+    assert set(donor.nodes) == set(donor_before)
+    assert all(donor.nodes[nid] is node for nid, node in donor_before.items())
 
 
 def test_conservation_and_origin_immutability_over_random_cycles():

@@ -107,6 +107,35 @@ def test_undecodable_scenario_is_a_scenario_error(tmp_path, capsys, command, tex
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"tick": 1, "action": "Remove", "cluster": "b", "group": "g"},
+         "cluster 'b' is not a member of group 'g'"),
+        ({"tick": 1, "action": "Add", "cluster": "a", "group": "g"},
+         "cluster 'a' already belongs to group 'g'"),
+    ],
+    ids=["remove-non-member", "add-member"],
+)
+def test_membership_change_run_would_refuse_is_a_scenario_error(
+    tmp_path, capsys, command, change, message
+):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["groups"][0]["members"] = ["a"]
+    doc["membership_changes"] = [change]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    args = [command, "--scenario", str(path)]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scenario error: membership_changes[0]: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_bad_override(scenario_file, tmp_path, capsys):
     code = main(
         ["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"), "--ticks", "0"]

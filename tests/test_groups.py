@@ -7,13 +7,11 @@ from nodebalancer import (
     EventKind,
     EventRecorder,
     GroupManager,
-    NodeState,
     ResourceVector,
     Thresholds,
     apply_workload,
     build_cluster,
     cluster_utilization,
-    deprovision_node,
     drain_node,
     place_pending,
     provision_node,
@@ -47,10 +45,10 @@ def _manager(*clusters, recorder=None):
 
 
 def _lend(manager, donor_id, node_id, recipient_id):
-    """Move one node by hand through the drain/deprovision/provision chain."""
+    """Move one node by hand: a forced drain detaches it, provision attaches it."""
     donor = manager.clusters[donor_id]
+    node = donor.nodes[node_id]
     drain_node(donor, node_id, force=True)
-    node = deprovision_node(donor, node_id)
     provision_node(manager.clusters[recipient_id], node)
 
 
@@ -128,14 +126,15 @@ def test_exit_returns_borrowed_nodes_to_their_origins():
     manager.create_group("g", Thresholds(0.3, 0.8))
     manager.add_cluster("g", "a")
     manager.add_cluster("g", "b")
+    lent = b.nodes["b-n001"]
     _lend(manager, "b", "b-n001", "a")  # a borrows b-n001
 
     report = manager.remove_cluster("g", "a")
     assert report.returned == (("b-n001", "b"),)
     assert report.recalled == ()
     assert set(a.nodes) == set(a.original_node_ids)
-    assert "b-n001" in b.nodes
-    assert b.nodes["b-n001"].state is NodeState.ACTIVE
+    assert b.nodes["b-n001"] is lent
+    assert lent.origin_cluster == "b"
     assert "b-n001" not in a.nodes
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from nodebalancer import (
     Node,
-    NodeState,
     Pod,
     RebalanceEvent,
     ResourceVector,
@@ -18,7 +17,7 @@ from nodebalancer import (
     node_utilization,
     place_pending,
 )
-from nodebalancer.errors import NodeNotActive, NodeNotInCluster, ZeroCapacity
+from nodebalancer.errors import NodeNotInCluster, ZeroCapacity
 from nodebalancer.model import node_demand
 
 from helpers import (
@@ -64,7 +63,7 @@ def test_build_cluster_records_original_configuration():
     cluster = build_cluster("a", 3, ResourceVector(4000, 8192))
     assert sorted(cluster.nodes) == ["a-n000", "a-n001", "a-n002"]
     assert cluster.original_node_ids == frozenset(cluster.nodes)
-    assert all(n.state is NodeState.ACTIVE for n in cluster.nodes.values())
+    assert all(n.used == [0, 0] for n in cluster.nodes.values())
     assert all(n.origin_cluster == "a" for n in cluster.nodes.values())
 
 
@@ -120,14 +119,14 @@ def test_only_active_nodes_provide_capacity():
     cluster = make_cluster("a", [1000, 1000], memory=4096)
     run_pod(cluster, "p0", "a-n000", 500)
     assert cluster_utilization(cluster).u_cpu == pytest.approx(0.25, abs=1e-9)
-    cluster.nodes["a-n001"].state = NodeState.RESERVED
+    del cluster.nodes["a-n001"]  # a node leaves with its capacity
     assert cluster_utilization(cluster).u_cpu == pytest.approx(0.5, abs=1e-9)
 
 
 def test_zero_capacity_is_an_error():
     cluster = make_cluster("a", [1000])
-    cluster.nodes["a-n000"].state = NodeState.RESERVED
-    with pytest.raises(ZeroCapacity):
+    del cluster.nodes["a-n000"]
+    with pytest.raises(ZeroCapacity, match="^cluster 'a' hosts no node$"):
         cluster_utilization(cluster)
 
 
@@ -140,9 +139,6 @@ def test_node_utilization_value_and_errors():
     other = make_cluster("b", [1000])
     with pytest.raises(NodeNotInCluster):
         node_utilization(other.nodes["b-n000"], cluster)
-    node.state = NodeState.RESERVED
-    with pytest.raises(NodeNotActive):
-        node_utilization(node, cluster)
 
 
 def test_node_and_free_accounting():
@@ -183,8 +179,7 @@ def test_losing_an_idle_node_raises_utilization():
         cluster = make_cluster("a", [2000] * nodes, memory=4096)
         run_pod(cluster, "p0", "a-n000", rng.randrange(100, 2000, 100))
         before = cluster_utilization(cluster).u
-        idle = cluster.nodes[f"a-n{nodes - 1:03d}"]
-        idle.state = NodeState.RESERVED  # capacity shrinks, demand fixed
+        del cluster.nodes[f"a-n{nodes - 1:03d}"]  # capacity shrinks, demand fixed
         assert cluster_utilization(cluster).u > before
 
 

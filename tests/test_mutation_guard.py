@@ -4,17 +4,17 @@ pods. These tests parse the package and fail if any module but model.py
 writes a pod's assignment, the pod map, used or pending directly, which
 would leave them stale until the next audit.
 
-A node's state moves only through the scheduler's drain and the balancer's
-deprovision and provision, so the audit's check that every hosted node ends
-the tick Active holds the lifecycle to those two modules. Any other module
-that stores a .state is flagged too."""
+A node moves between clusters only through the scheduler's drain, which
+detaches it, and the balancer's provision, which attaches it. Any other
+module, model.py included, that stores into or deletes from a .nodes[...]
+is flagged too."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nodebalancer"
 POD_LOAD = frozenset({"used", "pending"})  # Node.used and Cluster.pending
-LIFECYCLE = frozenset({"scheduler.py", "balancer.py"})  # the modules that set Node.state
+HOSTING = frozenset({"scheduler.py", "balancer.py"})  # the detach and the attach
 
 
 def _stores(node):
@@ -47,14 +47,18 @@ def _attributes(target):
 
 def bypasses(source: str, filename: str) -> list[str]:
     """Every store in the source that changes pods, their load or a node's
-    state outside the module that owns it."""
+    host outside the module that owns it."""
     found = []
     for node in ast.walk(ast.parse(source, filename)):
         for target, value in _stores(node):
-            if isinstance(target, ast.Attribute) and target.attr == "state":
-                if filename in LIFECYCLE:
+            if (
+                isinstance(target, ast.Subscript)
+                and isinstance(target.value, ast.Attribute)
+                and target.value.attr == "nodes"
+            ):
+                if filename in HOSTING:
                     continue
-                why = "stores a .state"
+                why = "stores into .nodes[...]"
             elif filename == "model.py":
                 continue
             elif isinstance(target, ast.Attribute) and target.attr == "assignment":
@@ -95,8 +99,9 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
             "cluster.nodes[n].used = [0, 0]",
             "cluster.pending[p.id] = p",
             "del cluster.pending[p.id]",
-            "node.state = NodeState.ACTIVE",
-            "node.state, node.used = NodeState.RESERVED, [0, 0]",
+            "cluster.nodes[n] = node",
+            "del host.nodes[n]",
+            "host.nodes[n], node.used = node, [0, 0]",
         ]
     )
     assert bypasses(bad, "bad.py") == [
@@ -108,14 +113,16 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
         "bad.py:6: writes .used or .pending directly",
         "bad.py:7: writes .used or .pending directly",
         "bad.py:8: writes .used or .pending directly",
-        "bad.py:9: stores a .state",
-        "bad.py:10: stores a .state",
-        "bad.py:10: writes .used or .pending directly",
+        "bad.py:9: stores into .nodes[...]",
+        "bad.py:10: stores into .nodes[...]",
+        "bad.py:11: stores into .nodes[...]",
+        "bad.py:11: writes .used or .pending directly",
     ]
     clean = "\n".join(
         [
             "running = pod.assignment is not None",
-            "active = node.state is NodeState.ACTIVE",
+            "node = cluster.nodes[node_id]",
+            "nodes[node_id] = Node(id=node_id, capacity=capacity, origin_cluster=cluster_id)",
             "used = {node_id: [0, 0] for node_id in cluster.nodes}",
             "used[node_id][0] += demand.cpu",
             "pending = []",
@@ -127,11 +134,14 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
     )
     assert bypasses(clean, "clean.py") == []
     # Each owner may make its own stores, and only those.
-    assert bypasses("node.state = NodeState.RESERVED", "scheduler.py") == []
-    assert bypasses("node.state = NodeState.IN_TRANSIT", "balancer.py") == []
+    assert bypasses("del cluster.nodes[node_id]", "scheduler.py") == []
+    assert bypasses("cluster.nodes[node.id] = node", "balancer.py") == []
     assert bypasses("pod.assignment = node_id", "model.py") == []
-    assert bypasses("node.state = NodeState.ACTIVE", "model.py") == [
-        "model.py:1: stores a .state"
+    assert bypasses("del self.nodes[node_id]", "model.py") == [
+        "model.py:1: stores into .nodes[...]"
+    ]
+    assert bypasses("host.nodes[node.id] = node", "groups.py") == [
+        "groups.py:1: stores into .nodes[...]"
     ]
     assert bypasses("pod.assignment = node_id", "balancer.py") == [
         "balancer.py:1: assigns .assignment"

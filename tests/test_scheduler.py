@@ -5,12 +5,11 @@ import pytest
 from nodebalancer import (
     EventKind,
     EventRecorder,
-    NodeState,
     drain_node,
     place_pending,
 )
 from nodebalancer import scheduler
-from nodebalancer.errors import LastNodeGuard, NodeNotActive
+from nodebalancer.errors import LastNodeGuard, NodeNotInCluster
 from nodebalancer.model import node_demand
 
 from helpers import ffd_oracle, fill, make_cluster, pending_pod, run_pod, snapshot
@@ -116,8 +115,11 @@ def test_drain_empty_node():
     outcome = drain_node(cluster, "a-n001", recorder=recorder)
     assert not outcome.restored
     assert outcome.relocated == ()
-    assert cluster.nodes["a-n001"].state is NodeState.RESERVED
-    assert [e.kind for e in recorder.events] == [EventKind.DRAIN_STARTED.value]
+    assert "a-n001" not in cluster.nodes
+    assert [e.kind for e in recorder.events] == [
+        EventKind.DRAIN_STARTED.value,
+        EventKind.NODE_DEPROVISIONED.value,
+    ]
 
 
 def test_drain_relocates_pods():
@@ -164,7 +166,8 @@ def test_drain_is_atomic_on_random_clusters():
             assert cluster == before
         else:
             completed += 1
-            assert cluster.nodes[target].state is NodeState.RESERVED
+            assert target not in cluster.nodes
+            assert set(cluster.nodes) == set(before.nodes) - {target}
             assert cluster.pods_on(target) == []
             relocated = dict(outcome.relocated)
             for pod_id, new_node in relocated.items():
@@ -185,7 +188,7 @@ def test_forced_drain_parks_unplaceable_pods():
     assert not outcome.restored
     assert outcome.relocated == (("light", "a-n001"),)
     assert cluster.pods["heavy"].assignment is None
-    assert cluster.nodes["a-n000"].state is NodeState.RESERVED
+    assert "a-n000" not in cluster.nodes
 
 
 def test_forced_drain_ignores_min_active_guard():
@@ -209,12 +212,40 @@ def test_last_node_guard():
 
 
 def test_drain_requires_an_active_node():
-    cluster = make_cluster("a", [4000, 4000])
-    cluster.nodes["a-n000"].state = NodeState.RESERVED
-    with pytest.raises(NodeNotActive):
-        drain_node(cluster, "a-n000")
-    with pytest.raises(NodeNotActive):
-        drain_node(cluster, "a-n999")
+    cluster = make_cluster("a", [4000, 4000, 4000])
+    drain_node(cluster, "a-n000")  # detached: no longer the cluster's
+    before = snapshot(cluster)
+    for node_id in ("a-n000", "a-n999"):
+        with pytest.raises(
+            NodeNotInCluster, match=f"^node '{node_id}' is not hosted by cluster 'a'$"
+        ):
+            drain_node(cluster, node_id, force=True)
+    assert cluster == before
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["plain", "forced"])
+def test_completed_drain_detaches_the_node(force):
+    cluster = make_cluster("a", [4000, 4000, 4000])
+    run_pod(cluster, "p0", "a-n000", 500, 256)
+    run_pod(cluster, "big", "a-n001", 3800, 256)
+    run_pod(cluster, "p2", "a-n002", 500, 256)
+    node, kept = cluster.nodes["a-n000"], cluster.nodes["a-n001"]
+    # big fits on no sibling, so the drain aborts and its node stays hosted.
+    assert drain_node(cluster, "a-n001").restored
+    assert cluster.nodes["a-n001"] is kept
+    assert kept.used == [3800, 256]
+
+    recorder = EventRecorder()
+    outcome = drain_node(cluster, "a-n000", force=force, recorder=recorder)
+    assert not outcome.restored and outcome.pending == ()
+    assert sorted(cluster.nodes) == ["a-n001", "a-n002"]
+    assert node.used == [0, 0]
+    assert node.origin_cluster == "a"
+    assert cluster.pods["p0"].assignment == "a-n002"
+    assert [(e.kind, e.cluster, e.node) for e in recorder.events] == [
+        (EventKind.DRAIN_STARTED.value, "a", "a-n000"),
+        (EventKind.NODE_DEPROVISIONED.value, "a", "a-n000"),
+    ]
 
 
 def test_drain_is_deterministic():

@@ -19,7 +19,6 @@ from nodebalancer import (
     EventKind,
     EventRecorder,
     GroupManager,
-    NodeState,
     ResourceVector,
     Thresholds,
     apply_workload,
@@ -54,9 +53,10 @@ class GroupManagerMachine(RuleBasedStateMachine):
             self.manager.create_group(gid, thresholds)
         for index, cid in enumerate(CLUSTERS):
             self.manager.add_cluster(f"g{index // 2}", cid)
-        self.nodes = Counter(
-            nid for cluster in self.manager.clusters.values() for nid in cluster.nodes
-        )
+        self.nodes = {
+            nid: node for cluster in self.manager.clusters.values()
+            for nid, node in cluster.nodes.items()
+        }
         self.tick = 0
 
     def holder(self, cid):
@@ -113,9 +113,10 @@ class GroupManagerMachine(RuleBasedStateMachine):
         seen = Counter(
             nid for cluster in self.manager.clusters.values() for nid in cluster.nodes
         )
-        assert seen == self.nodes
+        assert seen == Counter(self.nodes.keys())
+        # Every hosted node is one of the original node objects, under its own id.
         for cluster in self.manager.clusters.values():
-            assert all(node.state is NodeState.ACTIVE for node in cluster.nodes.values())
+            assert all(self.nodes[nid] is node for nid, node in cluster.nodes.items())
 
     @invariant()
     def membership_is_exclusive(self):
