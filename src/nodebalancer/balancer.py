@@ -11,11 +11,11 @@ cycle, and a cluster plays at most one role (donor or recipient) per cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DuplicateNode
-from .model import Cluster, Group, Node, cluster_utilization, node_utilization
+from .model import Cluster, Group, Node, cluster_utilization, node_load
 from .reporting import NULL_RECORDER, EventKind
 from .rules import evaluate_group
 from .scheduler import drain_node
@@ -36,9 +36,8 @@ class AttemptReason(str, Enum):
     WOULD_EXCEED_T_HIGH = "WouldExceedTHigh"  # donor itself went hot; reversed
 
 
-@dataclass(frozen=True)
-class RebalanceOutcome:
-    """What one overutilized cluster got out of a cycle.
+class RebalanceOutcome(NamedTuple):
+    """What one overutilized cluster got out of a cycle; an immutable tuple.
 
     attempts lists (donor id, reason) for every candidate tried before the
     terminal outcome, in the order they were tried.
@@ -96,7 +95,9 @@ def rebalance_cycle(
                 continue
             donor = clusters[low_id]
             actives = donor.active_nodes()
-            victim = min(actives, key=lambda n: (node_utilization(n, donor), n.id))
+            # actives is in ascending id order and min keeps the first of equal
+            # keys, so a tie in load goes to the lowest node id.
+            victim = min(actives, key=node_load)
             # Any exit may recall a borrowed node, so only the donor's own
             # nodes count toward the nodes it must keep.
             own = sum(n.origin_cluster == low_id and n is not victim for n in actives)

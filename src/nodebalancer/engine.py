@@ -385,16 +385,17 @@ def build_world(scenario: Scenario, recorder=None) -> GroupManager:
 
 
 def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
-    util = cluster_utilization(cluster)
-    pending = cluster.pending.values()
-    cpu = sum(pod.demand.cpu for pod in pending)
-    memory = sum(pod.demand.memory for pod in pending)
+    u_cpu, u_mem, u = cluster_utilization(cluster)
+    pending = cluster.pending
+    # Records live all run and most have no backlog: they share ZERO.
+    backlog = ZERO
+    if pending:
+        backlog = ResourceVector(
+            sum(pod.demand.cpu for pod in pending.values()),
+            sum(pod.demand.memory for pod in pending.values()),
+        )
     return TickRecord(
-        tick, cluster.id, util.u_cpu, util.u_mem, util.u,
-        len(cluster.nodes),
-        len(pending),
-        # Records live all run and most have no backlog: they share ZERO.
-        ResourceVector(cpu, memory) if pending else ZERO,
+        tick, cluster.id, u_cpu, u_mem, u, len(cluster.nodes), len(pending), backlog
     )
 
 
@@ -438,7 +439,9 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
                     f"but its pods sum to {total}"
                 )
         held = cluster.pending
-        if len(held) != len(pending) or any(held.get(pod.id) is not pod for pod in pending):
+        if len(held) != len(pending) or (
+            pending and any(held.get(pod.id) is not pod for pod in pending)
+        ):
             raise InvariantViolation(
                 f"tick {tick}: cluster {cluster_id!r} 'pending' does not hold exactly the "
                 f"Pending pod objects: it has {sorted(held)}, "
@@ -486,17 +489,19 @@ def run(
                 else:
                     manager.remove_cluster(change.group, change.cluster)
 
-            for cluster_id in sorted(manager.clusters):
-                apply_workload(manager.clusters[cluster_id], traces[cluster_id], tick)
-            for cluster_id in sorted(manager.clusters):
-                place_pending(manager.clusters[cluster_id])
+            clusters = manager.clusters
+            cluster_ids = sorted(clusters)
+            for cluster_id in cluster_ids:
+                apply_workload(clusters[cluster_id], traces[cluster_id], tick)
+            for cluster_id in cluster_ids:
+                place_pending(clusters[cluster_id])
 
             received: set[str] = set()
             for group_id in sorted(manager.groups):
                 group = manager.groups[group_id]
                 if tick % group.balance_interval != 0:
                     continue
-                outcomes = rebalance_cycle(group, manager.clusters, recorder=recorder)
+                outcomes = rebalance_cycle(group, clusters, recorder=recorder)
                 for outcome in outcomes:
                     if outcome.kind is OutcomeKind.MOVED:
                         received.add(outcome.high_cluster)
@@ -504,10 +509,10 @@ def run(
                         # The donor got its node back; its backlog may fit now.
                         received.add(outcome.low_cluster)
             for cluster_id in sorted(received):
-                place_pending(manager.clusters[cluster_id])
+                place_pending(clusters[cluster_id])
 
-            for cluster_id in sorted(manager.clusters):
-                records.append(_tick_record(tick, manager.clusters[cluster_id]))
+            for cluster_id in cluster_ids:
+                records.append(_tick_record(tick, clusters[cluster_id]))
             if check_invariants:
                 _verify_world(manager, expected_nodes, tick)
         except Exception as exc:
@@ -525,7 +530,12 @@ def run(
 def apply_overrides(
     scenario: Scenario, ticks: int | None = None, seed: int | None = None
 ) -> Scenario:
-    """Apply CLI overrides to the named fields only, then re-validate."""
+    """Apply CLI overrides to the named fields of a validated scenario.
+
+    Only a ticks override can invalidate one (it may cut off a membership
+    change), so only it re-runs validate_scenario; a seed override has its
+    own range check.
+    """
     if ticks is not None:
         if ticks < 1:
             raise ScenarioInvalid(f"ticks override: must be >= 1, got {ticks}")
@@ -534,7 +544,8 @@ def apply_overrides(
         if not 0 <= seed <= MAX_SEED:
             raise ScenarioInvalid(f"seed override: must be in [0, 2**64 - 1], got {seed}")
         scenario = replace(scenario, seed=seed)
-    validate_scenario(scenario)
+    if ticks is not None:
+        validate_scenario(scenario)
     return scenario
 
 

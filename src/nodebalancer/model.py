@@ -79,6 +79,8 @@ class Cluster:
     each node's used and the pending map in step; pods is a read-only view.
     add_pod and bind raise KeyError, changing nothing, for a node the cluster
     does not host, so no pod's demand is charged to a node outside it.
+    min_active_nodes must be at least 1: a donor may never give up its last
+    node, or its utilization would have no capacity to divide by.
     """
 
     id: str
@@ -87,6 +89,13 @@ class Cluster:
     min_active_nodes: int = 1
     _pods: dict[str, Pod] = field(default_factory=dict, init=False)
     pending: dict[str, Pod] = field(default_factory=dict, init=False, repr=False)  # by id
+
+    def __post_init__(self):
+        if self.min_active_nodes < 1:
+            raise ValueError(
+                f"cluster {self.id!r}: min_active_nodes must be >= 1, "
+                f"got {self.min_active_nodes}"
+            )
 
     @property
     def pods(self) -> Mapping[str, Pod]:
@@ -174,7 +183,8 @@ def build_cluster(
     """Provision a fresh cluster of identical nodes.
 
     The resulting node-id set is recorded as the cluster's original
-    configuration, the target state for restoration on group exit.
+    configuration, the target state for restoration on group exit. Raises
+    ValueError for a node_count or min_active_nodes below 1.
     """
     if node_count < 1:
         raise ValueError(f"cluster {cluster_id!r}: node_count must be >= 1")
@@ -250,21 +260,32 @@ def cluster_utilization(cluster: Cluster) -> Utilization:
     """
     cpu = memory = capacity_cpu = capacity_memory = 0
     for node in cluster.nodes.values():
-        used = node.used
-        cpu += used[0]
-        memory += used[1]
-        capacity_cpu += node.capacity.cpu
-        capacity_memory += node.capacity.memory
+        node_cpu, node_memory = node.used
+        capacity = node.capacity
+        cpu += node_cpu
+        memory += node_memory
+        capacity_cpu += capacity.cpu
+        capacity_memory += capacity.memory
     if not capacity_cpu:  # capacities are strictly positive
         raise ZeroCapacity(f"cluster {cluster.id!r} hosts no node")
     u_cpu = cpu / capacity_cpu
     u_mem = memory / capacity_memory
-    return Utilization(u_cpu=u_cpu, u_mem=u_mem, u=max(u_cpu, u_mem))
+    return Utilization(u_cpu, u_mem, max(u_cpu, u_mem))
+
+
+def node_load(node: Node) -> float:
+    """Max of the node's cpu and memory load ratios, from its used.
+
+    The one formula behind node_utilization and the balancer's donor-node
+    ranking; it builds no ResourceVector.
+    """
+    cpu, memory = node.used
+    capacity = node.capacity
+    return max(cpu / capacity.cpu, memory / capacity.memory)
 
 
 def node_utilization(node: Node, cluster: Cluster) -> float:
     """Max of the node's cpu and memory load ratios."""
     if cluster.nodes.get(node.id) is not node:
         raise NodeNotInCluster(f"node {node.id!r} is not hosted by cluster {cluster.id!r}")
-    demand = node_demand(cluster, node.id)
-    return max(demand.cpu / node.capacity.cpu, demand.memory / node.capacity.memory)
+    return node_load(node)

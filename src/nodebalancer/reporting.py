@@ -73,7 +73,8 @@ class EventRecorder:
     def emit(self, kind: EventKind | str, *, cluster=None, group=None, node=None, **detail):
         events = self.events
         events.append(RebalanceEvent(
-            self.tick, len(events), kind.value if isinstance(kind, EventKind) else str(kind),
+            # _value_ is the same str as .value, without the property lookup.
+            self.tick, len(events), kind._value_ if isinstance(kind, EventKind) else str(kind),
             # **detail is a fresh dict on every call; the writer sorts its keys.
             cluster, group, node, detail,
         ))

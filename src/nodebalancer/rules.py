@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnknownCluster
 from .model import Cluster, Group, cluster_utilization
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """Snapshot of which members sit outside the band.
+class Evaluation(NamedTuple):
+    """Snapshot of which members sit outside the band; an immutable tuple.
 
     overutilized is ordered by descending utilization, underutilized by
     ascending utilization; ties break by ascending cluster id in both.
@@ -35,11 +34,9 @@ def evaluate_group(group: Group, clusters: dict[str, Cluster]) -> Evaluation:
             raise UnknownCluster(f"group {group.id!r} references unknown cluster {cluster_id!r}")
         loads.append((cluster_id, cluster_utilization(cluster).u))
 
-    over = [(u, cid) for cid, u in loads if u > group.thresholds.t_high]
-    under = [(u, cid) for cid, u in loads if u < group.thresholds.t_low]
+    t_low, t_high = group.thresholds.t_low, group.thresholds.t_high
+    over = [(u, cid) for cid, u in loads if u > t_high]
+    under = [(u, cid) for cid, u in loads if u < t_low]
     over.sort(key=lambda pair: (-pair[0], pair[1]))
-    under.sort(key=lambda pair: (pair[0], pair[1]))
-    return Evaluation(
-        overutilized=tuple(cid for _, cid in over),
-        underutilized=tuple(cid for _, cid in under),
-    )
+    under.sort()  # (utilization, id) pairs: ascending in both
+    return Evaluation(tuple([cid for _, cid in over]), tuple([cid for _, cid in under]))

@@ -7,18 +7,18 @@ cluster's nodes in ascending node-id order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LastNodeGuard, NodeNotInCluster
 from .model import Cluster, Node, Pod
 from .reporting import NULL_RECORDER, EventKind
 
 
-@dataclass(frozen=True)
-class DrainOutcome:
+class DrainOutcome(NamedTuple):
     """Result of a drain: where each pod went, or restored=True if aborted.
 
     pending lists, in ascending id, the pods a forced drain left Pending.
+    An immutable tuple; copy one with _replace.
     """
 
     node: str
@@ -33,6 +33,8 @@ def _placement_order(pods: list[Pod]) -> list[Pod]:
 
 def _plan(pods: list[Pod], nodes: list[Node]) -> tuple[list[tuple[str, str]], list[str]]:
     """First-fit-decreasing plan of pods onto the nodes' free capacity."""
+    if not pods:  # most of a balancing run's drains empty a node with no pods
+        return [], []
     free = []  # [node id, free cpu, free memory] in the nodes' order
     for node in nodes:
         cpu, memory = node.used
@@ -57,10 +59,9 @@ def place_pending(cluster: Cluster) -> list[tuple[str, str]]:
 
     Pods that fit nowhere stay Pending. Placing nothing is not an error.
     """
-    pending = cluster.pending_pods()
-    if not pending:
+    if not cluster.pending:
         return []
-    placements, _ = _plan(pending, cluster.active_nodes())
+    placements, _ = _plan(cluster.pending_pods(), cluster.active_nodes())
     for pod_id, node_id in placements:
         cluster.bind(pod_id, node_id)
     return placements

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 from .model import Cluster, Pod, ResourceVector
 
@@ -93,21 +93,29 @@ class SpikeTrace:
 TraceSpec = Union[ConstantTrace, StepTrace, SineTrace, SpikeTrace]
 
 
-@dataclass(frozen=True)
-class WorkloadDelta:
-    """Pod churn performed by one apply_workload call."""
+class WorkloadDelta(NamedTuple):
+    """Pod churn performed by one apply_workload call; an immutable tuple."""
 
     created: tuple[str, ...]
     deleted: tuple[str, ...]
 
 
-def target_demand(trace: TraceSpec, tick: int) -> ResourceVector:
-    """The trace's level at a tick, clamped at zero and quantized to pods."""
+def _target_pods(trace: TraceSpec, tick: int) -> int:
+    """The trace's level at a tick, clamped at zero, in whole pods.
+
+    target_demand and apply_workload both round through here, so the cpu
+    total apply_workload aims at is exactly target_demand's cpu.
+    """
     if tick < 0:
         raise ValueError(f"tick must be >= 0, got {tick}")
     raw = max(0.0, trace.level_at(tick))
+    return math.floor(raw / trace.pod_quantum.cpu + 0.5)  # nearest, half rounds up
+
+
+def target_demand(trace: TraceSpec, tick: int) -> ResourceVector:
+    """The trace's level at a tick, clamped at zero and quantized to pods."""
+    pods = _target_pods(trace, tick)
     quantum = trace.pod_quantum
-    pods = int(math.floor(raw / quantum.cpu + 0.5))  # nearest, half rounds up
     return ResourceVector(pods * quantum.cpu, pods * quantum.memory)
 
 
@@ -121,25 +129,28 @@ def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDel
     pod ids are unique per cluster and tick, so a second top-up at the same
     tick raises ValueError.
     """
-    target = target_demand(trace, tick)
     quantum = trace.pod_quantum
-    current = sum(node.used[0] for node in cluster.nodes.values()) + sum(
-        pod.demand.cpu for pod in cluster.pending.values()
-    )
+    step = quantum.cpu
+    target = _target_pods(trace, tick) * step
+    current = sum([node.used[0] for node in cluster.nodes.values()])
+    if cluster.pending:
+        current += sum([pod.demand.cpu for pod in cluster.pending.values()])
 
     deleted = []
     # Insertion order, not id order: "p99999" sorts above "p100000". Every
     # unit of current is some pod's demand, so a pod is left to delete.
-    while current - target.cpu >= quantum.cpu:
-        newest = next(reversed(cluster.pods))
-        current -= cluster.delete_pod(newest).demand.cpu
+    pods, delete_pod = cluster.pods, cluster.delete_pod  # pods is a live view
+    while current - target >= step:
+        newest = next(reversed(pods))
+        current -= delete_pod(newest).demand.cpu
         deleted.append(newest)
 
     created = []
-    if current < target.cpu:
-        count = int((target.cpu - current) / quantum.cpu + 0.5)
+    if current < target:
+        count = int((target - current) / step + 0.5)
+        prefix, add_pod = f"{cluster.id}-p{tick:05d}-", cluster.add_pod
         for i in range(count):
-            pod_id = f"{cluster.id}-p{tick:05d}-{i:04d}"
-            cluster.add_pod(Pod(id=pod_id, demand=quantum))
+            pod_id = f"{prefix}{i:04d}"
+            add_pod(Pod(pod_id, quantum))
             created.append(pod_id)
-    return WorkloadDelta(created=tuple(created), deleted=tuple(deleted))
+    return WorkloadDelta(tuple(created), tuple(deleted))

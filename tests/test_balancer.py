@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -14,10 +13,12 @@ from nodebalancer import (
     Thresholds,
     cluster_utilization,
     drain_node,
+    node_utilization,
     place_pending,
     provision_node,
     rebalance_cycle,
 )
+from nodebalancer import balancer
 from nodebalancer.errors import DuplicateNode, InvalidThresholds
 
 from helpers import (
@@ -260,6 +261,26 @@ def test_single_node_donor_is_skipped():
     assert set(donor.nodes) == {"b-n000"}
 
 
+def test_donor_node_ranking_matches_node_utilization(monkeypatch):
+    drained = []
+
+    def checked_drain(cluster, node_id, **kwargs):
+        actives = cluster.active_nodes()
+        expected = min(actives, key=lambda n: (node_utilization(n, cluster), n.id))
+        drained.append((node_id, expected.id))
+        return drain_node(cluster, node_id, **kwargs)
+
+    monkeypatch.setattr(balancer, "drain_node", checked_drain)
+    rng = random.Random(2024)
+    for _ in range(150):
+        manager, group = random_world(rng, n_clusters=rng.randint(2, 5))
+        for cluster in manager.clusters.values():
+            randomize_load(rng, cluster, 0)
+        rebalance_cycle(group, manager.clusters)
+    assert len(drained) > 50
+    assert all(node_id == expected for node_id, expected in drained)
+
+
 def test_infeasible_drain_moves_to_next_candidate():
     hot = make_cluster("a", [4000, 4000])
     fill(hot, "a-n000", 4000)
@@ -367,7 +388,7 @@ def test_cycle_is_deterministic_byte_for_byte():
         out_a = rebalance_cycle(group, manager.clusters, recorder=rec_a)
         out_b = rebalance_cycle(twin_group, twin_clusters, recorder=rec_b)
 
-        dump_a = json.dumps([dataclasses.asdict(o) for o in out_a])
-        dump_b = json.dumps([dataclasses.asdict(o) for o in out_b])
+        dump_a = json.dumps([o._asdict() for o in out_a])
+        dump_b = json.dumps([o._asdict() for o in out_b])
         assert dump_a == dump_b
         assert rec_a.events == rec_b.events

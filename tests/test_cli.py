@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from nodebalancer import engine
 from nodebalancer.cli import main
 from nodebalancer.reporting import read_events
 
@@ -142,6 +143,39 @@ def test_run_rejects_bad_override(scenario_file, tmp_path, capsys):
     )
     assert code == 1
     assert "ticks override: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "overrides, validations",
+    [([], 1), (["--seed", "9"], 1), (["--ticks", "2"], 2)],
+    ids=["none", "seed", "ticks"],
+)
+def test_a_scenario_is_validated_once_unless_ticks_change(
+    scenario_file, tmp_path, capsys, monkeypatch, command, overrides, validations
+):
+    calls = []
+    validate = engine.validate_scenario
+    monkeypatch.setattr(engine, "validate_scenario", lambda s: calls.append(s) or validate(s))
+    args = [command, "--scenario", str(scenario_file), "--out", str(tmp_path / "out")]
+    assert main(args + overrides) == 0
+    assert len(calls) == validations
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_ticks_override_that_cuts_off_a_membership_change_is_a_scenario_error(
+    tmp_path, capsys, command
+):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["membership_changes"] = [{"tick": 2, "action": "Remove", "cluster": "b", "group": "g"}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    args = [command, "--scenario", str(path), "--out", str(tmp_path / "out"), "--ticks", "2"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "scenario error: membership_changes[0].tick: 2 is beyond the last tick 1\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_overrides_change_the_run(scenario_file, tmp_path, capsys):

@@ -168,6 +168,33 @@ def test_tracking_error_stays_below_one_quantum():
                 place_pending(cluster)  # mixing running and pending changes nothing
 
 
+HALF_QUANTUM_TRACES = [
+    ConstantTrace(level=250),
+    ConstantTrace(level=500, pod_quantum=ResourceVector(200, 256)),
+    StepTrace(steps=((0, 150), (2, 250), (4, 50), (6, 0), (8, 1050))),
+    SineTrace(base=250, amplitude=100, period=4),
+    SineTrace(base=50, amplitude=300, period=7, phase=3),
+    SpikeTrace(base=50, peak=350, start=3, duration=4),
+]
+
+
+@pytest.mark.parametrize("trace", HALF_QUANTUM_TRACES, ids=lambda t: t.kind)
+def test_apply_workload_reaches_the_target_demand_exactly(trace):
+    # Levels sit on half quanta, where the rounding is tightest; every pod is
+    # one quantum, so the total lands on the target itself, not just near it.
+    cluster = make_cluster("a", [1000])
+    for tick in range(12):
+        apply_workload(cluster, trace, tick)
+        total = sum(pod.demand.cpu for pod in cluster.pods.values())
+        assert total == target_demand(trace, tick).cpu
+        if tick % 2:
+            place_pending(cluster)  # some Running, some Pending
+    before = snapshot(cluster)
+    with pytest.raises(ValueError, match="tick must be >= 0, got -1"):
+        apply_workload(cluster, trace, -1)
+    assert cluster == before
+
+
 def test_apply_workload_counts_running_and_pending_together():
     cluster = make_cluster("a", [4000])
     apply_workload(cluster, ConstantTrace(level=3000), tick=0)
