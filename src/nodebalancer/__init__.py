@@ -23,13 +23,11 @@ from .engine import (
     GroupSpec,
     RunArtifacts,
     Scenario,
-    apply_overrides,
     build_world,
     compare,
     load_scenario,
     parse_scenario,
     run,
-    validate_scenario,
 )
 from .groups import GroupManager, MembershipAction, MembershipChange, RestorationReport
 from .model import (
@@ -110,7 +108,6 @@ __all__ = [
     "TraceSpec",
     "Utilization",
     "WorkloadDelta",
-    "apply_overrides",
     "apply_workload",
     "build_cluster",
     "build_world",
@@ -134,7 +131,6 @@ __all__ = [
     "run",
     "summarize",
     "target_demand",
-    "validate_scenario",
     "verify_event_log",
     "write_events",
     "write_metrics",

@@ -10,8 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import apply_overrides, compare, load_scenario, run
-from .errors import BalancingError, ScenarioInvalid
+from .engine import compare, load_scenario, run
+from .errors import ScenarioInvalid
 from .reporting import (
     _check_events,
     _summarize_records,
@@ -42,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scenario", required=True, type=Path, help="scenario JSON file")
     run_p.add_argument("--out", required=True, type=Path, help="output directory")
     run_p.add_argument("--ticks", type=int, help="override the scenario's tick count")
-    run_p.add_argument("--seed", type=int, help="override the scenario's seed")
 
     validate_p = sub.add_parser("validate", help="check a scenario file and exit")
     validate_p.add_argument("--scenario", required=True, type=Path)
@@ -53,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare_p.add_argument("--scenario", required=True, type=Path)
     compare_p.add_argument("--out", required=True, type=Path)
     compare_p.add_argument("--ticks", type=int, help="override the scenario's tick count")
-    compare_p.add_argument("--seed", type=int, help="override the scenario's seed")
 
     report_p = sub.add_parser(
         "report", help="recompute summary.json from existing logs and verify them"
@@ -61,13 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--out", required=True, type=Path, help="directory of a previous run")
 
     return parser
-
-
-def _load(args) -> "object":
-    scenario = load_scenario(args.scenario)
-    return apply_overrides(
-        scenario, ticks=getattr(args, "ticks", None), seed=getattr(args, "seed", None)
-    )
 
 
 def _write_run(artifacts, out_dir: Path) -> None:
@@ -78,17 +69,8 @@ def _write_run(artifacts, out_dir: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario = _load(args)
-    except ScenarioInvalid as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    try:
-        artifacts = run(scenario)
-        _write_run(artifacts, args.out)
-    except Exception as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    artifacts = run(load_scenario(args.scenario, args.ticks))
+    _write_run(artifacts, args.out)
     totals = artifacts.summary["totals"]
     print(
         f"wrote {args.out}: {totals['moves']} moves, {totals['reversals']} reversals, "
@@ -99,11 +81,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioInvalid as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
+    scenario = load_scenario(args.scenario)
     print(
         f"{args.scenario}: valid ({len(scenario.clusters)} clusters, "
         f"{len(scenario.groups)} groups, {scenario.ticks} ticks)"
@@ -112,20 +90,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        scenario = _load(args)
-    except ScenarioInvalid as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    try:
-        report = compare(scenario)
-        args.out.mkdir(parents=True, exist_ok=True)
-        _write_run(report.balanced, args.out / "balanced")
-        _write_run(report.static, args.out / "static")
-        write_summary(report.summary, args.out / "summary.json")
-    except Exception as exc:
-        print(f"compare failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    report = compare(load_scenario(args.scenario, args.ticks))
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_run(report.balanced, args.out / "balanced")
+    _write_run(report.static, args.out / "static")
+    write_summary(report.summary, args.out / "summary.json")
     deltas = report.summary["deltas"]
     print(
         f"wrote {args.out}: pending pod-ticks {deltas['pending_pod_ticks']:+d} "
@@ -152,29 +121,25 @@ def _rebuild_summary(run_dir: Path) -> dict | None:
 
 def _cmd_report(args) -> int:
     out: Path = args.out
-    try:
-        if (out / "events.jsonl").exists():
-            if _rebuild_summary(out) is None:
+    if (out / "events.jsonl").exists():
+        if _rebuild_summary(out) is None:
+            return EXIT_SCENARIO
+        print(f"verified {out}; summary.json rebuilt")
+        return EXIT_OK
+    balanced = out / "balanced"
+    static = out / "static"
+    if (balanced / "events.jsonl").exists() and (static / "events.jsonl").exists():
+        summaries = []
+        for run_dir in (balanced, static):
+            summary = _rebuild_summary(run_dir)
+            if summary is None:
                 return EXIT_SCENARIO
-            print(f"verified {out}; summary.json rebuilt")
-            return EXIT_OK
-        balanced = out / "balanced"
-        static = out / "static"
-        if (balanced / "events.jsonl").exists() and (static / "events.jsonl").exists():
-            summaries = []
-            for run_dir in (balanced, static):
-                summary = _rebuild_summary(run_dir)
-                if summary is None:
-                    return EXIT_SCENARIO
-                summaries.append(summary)
-            write_summary(compose_comparison(*summaries), out / "summary.json")
-            print(f"verified {out}; summaries rebuilt")
-            return EXIT_OK
-        print(f"no run artifacts found under {out}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except BalancingError as exc:
-        print(f"report failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+            summaries.append(summary)
+        write_summary(compose_comparison(*summaries), out / "summary.json")
+        print(f"verified {out}; summaries rebuilt")
+        return EXIT_OK
+    print(f"no run artifacts found under {out}", file=sys.stderr)
+    return EXIT_RUNTIME
 
 
 def main(argv=None) -> int:
@@ -185,7 +150,14 @@ def main(argv=None) -> int:
         "compare": _cmd_compare,
         "report": _cmd_report,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ScenarioInvalid as exc:  # raised only by load_scenario, before anything is written
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
+    except Exception as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -328,9 +328,9 @@ def iter_metrics(path: str | Path) -> Iterator[TickRecord]:
         with open(path, "r", encoding="utf-8") as handle:
             header_seen = False
             for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
                 line = line.rstrip("\n")
+                if not line.strip():  # no copy unless the line has edge whitespace
+                    continue
                 if not header_seen:
                     if line != METRICS_HEADER:
                         raise IoFailure(f"{path}: unexpected header {line!r}")
@@ -340,14 +340,18 @@ def iter_metrics(path: str | Path) -> Iterator[TickRecord]:
                 if len(parts) != 9:
                     raise IoFailure(f"{path}:{lineno}: expected 9 columns, got {len(parts)}")
                 try:
+                    # cluster_id is the scenario's own string: left out if the line fails.
+                    if not (_plain(line) or _plain(parts[0] + ",".join(parts[2:]))):
+                        raise ValueError
                     tick, active, pending = int(parts[0]), int(parts[5]), int(parts[6])
                     u_cpu, u_mem, u = float(parts[2]), float(parts[3]), float(parts[4])
-                    cpu, memory = int(parts[7]), int(parts[8])
-                    if (tick < 0 or active < 0 or pending < 0
-                            or not (isfinite(u_cpu) and isfinite(u_mem) and isfinite(u))):
+                    # Both bounds at once: NaN fails every comparison.
+                    if not (tick >= 0 and active >= 0 and pending >= 0
+                            and 0.0 <= u_cpu < inf and 0.0 <= u_mem < inf and 0.0 <= u < inf):
                         raise ValueError
                     # Most rows have no backlog: they share ZERO, as live records do.
-                    demand = ResourceVector(cpu, memory) if cpu or memory else ZERO
+                    demand = (ZERO if parts[7] == parts[8] == "0"
+                              else ResourceVector(int(parts[7]), int(parts[8])))
                 except ValueError:
                     raise IoFailure(f"{path}:{lineno}: {_bad_cell(parts)}") from None
                 yield TickRecord(tick, parts[1], u_cpu, u_mem, u, active, pending, demand)
@@ -365,13 +369,22 @@ def read_metrics(path: str | Path) -> list[TickRecord]:
 # that must not be negative; only used to name the cell a row failed on, so
 # the per-row path stays short.
 _METRICS_PARSERS = (int, str, float, float, float, int, int, int, int)
-_NON_NEGATIVE = ("tick", "active_nodes", "pending_pods")
+_NON_NEGATIVE = ("tick", "u_cpu", "u_mem", "u", "active_nodes", "pending_pods")
+
+
+def _plain(text: str) -> bool:
+    """False if text holds what int() and float() read but write_metrics never writes:
+    a non-ASCII character (such as a non-ASCII digit), '_', '+' or whitespace."""
+    return (text.isascii() and text.isprintable()
+            and not ("_" in text or "+" in text or " " in text))
 
 
 def _bad_cell(parts: list[str]) -> str:
     """Describe the first cell of a metrics row that does not parse or is out of range."""
     for column, parse, text in zip(METRICS_HEADER.split(","), _METRICS_PARSERS, parts):
         try:
+            if parse is not str and not _plain(text):
+                raise ValueError
             value = parse(text)
         except ValueError:
             return f"field {column!r}: cannot read {text!r}"

@@ -142,24 +142,48 @@ def test_run_rejects_bad_override(scenario_file, tmp_path, capsys):
         ["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"), "--ticks", "0"]
     )
     assert code == 1
-    assert "ticks override: must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "scenario error: scenario.ticks: must be >= 1, got 0\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize(
-    "overrides, validations",
-    [([], 1), (["--seed", "9"], 1), (["--ticks", "2"], 2)],
-    ids=["none", "seed", "ticks"],
-)
-def test_a_scenario_is_validated_once_unless_ticks_change(
-    scenario_file, tmp_path, capsys, monkeypatch, command, overrides, validations
+@pytest.mark.parametrize("overrides", [[], ["--ticks", "2"]], ids=["none", "ticks"])
+def test_a_scenario_is_parsed_once(
+    scenario_file, tmp_path, capsys, monkeypatch, command, overrides
 ):
     calls = []
-    validate = engine.validate_scenario
-    monkeypatch.setattr(engine, "validate_scenario", lambda s: calls.append(s) or validate(s))
+    parse = engine.parse_scenario
+    monkeypatch.setattr(engine, "parse_scenario", lambda doc: calls.append(doc) or parse(doc))
     args = [command, "--scenario", str(scenario_file), "--out", str(tmp_path / "out")]
     assert main(args + overrides) == 0
-    assert len(calls) == validations
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_there_is_no_seed_override(scenario_file, tmp_path, capsys, command):
+    # The seed drives nothing, so an option to change it would change nothing.
+    args = [command, "--scenario", str(scenario_file), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as info:
+        main(args + ["--seed", "9"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+@pytest.mark.parametrize("key", ["groups", "membership_changes"])
+def test_a_list_field_that_is_not_an_array_is_a_scenario_error(tmp_path, capsys, command, key):
+    doc = dict(SCENARIO, **{key: 5})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    args = [command, "--scenario", str(path)]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scenario error: scenario.{key}: expected an array\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

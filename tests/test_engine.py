@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import random
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nodebalancer import (
     EventKind,
@@ -14,7 +16,6 @@ from nodebalancer import (
     ResourceVector,
     Scenario,
     TickRecord,
-    apply_overrides,
     build_world,
     compare,
     parse_scenario,
@@ -195,6 +196,90 @@ def test_parse_accepts_all_trace_kinds():
             ),
             "^membership_changes\\[0\\]: cluster 'a' already belongs to group 'g'$",
         ),
+        # One anchored case per message the parser can raise.
+        pytest.param(lambda d: d["clusters"][0].update(node_capacity=5),
+                     r"^clusters\[0\]\.node_capacity: expected an object$", id="nested-non-object"),
+        pytest.param(lambda d: d["groups"][0]["thresholds"].update(t_mid=0.5),
+                     r"^groups\[0\]\.thresholds: unknown key 't_mid'$", id="unknown-key"),
+        pytest.param(lambda d: d["groups"][0].pop("members"),
+                     r"^groups\[0\]: missing key 'members'$", id="missing-key"),
+        pytest.param(lambda d: d["clusters"][0].update(node_count=True),
+                     r"^clusters\[0\]\.node_count: expected an integer$", id="bool-as-int"),
+        pytest.param(lambda d: d.update(ticks=0),
+                     r"^scenario\.ticks: must be >= 1, got 0$", id="int-below-minimum"),
+        pytest.param(lambda d: d.update(seed=2**64),
+                     r"^scenario\.seed: must be <= 18446744073709551615, got 18446744073709551616$",
+                     id="int-above-maximum"),
+        pytest.param(lambda d: d["groups"][0]["thresholds"].update(t_low="0.3"),
+                     r"^groups\[0\]\.thresholds\.t_low: expected a number$", id="non-number"),
+        pytest.param(lambda d: d["groups"][0]["thresholds"].update(t_high=True),
+                     r"^groups\[0\]\.thresholds\.t_high: expected a number$", id="bool-as-number"),
+        pytest.param(lambda d: d["clusters"][0].update(id=""),
+                     r"^clusters\[0\]\.id: expected a non-empty string$", id="empty-string"),
+        pytest.param(lambda d: d["clusters"][0]["trace"].pop("kind"),
+                     r"^clusters\[0\]\.trace: missing key 'kind'$", id="trace-without-kind"),
+        pytest.param(lambda d: d["clusters"][0]["trace"].update(kind="Ramp"),
+                     r"^clusters\[0\]\.trace\.kind: expected one of 'Constant', 'Step', 'Sine', "
+                     r"'Spike', got 'Ramp'$", id="unknown-trace-kind"),
+        pytest.param(lambda d: d["clusters"][0].update(trace={"kind": "Step", "steps": []}),
+                     r"^clusters\[0\]\.trace\.steps: expected a non-empty array$", id="empty-steps"),
+        pytest.param(lambda d: d["clusters"][0].update(
+                         trace={"kind": "Step", "steps": [{"tick": 1, "level": 5}]}),
+                     r"^clusters\[0\]\.trace\.steps: steps must be non-empty and start at tick 0$",
+                     id="steps-not-from-zero"),
+        pytest.param(lambda d: d["clusters"][0].update(trace={"kind": "Step", "steps": [
+                         {"tick": 0, "level": 5}, {"tick": 3, "level": 1}, {"tick": 3, "level": 2}]}),
+                     r"^clusters\[0\]\.trace\.steps: step start ticks must be strictly ascending$",
+                     id="steps-not-ascending"),
+        pytest.param(lambda d: d["clusters"][0].update(
+                         trace={"kind": "Step", "steps": [{"tick": 0}]}),
+                     r"^clusters\[0\]\.trace\.steps\[0\]: missing key 'level'$", id="bad-step"),
+        pytest.param(lambda d: d["clusters"][0].update(
+                         trace={"kind": "Sine", "base": 1, "amplitude": 1, "period": 0}),
+                     r"^clusters\[0\]\.trace\.period: must be >= 1, got 0$", id="sine-period-0"),
+        pytest.param(lambda d: d["clusters"][0].update(trace={
+                         "kind": "Spike", "base": 1, "peak": 2, "start": 0, "duration": 0}),
+                     r"^clusters\[0\]\.trace\.duration: must be >= 1, got 0$",
+                     id="spike-duration-0"),
+        pytest.param(lambda d: d["clusters"][0]["trace"].update(
+                         pod_quantum={"cpu_millicores": 0, "memory_mib": 128}),
+                     r"^clusters\[0\]\.trace\.pod_quantum\.cpu_millicores: must be >= 1, got 0$",
+                     id="bad-pod-quantum"),
+        pytest.param(lambda d: d["groups"][0]["thresholds"].update(t_low=0.9),
+                     r"^groups\[0\]\.thresholds: t_low must be strictly less than t_high, "
+                     r"got \(0\.9, 0\.8\)$", id="thresholds-out-of-order"),
+        pytest.param(lambda d: d.update(clusters=[]),
+                     r"^scenario\.clusters: expected a non-empty array$", id="no-clusters"),
+        pytest.param(lambda d: d["groups"][0].update(members="ab"),
+                     r"^groups\[0\]\.members: expected an array$", id="members-not-an-array"),
+        pytest.param(lambda d: d["groups"][0].update(members=["a", 5]),
+                     r"^groups\[0\]\.members\[1\]: expected a non-empty string$",
+                     id="member-not-a-string"),
+        pytest.param(lambda d: d.update(membership_changes=[
+                         {"tick": 1, "action": "Expel", "cluster": "a", "group": "g"}]),
+                     r"^membership_changes\[0\]\.action: expected 'Add' or 'Remove', got 'Expel'$",
+                     id="unknown-action"),
+        pytest.param(lambda d: d.update(clusters=d["clusters"] + [dict(d["clusters"][0])]),
+                     r"^clusters: duplicate cluster id 'a'$", id="duplicate-cluster-id"),
+        pytest.param(lambda d: d.update(groups=d["groups"] + [dict(d["groups"][0], members=[])]),
+                     r"^groups: duplicate group id 'g'$", id="duplicate-group-id"),
+        pytest.param(lambda d: d["groups"][0]["members"].append("ghost"),
+                     r"^groups\[0\]\.members\[2\]: unknown cluster 'ghost'$", id="unknown-member"),
+        pytest.param(lambda d: d["groups"][0]["members"].append("a"),
+                     r"^groups\[0\]\.members\[2\]: cluster 'a' already belongs to group 'g'$",
+                     id="member-listed-twice"),
+        pytest.param(lambda d: d.update(membership_changes=[
+                         {"tick": 1, "action": "Remove", "cluster": "zz", "group": "g"}]),
+                     r"^membership_changes\[0\]\.cluster: unknown cluster 'zz'$",
+                     id="change-names-unknown-cluster"),
+        pytest.param(lambda d: d.update(membership_changes=[
+                         {"tick": 1, "action": "Remove", "cluster": "a", "group": "h"}]),
+                     r"^membership_changes\[0\]\.group: unknown group 'h'$",
+                     id="change-names-unknown-group"),
+        pytest.param(lambda d: d.update(membership_changes=[
+                         {"tick": 9, "action": "Remove", "cluster": "a", "group": "g"}]),
+                     r"^membership_changes\[0\]\.tick: 9 is beyond the last tick 2$",
+                     id="change-after-last-tick"),
     ],
 )
 def test_parse_rejects_bad_documents(mutate, message):
@@ -202,6 +287,74 @@ def test_parse_rejects_bad_documents(mutate, message):
     mutate(doc)
     with pytest.raises(ScenarioInvalid, match=message):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("key", ["groups", "membership_changes"])
+@pytest.mark.parametrize("value", [5, 1.5, None, True, "ab", {}], ids=repr)
+def test_parse_rejects_a_list_field_that_is_not_an_array(key, value):
+    with pytest.raises(ScenarioInvalid, match=rf"^scenario\.{key}: expected an array$"):
+        parse_scenario(_doc(**{key: value}))
+
+
+def _full_doc():
+    """A valid document with every trace kind, a group and both kinds of change."""
+    doc = _doc(ticks=6)
+    capacity = doc["clusters"][0]["node_capacity"]
+    doc["clusters"] += [
+        {"id": "c", "node_count": 1, "node_capacity": dict(capacity), "trace": {
+            "kind": "Step", "steps": [{"tick": 0, "level": 100}, {"tick": 2, "level": 900}],
+            "pod_quantum": {"cpu_millicores": 200, "memory_mib": 256}}},
+        {"id": "d", "node_count": 1, "node_capacity": dict(capacity), "trace": {
+            "kind": "Sine", "base": 2000, "amplitude": 1000, "period": 10, "phase": 2}},
+        {"id": "e", "node_count": 1, "node_capacity": dict(capacity), "trace": {
+            "kind": "Spike", "base": 100, "peak": 5000, "start": 1, "duration": 2}},
+    ]
+    doc["groups"][0]["members"] += ["c", "d"]
+    doc["membership_changes"] = [
+        {"tick": 1, "action": "Remove", "cluster": "b", "group": "g"},
+        {"tick": 3, "action": "Add", "cluster": "e", "group": "g"},
+    ]
+    return doc
+
+
+def _node_paths(node, path=()):
+    """The path of every value in a JSON document, the root's excepted."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+_KEYS = sorted({key for path in _node_paths(_full_doc()) for key in path if isinstance(key, str)})
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.sampled_from(_KEYS)
+    | st.integers() | st.sampled_from([-1, 0, 1, 2**63, 2**64, -(2**64), 10**30]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(list(_node_paths(_full_doc()))), _JSON_VALUES)
+@example(("groups",), 5)
+@example(("membership_changes",), None)
+@example(("clusters", 0, "trace", "kind"), ["Step"])
+def test_parse_raises_only_scenario_invalid_on_any_one_node_replaced(path, value):
+    doc = _full_doc()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        assert isinstance(parse_scenario(doc), Scenario)
+    except ScenarioInvalid:
+        pass
 
 
 def test_parse_rejects_non_object_root():
@@ -343,8 +496,8 @@ def test_corruption_aborts_with_last_consistent_tick():
 
 
 def test_runtime_membership_error_aborts():
-    # validate_scenario refuses this sequence; replace() skips it, so the
-    # run itself must abort on the second leave.
+    # parse_scenario refuses this sequence; replace() skips it, so the run
+    # itself must abort on the second leave.
     leave = MembershipChange(tick=1, action=MembershipAction.REMOVE, cluster="b", group="g")
     scenario = dataclasses.replace(
         parse_scenario(_doc(ticks=4)),
@@ -356,28 +509,30 @@ def test_runtime_membership_error_aborts():
     assert "cluster 'b' is not a member of group 'g'" in str(info.value)
 
 
-def test_apply_overrides_touches_only_named_fields():
-    scenario = parse_scenario(_doc())
-    bumped = apply_overrides(scenario, ticks=10, seed=99)
-    assert bumped.ticks == 10 and bumped.seed == 99
-    assert bumped.clusters == scenario.clusters
-    assert bumped.groups == scenario.groups
-    assert apply_overrides(scenario) == scenario
+def test_load_scenario_ticks_override_touches_only_ticks(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_doc()), encoding="utf-8")
+    scenario = load_scenario(path)
+    bumped = load_scenario(path, ticks=10)
+    assert bumped == dataclasses.replace(scenario, ticks=10)
+    assert load_scenario(path, ticks=None) == scenario
 
-    with pytest.raises(ScenarioInvalid):
-        apply_overrides(scenario, ticks=0)
-    with pytest.raises(ScenarioInvalid):
-        apply_overrides(scenario, seed=-5)
+    with pytest.raises(ScenarioInvalid, match=r"^scenario\.ticks: must be >= 1, got 0$"):
+        load_scenario(path, ticks=0)
 
 
-def test_apply_overrides_revalidates_membership_ticks():
+def test_load_scenario_ticks_override_rechecks_membership_ticks(tmp_path):
     doc = _doc(
         ticks=6,
         membership_changes=[{"tick": 5, "action": "Remove", "cluster": "b", "group": "g"}],
     )
-    scenario = parse_scenario(doc)
-    with pytest.raises(ScenarioInvalid, match="membership_changes"):
-        apply_overrides(scenario, ticks=3)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_scenario(path).ticks == 6
+    with pytest.raises(
+        ScenarioInvalid, match=r"^membership_changes\[0\]\.tick: 5 is beyond the last tick 2$"
+    ):
+        load_scenario(path, ticks=3)
 
 
 def test_compare_strips_balancing_from_the_baseline():

@@ -440,6 +440,14 @@ def test_metrics_round_trip(tmp_path):
     assert loaded[2].u == pytest.approx(0.625)
 
 
+def test_read_metrics_takes_any_cluster_id(tmp_path):
+    # Only the numeric cells must look as write_metrics writes them.
+    records = [_record(0, "a_b +c \u00e9", 0.5, 0.25)]
+    path = tmp_path / "metrics.csv"
+    write_metrics(records, path)
+    assert [record.cluster_id for record in read_metrics(path)] == ["a_b +c \u00e9"]
+
+
 def test_metrics_sorted_on_write(tmp_path):
     records = [_record(1, "b", 0.1, 0.1), _record(0, "b", 0.2, 0.2), _record(0, "a", 0.3, 0.3)]
     path = tmp_path / "metrics.csv"
@@ -473,11 +481,31 @@ def test_metrics_sorted_on_write(tmp_path):
                      "must be >= 0, got ['-5', '0']", id="negative-pending-demand"),
         pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,2,0,0,0\n\n\n1,a,x,0.1,0.1,1,0,0,0\n",
                      "metrics.csv:5: field 'u_cpu': cannot read 'x'", id="file-line-after-blanks"),
+        # int() and float() read these, but write_metrics never writes them.
+        pytest.param(METRICS_HEADER + "\n5_0,a,0.5,0.5,0.5,2,0,0,0\n",
+                     "metrics.csv:2: field 'tick': cannot read '5_0'", id="underscore-in-tick"),
+        pytest.param(METRICS_HEADER + "\n 5,a,0.5,0.5,0.5,2,0,0,0\n",
+                     "metrics.csv:2: field 'tick': cannot read ' 5'", id="space-in-tick"),
+        pytest.param(METRICS_HEADER + "\n\u0665,a,0.5,0.5,0.5,2,0,0,0\n",
+                     "metrics.csv:2: field 'tick': cannot read '\u0665'", id="arabic-indic-tick"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,+2,0,0,0\n",
+                     "metrics.csv:2: field 'active_nodes': cannot read '+2'", id="plus-sign"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.5,\t0.5,0.5,2,0,0,0\n",
+                     "metrics.csv:2: field 'u_mem': cannot read '\\t0.5'", id="tab-in-u-mem"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,2,0,0,7\u00a0\n",
+                     "metrics.csv:2: field 'pending_memory_mib': cannot read '7\\xa0'",
+                     id="no-break-space"),
+        pytest.param(METRICS_HEADER + "\n0,a,-0.500000,0.5,0.5,2,0,0,0\n",
+                     "metrics.csv:2: field 'u_cpu': must be >= 0, got -0.5", id="negative-u-cpu"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.5,-0.25,0.5,2,0,0,0\n",
+                     "metrics.csv:2: field 'u_mem': must be >= 0, got -0.25", id="negative-u-mem"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,-1e-06,2,0,0,0\n",
+                     "metrics.csv:2: field 'u': must be >= 0, got -1e-06", id="negative-u"),
     ],
 )
 def test_read_metrics_rejects_malformed_files(tmp_path, content, message):
     path = tmp_path / "metrics.csv"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(IoFailure, match=re.escape(message)):
         read_metrics(path)
 
