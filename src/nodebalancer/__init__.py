@@ -34,7 +34,6 @@ from .model import (
     Cluster,
     Group,
     Node,
-    Pod,
     ResourceVector,
     Thresholds,
     Utilization,
@@ -93,7 +92,6 @@ __all__ = [
     "MembershipChange",
     "Node",
     "OutcomeKind",
-    "Pod",
     "RebalanceEvent",
     "RebalanceOutcome",
     "ResourceVector",

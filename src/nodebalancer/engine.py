@@ -224,8 +224,12 @@ def _trace(value, where: str) -> TraceSpec:
 
 def _cluster(value) -> ClusterSpec:
     obj = _object(value, "", _CLUSTER_KEYS)
+    cluster_id = _string(obj["id"], ".id")
+    # metrics.csv writes the id as an unquoted cell of one line.
+    if "," in cluster_id or "\r" in cluster_id or "\n" in cluster_id:
+        raise ScenarioInvalid(f".id: must not hold ',', '\\r' or '\\n', got {cluster_id!r}")
     return ClusterSpec(
-        id=_string(obj["id"], ".id"),
+        id=cluster_id,
         node_count=_int(obj, "node_count", "", 1),
         node_capacity=_resource(obj["node_capacity"], ".node_capacity"),
         trace=_trace(obj["trace"], ".trace"),
@@ -347,7 +351,9 @@ def build_world(scenario: Scenario, recorder=None) -> GroupManager:
     """Materialize clusters and groups; initial joins are real joins."""
     manager = GroupManager(recorder=recorder)
     for spec in scenario.clusters:
-        manager.register_cluster(build_cluster(spec.id, spec.node_count, spec.node_capacity))
+        quantum = spec.trace.pod_quantum
+        cluster = build_cluster(spec.id, spec.node_count, spec.node_capacity, quantum=quantum)
+        manager.register_cluster(cluster)
     for group_spec in scenario.groups:
         manager.create_group(
             group_spec.id, group_spec.thresholds, group_spec.balance_interval
@@ -359,66 +365,57 @@ def build_world(scenario: Scenario, recorder=None) -> GroupManager:
 
 def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     u_cpu, u_mem, u = cluster_utilization(cluster)
-    pending = cluster.pending
+    waiting = len(cluster.pending)
     # Records live all run and most have no backlog: they share ZERO.
     backlog = ZERO
-    if pending:
-        backlog = ResourceVector(
-            sum(pod.demand.cpu for pod in pending.values()),
-            sum(pod.demand.memory for pod in pending.values()),
-        )
-    return TickRecord(
-        tick, cluster.id, u_cpu, u_mem, u, len(cluster.nodes), len(pending), backlog
-    )
+    if waiting:
+        quantum = cluster.quantum
+        backlog = ResourceVector(waiting * quantum.cpu, waiting * quantum.memory)
+    return TickRecord(tick, cluster.id, u_cpu, u_mem, u, len(cluster.nodes), waiting, backlog)
 
 
 def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> None:
     """Structural audit at tick end; violations abort the run.
 
-    Each node's demand and the Pending pods are recomputed here in one pass of
-    the audit's own over the cluster's pods, never through node.used,
-    cluster.pending or the readers built on them. Both are then compared with
-    that recompute, so the audit stays an independent check of both. Node
-    conservation catches a node that two clusters hold, or that none does.
+    Each node's pod count is recomputed here from the cluster's pods alone,
+    never through node.used or cluster.pending. Each node's used must be its
+    count times the quantum and within capacity, and pending must hold
+    exactly the pods that have no node, so the audit stays an independent
+    check of both. Node conservation catches a node that two clusters hold,
+    or that none does.
     """
     for cluster_id, cluster in manager.clusters.items():
-        used = {node_id: [0, 0] for node_id in cluster.nodes}
-        pending = []
-        for pod in cluster.pods.values():
-            node_id = pod.assignment
-            if node_id is None:
-                pending.append(pod)
-                continue
-            total = used.get(node_id)
-            if total is None:
+        pods = cluster.pods
+        counts = Counter(pods.values())
+        waiting = counts.pop(None, 0)
+        nodes = cluster.nodes
+        if not counts.keys() <= nodes.keys():
+            node_id = min(counts.keys() - nodes.keys())
+            raise InvariantViolation(
+                f"tick {tick}: {counts[node_id]} pod(s) of cluster {cluster_id!r} "
+                f"assigned to missing node {node_id!r}"
+            )
+        quantum_cpu, quantum_memory = cluster.quantum.cpu, cluster.quantum.memory
+        for node_id, node in nodes.items():
+            count = counts.get(node_id, 0)
+            cpu, memory = node.used
+            if cpu != count * quantum_cpu or memory != count * quantum_memory:
                 raise InvariantViolation(
-                    f"tick {tick}: pod {pod.id!r} assigned to missing node {node_id!r}"
+                    f"tick {tick}: node {node_id!r} 'used' holds {node.used}, but its "
+                    f"{count} pod(s) sum to {[count * quantum_cpu, count * quantum_memory]}"
                 )
-            demand = pod.demand
-            total[0] += demand.cpu
-            total[1] += demand.memory
-        for node_id, node in cluster.nodes.items():
-            total = used[node_id]
-            cpu, memory = total
             capacity = node.capacity
             if cpu > capacity.cpu or memory > capacity.memory:
                 raise InvariantViolation(
                     f"tick {tick}: node {node_id!r} over capacity: "
                     f"{ResourceVector(cpu, memory)} > {capacity}"
                 )
-            if node.used != total:
-                raise InvariantViolation(
-                    f"tick {tick}: node {node_id!r} 'used' holds {node.used}, "
-                    f"but its pods sum to {total}"
-                )
         held = cluster.pending
-        if len(held) != len(pending) or (
-            pending and any(held.get(pod.id) is not pod for pod in pending)
-        ):
+        if len(held) != waiting or any(pods.get(pod_id, "") is not None for pod_id in held):
             raise InvariantViolation(
                 f"tick {tick}: cluster {cluster_id!r} 'pending' does not hold exactly the "
-                f"Pending pod objects: it has {sorted(held)}, "
-                f"the pods {sorted(pod.id for pod in pending)}"
+                f"Pending pods: it has {sorted(held)}, the pods "
+                f"{sorted(pod_id for pod_id, node_id in pods.items() if node_id is None)}"
             )
     seen = Counter(chain.from_iterable(cluster.nodes for cluster in manager.clusters.values()))
     # Neither Counter holds a zero count, so dict equality (in C) is Counter

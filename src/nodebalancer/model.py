@@ -1,5 +1,5 @@
-"""Core domain model: resources, nodes, pods, clusters, balancing groups,
-and the utilization calculator that drives every balancing decision.
+"""Core domain model: resources, nodes, clusters and their pods, balancing
+groups, and the utilization calculator that drives every balancing decision.
 
 Utilization is demand-based. It is computed from what pods request, not
 from measured usage, so results are exactly reproducible.
@@ -7,7 +7,7 @@ from measured usage, so results are exactly reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
@@ -33,6 +33,7 @@ class ResourceVector:
 
 
 ZERO = ResourceVector(0, 0)
+DEFAULT_POD_QUANTUM = ResourceVector(cpu=100, memory=128)
 
 
 @dataclass(slots=True)
@@ -59,36 +60,28 @@ class Node:
             raise ValueError(f"node {self.id!r}: capacity must be strictly positive")
 
 
-@dataclass(slots=True)
-class Pod:
-    """A unit of workload with a fixed resource demand.
-
-    assignment is the hosting node id while Running, None while Pending.
-    """
-
-    id: str
-    demand: ResourceVector
-    assignment: str | None = None
-
-
 @dataclass
 class Cluster:
     """A set of nodes and the pods running (or waiting to run) on them.
 
-    Pods change only through add_pod, delete_pod, bind and unbind, which keep
-    each node's used and the pending map in step; pods is a read-only view.
-    add_pod and bind raise KeyError, changing nothing, for a node the cluster
-    does not host, so no pod's demand is charged to a node outside it.
-    min_active_nodes must be at least 1: a donor may never give up its last
-    node, or its utilization would have no capacity to divide by.
+    Every pod demands the cluster's fixed quantum, so a pod is only its id
+    and its node. pods maps each pod id, in creation order, to its node id,
+    or None while the pod is Pending; it is a read-only view. Pods change
+    only through add_pods, pop_newest, bind and unbind, which keep each
+    node's used and the pending set in step. bind raises KeyError, changing
+    nothing, for a node the cluster does not host, so no pod's demand is
+    charged to a node outside it. min_active_nodes must be at least 1: a
+    donor may never give up its last node, or its utilization would have no
+    capacity to divide by.
     """
 
     id: str
     nodes: dict[str, Node] = field(default_factory=dict)
     original_node_ids: frozenset[str] = frozenset()
     min_active_nodes: int = 1
-    _pods: dict[str, Pod] = field(default_factory=dict, init=False)
-    pending: dict[str, Pod] = field(default_factory=dict, init=False, repr=False)  # by id
+    quantum: ResourceVector = DEFAULT_POD_QUANTUM
+    _pods: dict[str, str | None] = field(default_factory=dict, init=False)
+    pending: set[str] = field(default_factory=set, init=False, repr=False)  # pod ids
 
     def __post_init__(self):
         if self.min_active_nodes < 1:
@@ -98,33 +91,31 @@ class Cluster:
             )
 
     @property
-    def pods(self) -> Mapping[str, Pod]:
-        """The pods by id, read-only: a store raises TypeError."""
+    def pods(self) -> Mapping[str, str | None]:
+        """Pod id -> node id or None, in creation order; a store raises TypeError."""
         # A property, not a proxy attribute: copy.deepcopy cannot copy a proxy.
         return MappingProxyType(self._pods)
 
-    def add_pod(self, pod: Pod) -> None:
-        """Add a pod: Pending if pod.assignment is None, else Running there.
+    def add_pods(self, pod_ids: Sequence[str]) -> None:
+        """Append new Pending pods, in the given order.
 
-        Raises ValueError if the cluster already holds a pod with that id.
+        Raises ValueError, changing nothing, if the cluster already holds a
+        pod under one of the ids.
         """
-        if pod.id in self._pods:
-            raise ValueError(f"cluster {self.id!r} already holds a pod {pod.id!r}")
-        if pod.assignment is None:
-            self.pending[pod.id] = pod
-        else:
-            self._charge(pod, pod.assignment, 1)
-        self._pods[pod.id] = pod
+        held = self._pods.keys() & pod_ids
+        if held:
+            raise ValueError(f"cluster {self.id!r} already holds a pod {min(held)!r}")
+        self._pods.update(dict.fromkeys(pod_ids))
+        self.pending.update(pod_ids)
 
-    def delete_pod(self, pod_id: str) -> Pod:
-        """Remove a pod, Running or Pending, and return it; KeyError if absent."""
-        pod = self._pods[pod_id]
-        if pod.assignment is None:
-            del self.pending[pod_id]
+    def pop_newest(self) -> str:
+        """Delete the most recently added pod, Running or Pending; return its id."""
+        pod_id, node_id = self._pods.popitem()
+        if node_id is None:
+            self.pending.remove(pod_id)
         else:
-            self._charge(pod, pod.assignment, -1)
-        del self._pods[pod_id]
-        return pod
+            self._charge(node_id, -1)
+        return pod_id
 
     def bind(self, pod_id: str, node_id: str) -> None:
         """Run a pod on a node.
@@ -132,46 +123,38 @@ class Cluster:
         A Pending pod starts Running there; a Running pod moves there from its
         current node, as a drain's relocation does.
         """
-        pod = self._pods[pod_id]
-        self._charge(pod, node_id, 1)  # first, so an unhosted node changes nothing
-        if pod.assignment is None:
-            del self.pending[pod_id]
+        current = self._pods[pod_id]
+        self._charge(node_id, 1)  # first, so an unhosted node changes nothing
+        if current is None:
+            self.pending.remove(pod_id)
         else:
-            self._charge(pod, pod.assignment, -1)
-        pod.assignment = node_id
+            self._charge(current, -1)
+        self._pods[pod_id] = node_id
 
     def unbind(self, pod_id: str) -> None:
         """Take a Running pod off its node; it waits Pending for placement."""
-        pod = self._pods[pod_id]
-        if pod.assignment is None:
+        current = self._pods[pod_id]
+        if current is None:
             raise ValueError(f"pod {pod_id!r} is not bound to a node")
-        self._charge(pod, pod.assignment, -1)
-        self.pending[pod_id] = pod
-        pod.assignment = None
+        self._charge(current, -1)
+        self.pending.add(pod_id)
+        self._pods[pod_id] = None
 
-    def _charge(self, pod: Pod, node_id: str, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) the pod's demand on the node.
+    def _charge(self, node_id: str, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) one quantum on the node.
 
         Raises KeyError, changing nothing, if the cluster does not host it.
         """
         node = self.nodes.get(node_id)
         if node is None:
             raise KeyError(f"cluster {self.id!r} does not host a node {node_id!r}")
-        used = node.used
-        used[0] += sign * pod.demand.cpu
-        used[1] += sign * pod.demand.memory
+        used, quantum = node.used, self.quantum
+        used[0] += sign * quantum.cpu
+        used[1] += sign * quantum.memory
 
     def active_nodes(self) -> list[Node]:
         """Hosted nodes in ascending id order (the scheduler's scan order)."""
         return [n for _, n in sorted(self.nodes.items())]
-
-    def pending_pods(self) -> list[Pod]:
-        """The Pending pods; placement sorts them itself."""
-        return list(self.pending.values())
-
-    def pods_on(self, node_id: str) -> list[Pod]:
-        """Pods assigned to the node, in pod-dict order."""
-        return [p for p in self._pods.values() if p.assignment == node_id]
 
 
 def build_cluster(
@@ -179,8 +162,9 @@ def build_cluster(
     node_count: int,
     node_capacity: ResourceVector,
     min_active_nodes: int = 1,
+    quantum: ResourceVector = DEFAULT_POD_QUANTUM,
 ) -> Cluster:
-    """Provision a fresh cluster of identical nodes.
+    """Provision a fresh cluster of identical nodes whose pods each demand quantum.
 
     The resulting node-id set is recorded as the cluster's original
     configuration, the target state for restoration on group exit. Raises
@@ -197,6 +181,7 @@ def build_cluster(
         nodes=nodes,
         original_node_ids=frozenset(nodes),
         min_active_nodes=min_active_nodes,
+        quantum=quantum,
     )
 
 

@@ -1,16 +1,18 @@
-"""Simulated pod scheduling: first-fit-decreasing placement and node drains.
+"""Simulated pod scheduling: placement by fill, and node drains.
 
-Placement order is fully deterministic: pods sort by descending cpu demand
-(ties broken by descending memory, then ascending pod id) and scan the
-cluster's nodes in ascending node-id order.
+A cluster's pods all demand its one quantum, so first-fit-decreasing
+placement is a fill: the pods, in ascending id-string order, go to the
+nodes in ascending node-id order, each node taking as many as its free
+capacity holds. Placement is fully deterministic.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import LastNodeGuard, NodeNotInCluster
-from .model import Cluster, Node, Pod
+from .model import Cluster, Node, ResourceVector
 from .reporting import NULL_RECORDER, EventKind
 
 
@@ -27,31 +29,28 @@ class DrainOutcome(NamedTuple):
     pending: tuple[str, ...] = ()
 
 
-def _placement_order(pods: list[Pod]) -> list[Pod]:
-    return sorted(pods, key=lambda p: (-p.demand.cpu, -p.demand.memory, p.id))
+def _fill(
+    pod_ids: list[str], nodes: list[Node], quantum: ResourceVector
+) -> tuple[list[tuple[str, str]], list[str]]:
+    """Plan the pods onto the nodes' free capacity, in the given orders.
 
-
-def _plan(pods: list[Pod], nodes: list[Node]) -> tuple[list[tuple[str, str]], list[str]]:
-    """First-fit-decreasing plan of pods onto the nodes' free capacity."""
-    if not pods:  # most of a balancing run's drains empty a node with no pods
-        return [], []
-    free = []  # [node id, free cpu, free memory] in the nodes' order
-    for node in nodes:
-        cpu, memory = node.used
-        free.append([node.id, node.capacity.cpu - cpu, node.capacity.memory - memory])
+    Each node takes as many of the next pods as its free capacity holds, so
+    for pods of one quantum this is first-fit-decreasing placement.
+    """
     placements: list[tuple[str, str]] = []
-    unplaced: list[str] = []
-    for pod in _placement_order(pods):
-        cpu, memory = pod.demand.cpu, pod.demand.memory
-        for slot in free:
-            if cpu <= slot[1] and memory <= slot[2]:
-                slot[1] -= cpu
-                slot[2] -= memory
-                placements.append((pod.id, slot[0]))
-                break
-        else:
-            unplaced.append(pod.id)
-    return placements, unplaced
+    placed = 0
+    for node in nodes:
+        if placed == len(pod_ids):
+            break
+        cpu, memory = node.used
+        capacity = node.capacity
+        room = min(
+            (capacity.cpu - cpu) // quantum.cpu, (capacity.memory - memory) // quantum.memory
+        )
+        if room > 0:
+            placements += zip(pod_ids[placed:placed + room], repeat(node.id))
+            placed = len(placements)
+    return placements, pod_ids[placed:]
 
 
 def place_pending(cluster: Cluster) -> list[tuple[str, str]]:
@@ -61,7 +60,7 @@ def place_pending(cluster: Cluster) -> list[tuple[str, str]]:
     """
     if not cluster.pending:
         return []
-    placements, _ = _plan(cluster.pending_pods(), cluster.active_nodes())
+    placements, _ = _fill(sorted(cluster.pending), cluster.active_nodes(), cluster.quantum)
     for pod_id, node_id in placements:
         cluster.bind(pod_id, node_id)
     return placements
@@ -91,9 +90,9 @@ def drain_node(
             f"min_active_nodes={cluster.min_active_nodes}"
         )
 
-    victims = cluster.pods_on(node_id)
+    victims = sorted([pod_id for pod_id, host in cluster.pods.items() if host == node_id])
     siblings = [n for n in actives if n.id != node_id]
-    placements, unplaced = _plan(victims, siblings)
+    placements, unplaced = _fill(victims, siblings, cluster.quantum)
 
     rec.emit(EventKind.DRAIN_STARTED, cluster=cluster.id, node=node_id, pods=len(victims))
     if unplaced and not force:
@@ -113,5 +112,5 @@ def drain_node(
     del cluster.nodes[node_id]
     rec.emit(EventKind.NODE_DEPROVISIONED, cluster=cluster.id, node=node_id)
     return DrainOutcome(
-        node=node_id, relocated=tuple(placements), restored=False, pending=tuple(sorted(unplaced))
+        node=node_id, relocated=tuple(placements), restored=False, pending=tuple(unplaced)
     )

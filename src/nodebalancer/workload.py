@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Union
 
-from .model import Cluster, Pod, ResourceVector
-
-DEFAULT_POD_QUANTUM = ResourceVector(cpu=100, memory=128)
+from .model import DEFAULT_POD_QUANTUM, Cluster, ResourceVector
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,8 @@ class WorkloadDelta(NamedTuple):
 def _target_pods(trace: TraceSpec, tick: int) -> int:
     """The trace's level at a tick, clamped at zero, in whole pods.
 
-    target_demand and apply_workload both round through here, so the cpu
-    total apply_workload aims at is exactly target_demand's cpu.
+    target_demand and apply_workload both round through here, so the pods
+    apply_workload aims at demand exactly target_demand.
     """
     if tick < 0:
         raise ValueError(f"tick must be >= 0, got {tick}")
@@ -122,35 +120,24 @@ def target_demand(trace: TraceSpec, tick: int) -> ResourceVector:
 def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDelta:
     """Adjust the cluster's pods toward the trace's target for this tick.
 
-    Demand above the target is shed by deleting pods newest-first (most
-    recently added), but only while a whole quantum of excess remains,
-    rounding toward fewer deletions. Demand below the target is topped up with new
-    Pending pods of one quantum each; placement is the scheduler's job. New
-    pod ids are unique per cluster and tick, so a second top-up at the same
-    tick raises ValueError.
+    Pods above the target are deleted newest-first (most recently added);
+    pods below it are topped up with new Pending pods, and placement is the
+    scheduler's job. New pod ids are unique per cluster and tick, so a
+    second top-up at the same tick raises ValueError. So does a trace whose
+    pod_quantum is not the cluster's quantum: a cluster's pods are all of
+    one size.
     """
-    quantum = trace.pod_quantum
-    step = quantum.cpu
-    target = _target_pods(trace, tick) * step
-    current = sum([node.used[0] for node in cluster.nodes.values()])
-    if cluster.pending:
-        current += sum([pod.demand.cpu for pod in cluster.pending.values()])
-
-    deleted = []
-    # Insertion order, not id order: "p99999" sorts above "p100000". Every
-    # unit of current is some pod's demand, so a pod is left to delete.
-    pods, delete_pod = cluster.pods, cluster.delete_pod  # pods is a live view
-    while current - target >= step:
-        newest = next(reversed(pods))
-        current -= delete_pod(newest).demand.cpu
-        deleted.append(newest)
-
-    created = []
-    if current < target:
-        count = int((target - current) / step + 0.5)
-        prefix, add_pod = f"{cluster.id}-p{tick:05d}-", cluster.add_pod
-        for i in range(count):
-            pod_id = f"{prefix}{i:04d}"
-            add_pod(Pod(pod_id, quantum))
-            created.append(pod_id)
-    return WorkloadDelta(tuple(created), tuple(deleted))
+    if trace.pod_quantum != cluster.quantum:
+        raise ValueError(
+            f"cluster {cluster.id!r} holds pods of {cluster.quantum}, "
+            f"the trace asks for {trace.pod_quantum}"
+        )
+    excess = len(cluster.pods) - _target_pods(trace, tick)
+    # Creation order, not id order: "p99999" sorts above "p100000".
+    deleted = tuple(cluster.pop_newest() for _ in range(excess))
+    created: tuple[str, ...] = ()
+    if excess < 0:
+        prefix = f"{cluster.id}-p{tick:05d}-"
+        created = tuple(f"{prefix}{i:04d}" for i in range(-excess))
+        cluster.add_pods(created)
+    return WorkloadDelta(created, deleted)

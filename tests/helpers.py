@@ -16,7 +16,6 @@ from nodebalancer import (
     ConstantTrace,
     GroupManager,
     Node,
-    Pod,
     ResourceVector,
     Thresholds,
     apply_workload,
@@ -39,8 +38,9 @@ def rv(cpu: int, memory: int | None = None) -> ResourceVector:
     return ResourceVector(cpu, memory)
 
 
-def make_cluster(cid, cpus, memory=8192, min_active=1) -> Cluster:
-    """Cluster with one node per entry of cpus, all with the same memory."""
+def make_cluster(cid, cpus, memory=8192, min_active=1, quantum=(100, 128)) -> Cluster:
+    """Cluster with one node per entry of cpus, all with the same memory,
+    whose pods each demand quantum (cpu, memory)."""
     nodes = {}
     for i, cpu in enumerate(cpus):
         nid = f"{cid}-n{i:03d}"
@@ -50,39 +50,40 @@ def make_cluster(cid, cpus, memory=8192, min_active=1) -> Cluster:
         nodes=nodes,
         original_node_ids=frozenset(nodes),
         min_active_nodes=min_active,
+        quantum=ResourceVector(*quantum),
     )
 
 
-def run_pod(cluster, pid, node_id, cpu, memory=None) -> Pod:
-    pod = Pod(id=pid, demand=rv(cpu, memory), assignment=node_id)
-    cluster.add_pod(pod)
-    return pod
+def run_pod(cluster, pid, node_id) -> None:
+    """Add one pod of the cluster's quantum, Running on the node."""
+    cluster.add_pods([pid])
+    cluster.bind(pid, node_id)
 
 
-def pending_pod(cluster, pid, cpu, memory=None) -> Pod:
-    pod = Pod(id=pid, demand=rv(cpu, memory))
-    cluster.add_pod(pod)
-    return pod
+def pending_pod(cluster, pid) -> None:
+    """Add one Pending pod of the cluster's quantum."""
+    cluster.add_pods([pid])
 
 
-def fill(cluster, node_id, total_cpu, quantum=100, prefix=None):
+def fill(cluster, node_id, total_cpu, prefix=None):
     """Load one node with total_cpu of running demand in quantum-sized pods."""
     prefix = prefix or f"{node_id}-fill"
-    for i in range(total_cpu // quantum):
-        run_pod(cluster, f"{prefix}-{i:04d}", node_id, quantum)
+    for i in range(total_cpu // cluster.quantum.cpu):
+        run_pod(cluster, f"{prefix}-{i:04d}", node_id)
 
 
-def load_from_pods(cluster) -> tuple[dict, dict]:
+def load_from_pods(cluster) -> tuple[dict, set]:
     """(used, pending) recomputed from the cluster's pods: the [cpu, memory]
-    of each node that has a Running pod, and the Pending pods by id."""
-    used, pending = {}, {}
-    for pod in cluster.pods.values():
-        if pod.assignment is None:
-            pending[pod.id] = pod
+    of each node that has a Running pod, and the ids of the Pending pods."""
+    quantum = cluster.quantum
+    used, pending = {}, set()
+    for pod_id, node_id in cluster.pods.items():
+        if node_id is None:
+            pending.add(pod_id)
             continue
-        total = used.setdefault(pod.assignment, [0, 0])
-        total[0] += pod.demand.cpu
-        total[1] += pod.demand.memory
+        total = used.setdefault(node_id, [0, 0])
+        total[0] += quantum.cpu
+        total[1] += quantum.memory
     return used, pending
 
 
@@ -93,8 +94,7 @@ def assert_load_matches_pods(cluster):
     assert {nid: node.used for nid, node in cluster.nodes.items()} == {
         nid: used.get(nid, [0, 0]) for nid in cluster.nodes
     }
-    assert cluster.pending.keys() == pending.keys()
-    assert all(cluster.pending[pid] is pod for pid, pod in pending.items())
+    assert cluster.pending == pending
 
 
 def snapshot(obj):

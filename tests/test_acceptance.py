@@ -264,7 +264,7 @@ def test_criterion_6_drain_atomicity():
                 break
         else:
             completed_count += 1
-            if any(p.assignment == node_id for p in cluster.pods.values()):
+            if node_id in cluster.pods.values():
                 problems.append(f"trial {trial}: pods still reference {node_id}")
                 break
             overfull = [
@@ -276,8 +276,8 @@ def test_criterion_6_drain_atomicity():
             if overfull:
                 problems.append(f"trial {trial}: capacity exceeded on {overfull}")
                 break
-            running_before = {p.id for p in before.pods.values() if p.assignment is not None}
-            running_after = {p.id for p in cluster.pods.values() if p.assignment is not None}
+            running_before = {pid for pid, nid in before.pods.items() if nid is not None}
+            running_after = {pid for pid, nid in cluster.pods.items() if nid is not None}
             if running_before != running_after:
                 problems.append(f"trial {trial}: running-pod set changed")
                 break

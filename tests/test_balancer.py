@@ -66,7 +66,7 @@ def test_provision_attaches_and_feeds_the_scheduler():
 
     target = make_cluster("b", [4000])
     fill(target, "b-n000", 4000)  # full
-    pending_pod(target, "waiting", 3000)
+    pending_pod(target, "waiting")
     assert place_pending(target) == []
 
     provision_node(target, node)
@@ -285,12 +285,12 @@ def test_infeasible_drain_moves_to_next_candidate():
     hot = make_cluster("a", [4000, 4000])
     fill(hot, "a-n000", 4000)
     fill(hot, "a-n001", 3000)  # 0.875 > 0.85
-    # Least-utilized candidate, but its drain victim carries a single pod
-    # larger than any sibling's free space, so the drain must abort.
-    stuck = make_cluster("b", [4000, 4000, 4000])
-    run_pod(stuck, "b-p0", "b-n000", 2100, 100)
-    run_pod(stuck, "b-p1", "b-n001", 2000, 100)
-    run_pod(stuck, "b-p2", "b-n002", 2100, 100)
+    # Least-utilized candidate, but its drain victim carries a pod larger
+    # than any sibling's free space, so the drain must abort.
+    stuck = make_cluster("b", [4000, 4000, 4000], quantum=(2100, 100))
+    run_pod(stuck, "b-p0", "b-n000")
+    run_pod(stuck, "b-p1", "b-n001")
+    run_pod(stuck, "b-p2", "b-n002")
     free = make_cluster("c", [4000, 4000, 4000])
     fill(free, "c-n000", 3300)
     fill(free, "c-n001", 3300)
@@ -301,9 +301,7 @@ def test_infeasible_drain_moves_to_next_candidate():
     assert outcomes[0].low_cluster == "c"
     assert outcomes[0].attempts == (("b", "DrainInfeasible"),)
     assert set(stuck.nodes) == {"b-n000", "b-n001", "b-n002"}
-    assert [stuck.nodes[nid].used for nid in sorted(stuck.nodes)] == [
-        [2100, 100], [2000, 100], [2100, 100]
-    ]
+    assert [stuck.nodes[nid].used for nid in sorted(stuck.nodes)] == [[2100, 100]] * 3
 
 
 def test_one_role_per_cluster_per_cycle():

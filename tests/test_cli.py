@@ -186,6 +186,24 @@ def test_a_list_field_that_is_not_an_array_is_a_scenario_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cluster_id", ["a,b", "a\nb", "a\rb"], ids=["comma", "lf", "cr"])
+def test_a_cluster_id_that_would_break_a_metrics_line_is_a_scenario_error(
+    tmp_path, capsys, cluster_id
+):
+    # metrics.csv writes the id as an unquoted cell, so such an id would make
+    # report reject the run's own artifacts.
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["clusters"][0]["id"] = doc["groups"][0]["members"][0] = cluster_id
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "scenario error: clusters[0].id: must not hold ',', '\\r' or '\\n', "
+        f"got {cluster_id!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_a_ticks_override_that_cuts_off_a_membership_change_is_a_scenario_error(
     tmp_path, capsys, command

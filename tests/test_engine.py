@@ -28,6 +28,7 @@ from nodebalancer.errors import InvariantViolation, ScenarioInvalid, SimulationA
 from helpers import (
     OVER_LONG_INT_JSON,
     TOO_DEEP_JSON,
+    fill,
     make_cluster,
     pending_pod,
     random_scenario,
@@ -566,25 +567,31 @@ def test_compare_on_a_single_cluster_is_a_wash():
 def _audited_world():
     """Two clusters the audit accepts, and the node multiset it expects."""
     manager = GroupManager()
-    for cluster in (make_cluster("a", [4000, 4000]), make_cluster("b", [4000])):
+    for cluster in (
+        make_cluster("a", [4000, 4000], quantum=(1000, 1280)),
+        make_cluster("b", [4000]),
+    ):
         manager.register_cluster(cluster)
-    run_pod(manager.clusters["a"], "other", "a-n000", 1000)
+    run_pod(manager.clusters["a"], "other", "a-n000")
     expected = Counter(nid for c in manager.clusters.values() for nid in c.nodes)
     _verify_world(manager, expected, tick=0)
     return manager, expected
 
 
 @pytest.mark.parametrize(
-    "cpu, memory",
+    "capacity",
     # Three pods over-commit one dimension only together, so leaving out any
     # pod's share of that dimension hides the violation.
-    [(1500, 100), (100, 3000)],
+    [(2999, 8192), (4000, 3839)],
     ids=["cpu", "memory"],
 )
-def test_audit_flags_an_over_committed_node(cpu, memory):
+def test_audit_flags_an_over_committed_node(capacity):
     manager, expected = _audited_world()
+    a = manager.clusters["a"]
     for pid in ("p0", "p1", "p2"):
-        run_pod(manager.clusters["a"], pid, "a-n001", cpu, memory)
+        run_pod(a, pid, "a-n001")
+    # used and the pods agree; only the capacity is too small for them.
+    a.nodes["a-n001"].capacity = ResourceVector(*capacity)
     with pytest.raises(InvariantViolation, match="tick 3: node 'a-n001' over capacity"):
         _verify_world(manager, expected, tick=3)
 
@@ -601,23 +608,29 @@ def test_audit_flags_a_node_held_by_two_clusters():
 
 def test_audit_accepts_nodes_that_over_commit_only_when_summed_together():
     manager, expected = _audited_world()
-    # Each node stays within capacity on both dimensions; their sum does not,
+    # Each node is full on both dimensions and no more; their sum is not,
     # which a cluster-wide or mis-keyed sum would flag.
-    run_pod(manager.clusters["a"], "p0", "a-n000", 3000, 5000)
-    run_pod(manager.clusters["a"], "p1", "a-n001", 4000, 8192)
+    a = manager.clusters["a"]
+    fill(a, "a-n000", 3000)
+    fill(a, "a-n001", 4000)
+    assert [node.used for node in a.nodes.values()] == [[4000, 5120], [4000, 5120]]
+    for node in a.nodes.values():
+        node.capacity = ResourceVector(4000, 5120)
     _verify_world(manager, expected, tick=3)
 
 
 def test_audit_flags_a_pod_on_a_node_its_cluster_does_not_host():
     manager, expected = _audited_world()
     a, b = manager.clusters["a"], manager.clusters["b"]
-    run_pod(a, "x", "a-n001", 100)
-    # The node moves to the other cluster with its pod still bound to it, which
+    run_pod(a, "x", "a-n001")
+    run_pod(a, "y", "a-n001")
+    # The node moves to the other cluster with its pods still bound to it, which
     # the model's own methods refuse but a direct store does not.
     node = a.nodes.pop("a-n001")
     b.nodes["a-n001"] = node
     with pytest.raises(
-        InvariantViolation, match="tick 3: pod 'x' assigned to missing node 'a-n001'"
+        InvariantViolation,
+        match="tick 3: 2 pod\\(s\\) of cluster 'a' assigned to missing node 'a-n001'",
     ):
         _verify_world(manager, expected, tick=3)
 
@@ -645,12 +658,13 @@ def test_audit_flags_an_extra_node():
 
 
 def _corrupt_pending(cluster):
-    cluster.pending.pop("waiting")
+    cluster.pending.discard("waiting")
 
 
-def _corrupt_pending_object(cluster):
-    # An equal copy is not the pod the cluster holds.
-    cluster.pending["waiting"] = dataclasses.replace(cluster.pending["waiting"])
+def _corrupt_pending_with_a_running_id(cluster):
+    # Same size as the Pending pods, so only a check of the ids sees it.
+    cluster.pending.discard("waiting")
+    cluster.pending.add("other")
 
 
 def _corrupt_used(cluster):
@@ -661,18 +675,19 @@ def _corrupt_used(cluster):
     "corrupt, message",
     # Each corrupts one field only; every other field still matches the pods.
     [
-        (_corrupt_pending, r"cluster 'a' 'pending' does not hold exactly the Pending pod "
-                           r"objects: it has \[\], the pods \['waiting'\]"),
-        (_corrupt_pending_object, r"cluster 'a' 'pending' does not hold exactly the Pending "
-                                  r"pod objects: it has \['waiting'\], the pods \['waiting'\]"),
+        (_corrupt_pending, r"cluster 'a' 'pending' does not hold exactly the Pending pods: "
+                           r"it has \[\], the pods \['waiting'\]"),
+        (_corrupt_pending_with_a_running_id,
+         r"cluster 'a' 'pending' does not hold exactly the Pending pods: "
+         r"it has \['other'\], the pods \['waiting'\]"),
         (_corrupt_used, r"node 'a-n000' 'used' holds \[1000, 1281\], "
-                        r"but its pods sum to \[1000, 1280\]"),
+                        r"but its 1 pod\(s\) sum to \[1000, 1280\]"),
     ],
-    ids=["pending", "pending-object", "used"],
+    ids=["pending", "pending-running-id", "used"],
 )
 def test_audit_flags_a_ledger_field_drifting_from_the_pods(corrupt, message):
     manager, expected = _audited_world()
-    pending_pod(manager.clusters["a"], "waiting", 500)
+    pending_pod(manager.clusters["a"], "waiting")
     _verify_world(manager, expected, tick=3)
     corrupt(manager.clusters["a"])
     with pytest.raises(InvariantViolation, match=r"^tick 3: " + message + "$"):
@@ -680,20 +695,20 @@ def test_audit_flags_a_ledger_field_drifting_from_the_pods(corrupt, message):
 
 
 def test_tick_record_counts_and_sums_only_pending_pods():
-    cluster = make_cluster("a", [4000, 4000])
-    run_pod(cluster, "r0", "a-n000", 1000, 512)
-    run_pod(cluster, "r1", "a-n001", 600, 4096)
-    # Each Pending pod has its own cpu:memory ratio, so a swapped dimension
-    # changes the backlog.
-    for pid, cpu, memory in (("p0", 300, 100), ("p1", 200, 700), ("p2", 900, 50)):
-        pending_pod(cluster, pid, cpu, memory)
+    # An uneven cpu:memory quantum, so a swapped dimension changes the backlog.
+    cluster = make_cluster("a", [4000, 4000], quantum=(300, 100))
+    run_pod(cluster, "r0", "a-n000")
+    run_pod(cluster, "r1", "a-n001")
+    run_pod(cluster, "r2", "a-n001")
+    for pid in ("p0", "p1", "p2"):
+        pending_pod(cluster, pid)
     assert _tick_record(5, cluster) == TickRecord(
         tick=5,
         cluster_id="a",
-        u_cpu=1600 / 8000,
-        u_mem=4608 / 16384,
-        u=4608 / 16384,
+        u_cpu=900 / 8000,
+        u_mem=300 / 16384,
+        u=900 / 8000,
         active_nodes=2,
         pending_pods=3,
-        pending_demand=ResourceVector(1400, 850),
+        pending_demand=ResourceVector(900, 300),
     )

@@ -197,7 +197,7 @@ def test_forced_recall_parks_displaced_pods():
     assert len(displaced) == 30
     assert all(host == "a" for _, host in report.pending_pods)
     for pod_id in displaced:
-        assert a.pods[pod_id].assignment is None
+        assert a.pods[pod_id] is None
     assert set(b.nodes) == set(b.original_node_ids)
 
 
@@ -212,10 +212,10 @@ def test_displaced_pods_are_reported_in_ascending_id():
     _lend(manager, "b", "b-n001", "a")
     fill(a, "a-n000", 4000)
     fill(a, "a-n001", 4000)
-    # Insertion order c, a, b; placement order b, a, c; id order a, b, c.
-    run_pod(a, "pod-c", "b-n001", 100)
-    run_pod(a, "pod-a", "b-n001", 200)
-    run_pod(a, "pod-b", "b-n001", 300)
+    # Insertion order c, a, b; id order a, b, c.
+    run_pod(a, "pod-c", "b-n001")
+    run_pod(a, "pod-a", "b-n001")
+    run_pod(a, "pod-b", "b-n001")
 
     report = manager.remove_cluster("g", "b")
     expected = (("pod-a", "a"), ("pod-b", "a"), ("pod-c", "a"))
@@ -322,7 +322,7 @@ def test_exit_leaves_every_member_a_node_of_its_own():
     # New pods fill nodes in id order, so x's whole load lands on l-n000.
     load(x, 0, 1)
     load(x, 2000, 2)
-    assert {pod.assignment for pod in x.pods.values()} == {"l-n000"}
+    assert set(x.pods.values()) == {"l-n000"}
 
     load(y, 7600, 1)
     rebalance_cycle(group, manager.clusters)

@@ -8,7 +8,6 @@ import pytest
 from nodebalancer import (
     Cluster,
     Node,
-    Pod,
     RebalanceEvent,
     ResourceVector,
     TickRecord,
@@ -86,8 +85,8 @@ def test_empty_cluster_utilization_is_zero():
 
 
 def test_utilization_simple_ratio():
-    cluster = make_cluster("a", [1000], memory=1000)
-    run_pod(cluster, "p0", "a-n000", 500, 250)
+    cluster = make_cluster("a", [1000], memory=1000, quantum=(500, 250))
+    run_pod(cluster, "p0", "a-n000")
     util = cluster_utilization(cluster)
     assert util.u_cpu == pytest.approx(0.5, abs=1e-9)
     assert util.u_mem == pytest.approx(0.25, abs=1e-9)
@@ -95,8 +94,8 @@ def test_utilization_simple_ratio():
 
 
 def test_utilization_is_max_of_dimensions():
-    cluster = make_cluster("a", [1000], memory=1000)
-    run_pod(cluster, "p0", "a-n000", 300, 600)
+    cluster = make_cluster("a", [1000], memory=1000, quantum=(300, 600))
+    run_pod(cluster, "p0", "a-n000")
     util = cluster_utilization(cluster)
     assert util.u == pytest.approx(0.6, abs=1e-9)
     assert util.u == util.u_mem
@@ -104,11 +103,11 @@ def test_utilization_is_max_of_dimensions():
 
 def test_utilization_sums_across_nodes():
     # 70 pods of 100m over three 4000m nodes; checked against raw sums.
-    cluster = make_cluster("a", [4000, 4000, 4000])
+    cluster = make_cluster("a", [4000, 4000, 4000], quantum=(100, 96))
     for i in range(70):
-        run_pod(cluster, f"p{i:03d}", f"a-n{i % 3:03d}", 100, 96)
-    total_cpu = sum(p.demand.cpu for p in cluster.pods.values())
-    total_mem = sum(p.demand.memory for p in cluster.pods.values())
+        run_pod(cluster, f"p{i:03d}", f"a-n{i % 3:03d}")
+    total_cpu = 100 * len(cluster.pods)
+    total_mem = 96 * len(cluster.pods)
     cap_cpu = sum(n.capacity.cpu for n in cluster.nodes.values())
     cap_mem = sum(n.capacity.memory for n in cluster.nodes.values())
     util = cluster_utilization(cluster)
@@ -118,19 +117,19 @@ def test_utilization_sums_across_nodes():
 
 
 def test_pending_pods_do_not_count_as_demand():
-    cluster = make_cluster("a", [1000], memory=100000)
-    run_pod(cluster, "p0", "a-n000", 500)
-    pending_pod(cluster, "p1", 5000)
+    cluster = make_cluster("a", [1000], memory=100000, quantum=(500, 640))
+    run_pod(cluster, "p0", "a-n000")
+    pending_pod(cluster, "p1")
+    pending_pod(cluster, "p2")
     assert cluster_utilization(cluster).u == pytest.approx(0.5, abs=1e-9)
-    assert [pod.id for pod in cluster.pending_pods()] == ["p1"]
-    assert cluster.pending["p1"].demand.cpu == 5000
+    assert cluster.pending == {"p1", "p2"}
     assert node_demand(cluster, "a-n000").cpu == 500
     assert cluster.nodes["a-n000"].used == [500, 640]
 
 
 def test_only_active_nodes_provide_capacity():
-    cluster = make_cluster("a", [1000, 1000], memory=4096)
-    run_pod(cluster, "p0", "a-n000", 500)
+    cluster = make_cluster("a", [1000, 1000], memory=4096, quantum=(500, 640))
+    run_pod(cluster, "p0", "a-n000")
     assert cluster_utilization(cluster).u_cpu == pytest.approx(0.25, abs=1e-9)
     del cluster.nodes["a-n001"]  # a node leaves with its capacity
     assert cluster_utilization(cluster).u_cpu == pytest.approx(0.5, abs=1e-9)
@@ -144,8 +143,8 @@ def test_zero_capacity_is_an_error():
 
 
 def test_node_utilization_value_and_errors():
-    cluster = make_cluster("a", [1000, 1000], memory=1000)
-    run_pod(cluster, "p0", "a-n000", 300, 600)
+    cluster = make_cluster("a", [1000, 1000], memory=1000, quantum=(300, 600))
+    run_pod(cluster, "p0", "a-n000")
     node = cluster.nodes["a-n000"]
     assert node_utilization(node, cluster) == pytest.approx(0.6, abs=1e-9)
 
@@ -155,9 +154,9 @@ def test_node_utilization_value_and_errors():
 
 
 def test_node_and_free_accounting():
-    cluster = make_cluster("a", [1000], memory=1000)
-    run_pod(cluster, "p0", "a-n000", 300, 200)
-    run_pod(cluster, "p1", "a-n000", 100, 100)
+    cluster = make_cluster("a", [1000], memory=1000, quantum=(200, 150))
+    run_pod(cluster, "p0", "a-n000")
+    run_pod(cluster, "p1", "a-n000")
     demand = node_demand(cluster, "a-n000")
     assert demand == ResourceVector(400, 300)
     assert cluster.nodes["a-n000"].used == [400, 300]
@@ -172,13 +171,13 @@ def test_scale_consistency():
     for _ in range(50):
         cpu = rng.randrange(100, 2000, 100)
         mem = rng.randrange(128, 4096, 128)
-        base = make_cluster("a", [2000], memory=4096)
-        run_pod(base, "p0", "a-n000", cpu, mem)
+        base = make_cluster("a", [2000], memory=4096, quantum=(cpu, mem))
+        run_pod(base, "p0", "a-n000")
         base_u = cluster_utilization(base)
         for k in (2, 3, 7):
-            scaled = make_cluster("b", [2000] * k, memory=4096)
+            scaled = make_cluster("b", [2000] * k, memory=4096, quantum=(cpu, mem))
             for i in range(k):
-                run_pod(scaled, f"p{i}", f"b-n{i:03d}", cpu, mem)
+                run_pod(scaled, f"p{i}", f"b-n{i:03d}")
             scaled_u = cluster_utilization(scaled)
             assert scaled_u.u == pytest.approx(base_u.u, abs=1e-9)
             assert scaled_u.u_cpu == pytest.approx(base_u.u_cpu, abs=1e-9)
@@ -189,8 +188,9 @@ def test_losing_an_idle_node_raises_utilization():
     rng = random.Random(202)
     for _ in range(50):
         nodes = rng.randint(2, 5)
-        cluster = make_cluster("a", [2000] * nodes, memory=4096)
-        run_pod(cluster, "p0", "a-n000", rng.randrange(100, 2000, 100))
+        quantum = (rng.randrange(100, 2000, 100), 128)
+        cluster = make_cluster("a", [2000] * nodes, memory=4096, quantum=quantum)
+        run_pod(cluster, "p0", "a-n000")
         before = cluster_utilization(cluster).u
         del cluster.nodes[f"a-n{nodes - 1:03d}"]  # capacity shrinks, demand fixed
         assert cluster_utilization(cluster).u > before
@@ -199,9 +199,13 @@ def test_losing_an_idle_node_raises_utilization():
 def test_node_utilization_never_exceeds_one_for_scheduled_pods():
     rng = random.Random(303)
     for _ in range(30):
-        cluster = make_cluster("a", [rng.choice([1000, 2000, 4000]) for _ in range(3)])
+        cluster = make_cluster(
+            "a",
+            [rng.choice([1000, 2000, 4000]) for _ in range(3)],
+            quantum=(rng.randrange(100, 1200, 100), 128),
+        )
         for i in range(rng.randint(0, 40)):
-            pending_pod(cluster, f"p{i:03d}", rng.randrange(100, 1200, 100))
+            pending_pod(cluster, f"p{i:03d}")
         place_pending(cluster)
         for node in cluster.active_nodes():
             assert node_utilization(node, cluster) <= 1.0 + 1e-12
@@ -226,42 +230,43 @@ def test_ledger_matches_a_recompute_from_the_pods():
 
 def test_pods_are_a_read_only_view():
     cluster = make_cluster("a", [1000])
-    pod = pending_pod(cluster, "p0", 100)
+    pending_pod(cluster, "p0")
     with pytest.raises(TypeError):
-        cluster.pods["x"] = pod
+        cluster.pods["x"] = None
     with pytest.raises(TypeError):
         del cluster.pods["p0"]
-    assert dict(cluster.pods) == {"p0": pod}
+    assert dict(cluster.pods) == {"p0": None}
     assert_load_matches_pods(cluster)
 
 
 def test_mutation_api_keeps_the_ledger():
-    cluster = make_cluster("a", [1000, 1000], memory=1000)
-    run_pod(cluster, "r0", "a-n000", 300, 200)
-    pending_pod(cluster, "p0", 200, 100)
+    cluster = make_cluster("a", [1000, 1000], memory=1000, quantum=(300, 200))
+    run_pod(cluster, "r0", "a-n000")
+    pending_pod(cluster, "p0")
     cluster.bind("p0", "a-n001")
     cluster.bind("r0", "a-n001")  # a drain's move: Running to Running
-    assert [node.used for node in cluster.nodes.values()] == [[0, 0], [500, 300]]
+    assert [node.used for node in cluster.nodes.values()] == [[0, 0], [600, 400]]
     cluster.unbind("p0")
-    assert cluster.pending_pods() == [cluster.pods["p0"]]
+    assert cluster.pending == {"p0"}
     with pytest.raises(ValueError, match="'p0' is not bound"):
         cluster.unbind("p0")
-    # A second pod under a held id is refused; the held pod and the loads stay.
-    held = cluster.pods["r0"]
+    # New pods under a held id are refused, all of them; the pods and loads stay.
     with pytest.raises(ValueError, match="cluster 'a' already holds a pod 'r0'"):
-        cluster.add_pod(Pod(id="r0", demand=rv(100, 50)))
-    assert cluster.pods["r0"] is held
-    assert cluster.nodes["a-n001"].used == [300, 200] and list(cluster.pending) == ["p0"]
+        cluster.add_pods(["x0", "r0"])
+    assert dict(cluster.pods) == {"r0": "a-n001", "p0": None}
+    assert cluster.nodes["a-n001"].used == [300, 200] and cluster.pending == {"p0"}
     assert_load_matches_pods(cluster)
-    assert cluster.delete_pod("p0").id == "p0"
-    assert cluster.delete_pod("r0").id == "r0"
-    assert not cluster.pods and cluster.pending == {}
+    cluster.add_pods(["x0", "x1"])
+    assert list(cluster.pods) == ["r0", "p0", "x0", "x1"]  # creation order
+    assert cluster.pending == {"p0", "x0", "x1"}
+    assert [cluster.pop_newest() for _ in range(4)] == ["x1", "x0", "p0", "r0"]
+    assert not cluster.pods and cluster.pending == set()
     assert all(node.used == [0, 0] for node in cluster.nodes.values())
     assert_load_matches_pods(cluster)
 
 
 def _loads(cluster):
-    return dict(cluster.pods), dict(cluster.pending), {
+    return dict(cluster.pods), set(cluster.pending), {
         node_id: list(node.used) for node_id, node in cluster.nodes.items()
     }
 
@@ -271,33 +276,28 @@ def _loads(cluster):
     [
         lambda cluster: cluster.bind("p0", "b-n000"),
         lambda cluster: cluster.bind("r0", "b-n000"),
-        lambda cluster: cluster.add_pod(Pod(id="r1", demand=rv(100), assignment="b-n000")),
     ],
-    ids=["bind-pending", "bind-running", "add-running"],
+    ids=["bind-pending", "bind-running"],
 )
 def test_an_unhosted_node_is_refused_before_any_change(act):
     cluster = make_cluster("a", [1000, 1000])
-    run_pod(cluster, "r0", "a-n000", 300)
-    pending_pod(cluster, "p0", 200)
+    run_pod(cluster, "r0", "a-n000")
+    pending_pod(cluster, "p0")
     before = _loads(cluster)
     with pytest.raises(KeyError, match="cluster 'a' does not host a node 'b-n000'"):
         act(cluster)
     assert _loads(cluster) == before
-    assert cluster.pods["r0"].assignment == "a-n000" and cluster.pods["p0"].assignment is None
+    assert dict(cluster.pods) == {"r0": "a-n000", "p0": None}
     assert_load_matches_pods(cluster)
 
 
 def _mixed_cluster():
-    """Two nodes with Running pods, one Pending pod too large for either."""
-    cluster = make_cluster("a", [1000, 1000])
-    run_pod(cluster, "r0", "a-n000", 600)
-    run_pod(cluster, "r1", "a-n001", 300)
-    pending_pod(cluster, "big", 1500)
+    """Two nodes with a Running pod each, one Pending pod that fits neither."""
+    cluster = make_cluster("a", [1000, 1000], quantum=(600, 128))
+    run_pod(cluster, "r0", "a-n000")
+    run_pod(cluster, "r1", "a-n001")
+    pending_pod(cluster, "wait")
     return cluster
-
-
-def _assignments(cluster):
-    return {pid: pod.assignment for pid, pod in cluster.pods.items()}
 
 
 @pytest.mark.parametrize(
@@ -308,16 +308,16 @@ def _assignments(cluster):
 def test_slotted_records_survive_deepcopy_and_pickle(clone):
     cluster = _mixed_cluster()
     twin = clone(cluster)
-    assert dict(twin.pods) == dict(cluster.pods)
-    assert _assignments(twin) == {"r0": "a-n000", "r1": "a-n001", "big": None}
-    # The twin's pending map holds the twin's own pod objects, not the originals.
-    assert twin.pods["big"] is not cluster.pods["big"]
+    assert dict(twin.pods) == {"r0": "a-n000", "r1": "a-n001", "wait": None}
+    assert twin.quantum == cluster.quantum
     assert_load_matches_pods(twin)
     assert twin.pending == cluster.pending and twin.nodes == cluster.nodes
+    # The twin's pod column and pending set are its own, not the originals.
+    twin.unbind("r0")
+    assert cluster.pods["r0"] == "a-n000" and cluster.pending == {"wait"}
     assert twin.nodes["a-n000"].used is not cluster.nodes["a-n000"].used
-    for slotted in (twin.pods["big"], twin.nodes["a-n000"]):
-        with pytest.raises(AttributeError):
-            slotted.note = "slotted records take no new attributes"
+    with pytest.raises(AttributeError):
+        twin.nodes["a-n000"].note = "slotted records take no new attributes"
     records = (
         cluster_utilization(cluster),
         TickRecord(1, "a", 0.45, 0.45, 0.45, 2, 1, rv(1500)),
@@ -329,14 +329,12 @@ def test_slotted_records_survive_deepcopy_and_pickle(clone):
 def test_pod_state_follows_bind_unbind_and_forced_drains():
     cluster = _mixed_cluster()
     cluster.unbind("r1")
-    assert _assignments(cluster) == {"r0": "a-n000", "r1": None, "big": None}
-    cluster.bind("r1", "a-n000")
-    assert _assignments(cluster) == {"r0": "a-n000", "r1": "a-n000", "big": None}
-    run_pod(cluster, "r2", "a-n001", 700)
-    # a-n001 has room for r1 (300m) but not r0 (600m): one moves, one waits.
+    assert dict(cluster.pods) == {"r0": "a-n000", "r1": None, "wait": None}
+    cluster.bind("r1", "a-n001")
+    assert dict(cluster.pods) == {"r0": "a-n000", "r1": "a-n001", "wait": None}
+    # a-n001 has no room for a second 600m pod, so r0 waits.
     drain = drain_node(cluster, "a-n000", force=True)
     assert drain.pending == ("r0",)
-    assert cluster.pods["r1"].assignment == "a-n001"
-    assert _assignments(cluster) == {"r0": None, "r1": "a-n001", "big": None, "r2": "a-n001"}
+    assert dict(cluster.pods) == {"r0": None, "r1": "a-n001", "wait": None}
+    assert cluster.pending == {"r0", "wait"}
     assert_load_matches_pods(cluster)
-

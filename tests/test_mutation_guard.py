@@ -1,8 +1,9 @@
-"""Pods change only through Cluster.add_pod, delete_pod, bind and unbind,
-which keep each node's used and the cluster's pending map in step with the
-pods. These tests parse the package and fail if any module but model.py
-writes a pod's assignment, the pod map, used or pending directly, which
-would leave them stale until the next audit.
+"""Pods change only through Cluster.add_pods, pop_newest, bind and unbind,
+which keep each node's used and the cluster's pending set in step with the
+pod column. These tests parse the package and fail if any module but
+model.py stores into .pods, .used or .pending, calls a mutating method on
+one of them, or touches the column's private dict ._pods at all: any of
+those would leave the others stale until the next audit.
 
 A node moves between clusters only through the scheduler's drain, which
 detaches it, and the balancer's provision, which attaches it. Any other
@@ -13,7 +14,14 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nodebalancer"
-POD_LOAD = frozenset({"used", "pending"})  # Node.used and Cluster.pending
+POD_FACTS = frozenset({"pods", "used", "pending"})  # Cluster.pods, Node.used, Cluster.pending
+MUTATORS = frozenset(
+    {
+        "add", "append", "clear", "difference_update", "discard", "extend", "insert",
+        "intersection_update", "pop", "popitem", "remove", "reverse", "setdefault",
+        "sort", "symmetric_difference_update", "update",
+    }
+)
 HOSTING = frozenset({"scheduler.py", "balancer.py"})  # the detach and the attach
 
 
@@ -45,11 +53,29 @@ def _attributes(target):
     return names
 
 
+def _column_changes(node):
+    """Why the node changes a pod fact or touches ._pods, or None."""
+    if isinstance(node, ast.Attribute) and node.attr == "_pods":
+        return "touches ._pods"
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in MUTATORS
+        and not POD_FACTS.isdisjoint(_attributes(node.func.value))
+    ):
+        return f"calls .{node.func.attr}() on .pods, .used or .pending"
+    return None
+
+
 def bypasses(source: str, filename: str) -> list[str]:
-    """Every store in the source that changes pods, their load or a node's
-    host outside the module that owns it."""
+    """Every store or call in the source that changes pods, their load or a
+    node's host outside the module that owns it."""
     found = []
     for node in ast.walk(ast.parse(source, filename)):
+        if filename != "model.py":
+            why = _column_changes(node)
+            if why is not None:
+                found.append((node.lineno, why))
         for target, value in _stores(node):
             if (
                 isinstance(target, ast.Subscript)
@@ -61,20 +87,12 @@ def bypasses(source: str, filename: str) -> list[str]:
                 why = "stores into .nodes[...]"
             elif filename == "model.py":
                 continue
-            elif isinstance(target, ast.Attribute) and target.attr == "assignment":
-                why = "assigns .assignment"
-            elif (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Attribute)
-                and target.value.attr == "pods"
-            ):
-                why = "stores into .pods[...]"
-            elif not POD_LOAD.isdisjoint(_attributes(target)):
-                why = "writes .used or .pending directly"
+            elif not POD_FACTS.isdisjoint(_attributes(target)):
+                why = "stores into .pods, .used or .pending"
             else:
                 continue
-            found.append(f"{filename}:{node.lineno}: {why}")
-    return found
+            found.append((node.lineno, why))
+    return [f"{filename}:{line}: {why}" for line, why in sorted(found)]
 
 
 def test_only_the_model_changes_pods_or_the_ledger():
@@ -91,58 +109,67 @@ def test_only_the_model_changes_pods_or_the_ledger():
 def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
     bad = "\n".join(
         [
-            "pod.assignment = node_id",
-            "pod.demand, pod.assignment = quantum, None",
-            "cluster.pods[pod.id] = pod",
-            "del cluster.pods[pod.id]",
+            "cluster.pods[pod_id] = node_id",
+            "del cluster.pods[pod_id]",
+            "cluster._pods.popitem()",
+            "node_id = cluster._pods[pod_id]",
             "node.used[0] -= 1",
             "cluster.nodes[n].used = [0, 0]",
-            "cluster.pending[p.id] = p",
-            "del cluster.pending[p.id]",
+            "cluster.pending.add(pod_id)",
+            "cluster.pending.discard(pod_id)",
+            "cluster.pending = set()",
+            "cluster.nodes[n].used.clear()",
             "cluster.nodes[n] = node",
             "del host.nodes[n]",
             "host.nodes[n], node.used = node, [0, 0]",
         ]
     )
     assert bypasses(bad, "bad.py") == [
-        "bad.py:1: assigns .assignment",
-        "bad.py:2: assigns .assignment",
-        "bad.py:3: stores into .pods[...]",
-        "bad.py:4: stores into .pods[...]",
-        "bad.py:5: writes .used or .pending directly",
-        "bad.py:6: writes .used or .pending directly",
-        "bad.py:7: writes .used or .pending directly",
-        "bad.py:8: writes .used or .pending directly",
-        "bad.py:9: stores into .nodes[...]",
-        "bad.py:10: stores into .nodes[...]",
+        "bad.py:1: stores into .pods, .used or .pending",
+        "bad.py:2: stores into .pods, .used or .pending",
+        "bad.py:3: touches ._pods",
+        "bad.py:4: touches ._pods",
+        "bad.py:5: stores into .pods, .used or .pending",
+        "bad.py:6: stores into .pods, .used or .pending",
+        "bad.py:7: calls .add() on .pods, .used or .pending",
+        "bad.py:8: calls .discard() on .pods, .used or .pending",
+        "bad.py:9: stores into .pods, .used or .pending",
+        "bad.py:10: calls .clear() on .pods, .used or .pending",
         "bad.py:11: stores into .nodes[...]",
-        "bad.py:11: writes .used or .pending directly",
+        "bad.py:12: stores into .nodes[...]",
+        "bad.py:13: stores into .nodes[...]",
+        "bad.py:13: stores into .pods, .used or .pending",
     ]
     clean = "\n".join(
         [
-            "running = pod.assignment is not None",
+            "running = cluster.pods[pod_id] is not None",
+            "counts = Counter(cluster.pods.values())",
             "node = cluster.nodes[node_id]",
             "nodes[node_id] = Node(id=node_id, capacity=capacity, origin_cluster=cluster_id)",
             "used = {node_id: [0, 0] for node_id in cluster.nodes}",
-            "used[node_id][0] += demand.cpu",
+            "used[node_id][0] += quantum.cpu",
             "pending = []",
+            "pending.extend(outcome.pending)",
             "cpu, memory = node.used",
-            "waiting = cluster.pending[pod_id]",
+            "waiting = sorted(cluster.pending)",
             "pods = dict(cluster.pods)",
-            "pods[pod.id] = pod",
+            "pods[pod_id] = node_id",
+            "cluster.add_pods(created)",
+            "cluster.bind(pod_id, node_id)",
         ]
     )
     assert bypasses(clean, "clean.py") == []
     # Each owner may make its own stores, and only those.
     assert bypasses("del cluster.nodes[node_id]", "scheduler.py") == []
     assert bypasses("cluster.nodes[node.id] = node", "balancer.py") == []
-    assert bypasses("pod.assignment = node_id", "model.py") == []
+    assert bypasses("self._pods[pod_id] = node_id", "model.py") == []
+    assert bypasses("self.pending.remove(pod_id)", "model.py") == []
     assert bypasses("del self.nodes[node_id]", "model.py") == [
         "model.py:1: stores into .nodes[...]"
     ]
     assert bypasses("host.nodes[node.id] = node", "groups.py") == [
         "groups.py:1: stores into .nodes[...]"
     ]
-    assert bypasses("pod.assignment = node_id", "balancer.py") == [
-        "balancer.py:1: assigns .assignment"
+    assert bypasses("cluster.pending.add(pod_id)", "balancer.py") == [
+        "balancer.py:1: calls .add() on .pods, .used or .pending"
     ]

@@ -13,9 +13,9 @@ def _world(loads, memory=100000):
     clusters = {}
     for i, load in enumerate(loads):
         cid = f"c{i}"
-        cluster = make_cluster(cid, [1000], memory=memory)
+        cluster = make_cluster(cid, [1000], memory=memory, quantum=(load or 100, 1))
         if load:
-            run_pod(cluster, f"{cid}-p0", f"{cid}-n000", load, 1)
+            run_pod(cluster, f"{cid}-p0", f"{cid}-n000")
         clusters[cid] = cluster
     return clusters
 

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodebalancer import (
+    ConstantTrace,
     EventKind,
     EventRecorder,
+    ResourceVector,
+    apply_workload,
     drain_node,
     place_pending,
 )
@@ -16,10 +20,10 @@ from helpers import ffd_oracle, fill, make_cluster, pending_pod, run_pod, snapsh
 
 
 def test_place_single_pod_on_first_node():
-    cluster = make_cluster("a", [4000, 4000])
-    pending_pod(cluster, "p0", 500)
+    cluster = make_cluster("a", [4000, 4000], quantum=(500, 640))
+    pending_pod(cluster, "p0")
     assert place_pending(cluster) == [("p0", "a-n000")]
-    assert cluster.pods["p0"].assignment == "a-n000"
+    assert cluster.pods["p0"] == "a-n000"
 
 
 def test_place_with_no_pending_is_a_no_op():
@@ -28,17 +32,17 @@ def test_place_with_no_pending_is_a_no_op():
 
 
 def test_placement_with_nothing_pending_builds_no_demand_map(monkeypatch):
-    def no_plan(pods, nodes):
-        raise RuntimeError(f"plan built for {[pod.id for pod in pods]}")
+    def no_plan(pod_ids, nodes, quantum):
+        raise RuntimeError(f"plan built for {pod_ids}")
 
-    monkeypatch.setattr(scheduler, "_plan", no_plan)
+    monkeypatch.setattr(scheduler, "_fill", no_plan)
     running = make_cluster("a", [4000, 4000])
-    run_pod(running, "r0", "a-n000", 1000)
-    run_pod(running, "r1", "a-n001", 500)
+    run_pod(running, "r0", "a-n000")
+    run_pod(running, "r1", "a-n001")
     assert place_pending(running) == []
 
     waiting = make_cluster("b", [4000])
-    pending_pod(waiting, "p0", 500)
+    pending_pod(waiting, "p0")
     with pytest.raises(RuntimeError, match=r"plan built for \['p0'\]"):
         place_pending(waiting)
     monkeypatch.undo()
@@ -46,67 +50,109 @@ def test_placement_with_nothing_pending_builds_no_demand_map(monkeypatch):
 
 
 def test_oversized_pod_stays_pending():
-    cluster = make_cluster("a", [1000])
-    pending_pod(cluster, "p0", 1500)
+    cluster = make_cluster("a", [1000], quantum=(1500, 128))
+    pending_pod(cluster, "p0")
     assert place_pending(cluster) == []
-    assert cluster.pods["p0"].assignment is None
+    assert cluster.pods["p0"] is None
 
 
 def test_first_fit_decreasing_order():
-    # Two nodes with 1000m free each; 900 fills n000, 600 must open n001,
-    # and the 500 then fits nowhere (frees are 100 and 400).
-    cluster = make_cluster("a", [1000, 1000], memory=8192)
-    pending_pod(cluster, "p-big", 900, 128)
-    pending_pod(cluster, "p-mid", 600, 128)
-    pending_pod(cluster, "p-small", 500, 128)
-    placements = place_pending(cluster)
-    assert placements == [("p-big", "a-n000"), ("p-mid", "a-n001")]
-    assert cluster.pods["p-small"].assignment is None
+    # Free cpu is 200, 900 and 1000: the first node fits no 300m pod, the
+    # second fits three before the third node opens, and the last pod waits.
+    cluster = make_cluster("b", [200, 900, 1000], quantum=(300, 128))
+    for i in range(7):
+        pending_pod(cluster, f"p{i}")
+    assert place_pending(cluster) == [
+        ("p0", "b-n001"), ("p1", "b-n001"), ("p2", "b-n001"),
+        ("p3", "b-n002"), ("p4", "b-n002"), ("p5", "b-n002"),
+    ]
+    assert cluster.pending == {"p6"}
     remaining = [n.capacity.cpu - node_demand(cluster, n.id).cpu for n in cluster.active_nodes()]
-    assert all(free < 500 for free in remaining)
+    assert remaining == [200, 0, 100]
 
 
 def test_placement_tie_breaks():
-    # Equal cpu: higher memory goes first; equal both: ascending pod id.
-    cluster = make_cluster("a", [1000], memory=8192)
-    pending_pod(cluster, "zz", 500, 400)
-    pending_pod(cluster, "aa", 500, 200)
-    placements = place_pending(cluster)
-    assert placements == [("zz", "a-n000"), ("aa", "a-n000")]
-
-    cluster = make_cluster("b", [600], memory=8192)
-    pending_pod(cluster, "q2", 500, 200)
-    pending_pod(cluster, "q1", 500, 200)
+    # Identical pods go in ascending id-string order, whatever their age.
+    cluster = make_cluster("b", [600], quantum=(500, 200))
+    pending_pod(cluster, "q2")
+    pending_pod(cluster, "q1")
     assert place_pending(cluster) == [("q1", "b-n000")]
 
 
+def test_pending_order_is_the_id_string_order_not_creation_order():
+    # 10,001 pods of (1, 1) for 10,000 slots. In id-string order
+    # "a-p00000-10000" sorts right after "a-p00000-1000", so the last pod
+    # created runs on the second node and "a-p00000-9999" is the one left
+    # Pending. Creation order would leave "a-p00000-10000" Pending instead.
+    cluster = make_cluster("a", [1000] * 10, quantum=(1, 1))
+    apply_workload(cluster, ConstantTrace(level=10_001, pod_quantum=ResourceVector(1, 1)), 0)
+    assert len(place_pending(cluster)) == 10_000
+    assert cluster.pending == {"a-p00000-9999"}
+    assert cluster.pods["a-p00000-10000"] == "a-n001"
+
+
 def test_memory_dimension_also_binds():
-    cluster = make_cluster("a", [4000], memory=256)
-    pending_pod(cluster, "p0", 100, 200)
-    pending_pod(cluster, "p1", 100, 200)
+    cluster = make_cluster("a", [4000], memory=256, quantum=(100, 200))
+    pending_pod(cluster, "p0")
+    pending_pod(cluster, "p1")
     assert place_pending(cluster) == [("p0", "a-n000")]
-    assert cluster.pods["p1"].assignment is None
+    assert cluster.pods["p1"] is None
 
 
-def test_matches_reference_ffd_on_random_inputs():
-    rng = random.Random(404)
-    for _ in range(200):
-        node_count = rng.randint(1, 5)
-        cpus = [rng.choice([1000, 2000, 4000]) for _ in range(node_count)]
-        cluster = make_cluster("a", cpus, memory=rng.choice([2048, 8192]))
-        pods = []
-        for i in range(rng.randint(0, 25)):
-            cpu = rng.randrange(50, 1500, 50)
-            mem = rng.randrange(64, 2048, 64)
-            pending_pod(cluster, f"p{i:03d}", cpu, mem)
-            pods.append((f"p{i:03d}", cpu, mem))
-        slots = [(n.id, n.capacity.cpu, n.capacity.memory) for n in cluster.active_nodes()]
-        expected_placed, expected_unplaced = ffd_oracle(pods, slots)
+_QUANTA = st.tuples(st.integers(1, 1500), st.integers(1, 2048))
 
-        placements = dict(place_pending(cluster))
-        assert placements == expected_placed
-        still_pending = [p.id for p in cluster.pending_pods()]
-        assert still_pending == sorted(expected_unplaced)
+
+@st.composite
+def _loaded_cluster(draw):
+    """A cluster of one quantum whose nodes already hold random pod counts."""
+    quantum = draw(_QUANTA)
+    cpus = draw(st.lists(st.integers(quantum[0], 6000), min_size=1, max_size=6))
+    memory = draw(st.integers(quantum[1], 8192))
+    cluster = make_cluster("a", cpus, memory=memory, quantum=quantum)
+    for node in cluster.active_nodes():
+        fits = min(node.capacity.cpu // quantum[0], node.capacity.memory // quantum[1])
+        for i in range(draw(st.integers(0, min(fits, 12)))):
+            # Ids of mixed width: id-string order is not creation order.
+            run_pod(cluster, f"{node.id}-r{i * 7 % 13}", node.id)
+    return cluster
+
+
+def _free_slots(cluster, nodes):
+    return [
+        (n.id, n.capacity.cpu - n.used[0], n.capacity.memory - n.used[1]) for n in nodes
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_loaded_cluster(), st.integers(0, 40))
+def test_matches_reference_ffd_on_random_inputs(cluster, count):
+    pods = [f"p{i * 37 % 101}" for i in range(count)]  # mixed widths, as above
+    for pod_id in pods:
+        pending_pod(cluster, pod_id)
+    quantum = cluster.quantum
+    expected_placed, expected_unplaced = ffd_oracle(
+        [(pod_id, quantum.cpu, quantum.memory) for pod_id in pods],
+        _free_slots(cluster, cluster.active_nodes()),
+    )
+    assert place_pending(cluster) == list(expected_placed.items())
+    assert cluster.pending == set(expected_unplaced)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_loaded_cluster(), st.data())
+def test_drain_plan_matches_reference_ffd(cluster, data):
+    actives = cluster.active_nodes()
+    target = data.draw(st.sampled_from([n.id for n in actives]))
+    victims = [pod_id for pod_id, node_id in cluster.pods.items() if node_id == target]
+    quantum = cluster.quantum
+    expected_placed, expected_unplaced = ffd_oracle(
+        [(pod_id, quantum.cpu, quantum.memory) for pod_id in victims],
+        _free_slots(cluster, [n for n in actives if n.id != target]),
+    )
+    outcome = drain_node(cluster, target, force=True)
+    assert outcome.relocated == tuple(expected_placed.items())
+    assert outcome.pending == tuple(sorted(expected_unplaced))
+    assert cluster.pending == set(expected_unplaced)
 
 
 def test_drain_empty_node():
@@ -123,19 +169,20 @@ def test_drain_empty_node():
 
 
 def test_drain_relocates_pods():
-    cluster = make_cluster("a", [4000, 4000])
-    fill(cluster, "a-n001", 3400)  # leaves exactly 600 free on the sibling
-    run_pod(cluster, "victim", "a-n000", 500)
+    cluster = make_cluster("a", [4000, 4000], quantum=(500, 640))
+    fill(cluster, "a-n001", 3500)  # leaves exactly one pod's room on the sibling
+    run_pod(cluster, "victim", "a-n000")
     outcome = drain_node(cluster, "a-n000")
     assert outcome.relocated == (("victim", "a-n001"),)
-    assert cluster.pods["victim"].assignment == "a-n001"
-    assert node_demand(cluster, "a-n001").cpu == 3900
+    assert cluster.pods["victim"] == "a-n001"
+    assert node_demand(cluster, "a-n001").cpu == 4000
 
 
 def test_infeasible_drain_restores_cluster_exactly():
-    cluster = make_cluster("a", [4000, 4000])
-    fill(cluster, "a-n001", 2500)
-    run_pod(cluster, "victim", "a-n000", 2000)  # sibling has only 1500 free
+    cluster = make_cluster("a", [4000, 4000], quantum=(1000, 640))
+    fill(cluster, "a-n001", 3000)
+    run_pod(cluster, "v0", "a-n000")
+    run_pod(cluster, "v1", "a-n000")  # the sibling has room for one only
     recorder = EventRecorder()
     before = snapshot(cluster)
     outcome = drain_node(cluster, "a-n000", recorder=recorder)
@@ -154,9 +201,13 @@ def test_drain_is_atomic_on_random_clusters():
     completed = restored = 0
     for _ in range(300):
         node_count = rng.randint(2, 5)
-        cluster = make_cluster("a", [rng.choice([1000, 2000, 4000]) for _ in range(node_count)])
+        cluster = make_cluster(
+            "a",
+            [rng.choice([1000, 2000, 4000]) for _ in range(node_count)],
+            quantum=(rng.randrange(100, 1600, 100), 128),
+        )
         for i in range(rng.randint(0, 20)):
-            pending_pod(cluster, f"p{i:03d}", rng.randrange(100, 1600, 100))
+            pending_pod(cluster, f"p{i:03d}")
         place_pending(cluster)
         target = rng.choice([n.id for n in cluster.active_nodes()])
         before = snapshot(cluster)
@@ -168,11 +219,11 @@ def test_drain_is_atomic_on_random_clusters():
             completed += 1
             assert target not in cluster.nodes
             assert set(cluster.nodes) == set(before.nodes) - {target}
-            assert cluster.pods_on(target) == []
+            assert target not in cluster.pods.values()
             relocated = dict(outcome.relocated)
             for pod_id, new_node in relocated.items():
-                assert before.pods[pod_id].assignment == target
-                assert cluster.pods[pod_id].assignment == new_node
+                assert before.pods[pod_id] == target
+                assert cluster.pods[pod_id] == new_node
             for node in cluster.active_nodes():
                 demand = node_demand(cluster, node.id)
                 assert demand.cpu <= node.capacity.cpu and demand.memory <= node.capacity.memory
@@ -180,24 +231,25 @@ def test_drain_is_atomic_on_random_clusters():
 
 
 def test_forced_drain_parks_unplaceable_pods():
-    cluster = make_cluster("a", [4000, 4000])
-    fill(cluster, "a-n001", 3800)
-    run_pod(cluster, "heavy", "a-n000", 3000)
-    run_pod(cluster, "light", "a-n000", 100)
+    cluster = make_cluster("a", [4000, 4000], quantum=(1000, 640))
+    fill(cluster, "a-n001", 3000)  # room for one more pod
+    run_pod(cluster, "p1", "a-n000")
+    run_pod(cluster, "p0", "a-n000")
     outcome = drain_node(cluster, "a-n000", force=True)
     assert not outcome.restored
-    assert outcome.relocated == (("light", "a-n001"),)
-    assert cluster.pods["heavy"].assignment is None
+    assert outcome.relocated == (("p0", "a-n001"),)  # the lower id goes first
+    assert outcome.pending == ("p1",)
+    assert cluster.pods["p1"] is None and cluster.pending == {"p1"}
     assert "a-n000" not in cluster.nodes
 
 
 def test_forced_drain_ignores_min_active_guard():
     cluster = make_cluster("a", [4000])
-    run_pod(cluster, "p0", "a-n000", 500)
+    run_pod(cluster, "p0", "a-n000")
     outcome = drain_node(cluster, "a-n000", force=True)
     assert not outcome.restored
     assert cluster.active_nodes() == []
-    assert cluster.pods["p0"].assignment is None
+    assert cluster.pods["p0"] is None
 
 
 def test_last_node_guard():
@@ -225,15 +277,16 @@ def test_drain_requires_an_active_node():
 
 @pytest.mark.parametrize("force", [False, True], ids=["plain", "forced"])
 def test_completed_drain_detaches_the_node(force):
-    cluster = make_cluster("a", [4000, 4000, 4000])
-    run_pod(cluster, "p0", "a-n000", 500, 256)
-    run_pod(cluster, "big", "a-n001", 3800, 256)
-    run_pod(cluster, "p2", "a-n002", 500, 256)
+    cluster = make_cluster("a", [1000, 1500, 1000], quantum=(500, 256))
+    run_pod(cluster, "p0", "a-n000")
+    fill(cluster, "a-n001", 1500)
+    run_pod(cluster, "p2", "a-n002")
     node, kept = cluster.nodes["a-n000"], cluster.nodes["a-n001"]
-    # big fits on no sibling, so the drain aborts and its node stays hosted.
+    # a-n001's three pods find room for two on its siblings, so the drain
+    # aborts and its node stays hosted.
     assert drain_node(cluster, "a-n001").restored
     assert cluster.nodes["a-n001"] is kept
-    assert kept.used == [3800, 256]
+    assert kept.used == [1500, 768]
 
     recorder = EventRecorder()
     outcome = drain_node(cluster, "a-n000", force=force, recorder=recorder)
@@ -241,7 +294,7 @@ def test_completed_drain_detaches_the_node(force):
     assert sorted(cluster.nodes) == ["a-n001", "a-n002"]
     assert node.used == [0, 0]
     assert node.origin_cluster == "a"
-    assert cluster.pods["p0"].assignment == "a-n002"
+    assert cluster.pods["p0"] == "a-n002"
     assert [(e.kind, e.cluster, e.node) for e in recorder.events] == [
         (EventKind.DRAIN_STARTED.value, "a", "a-n000"),
         (EventKind.NODE_DEPROVISIONED.value, "a", "a-n000"),
@@ -251,9 +304,10 @@ def test_completed_drain_detaches_the_node(force):
 def test_drain_is_deterministic():
     rng = random.Random(606)
     for _ in range(30):
-        cluster = make_cluster("a", [2000, 2000, 2000])
+        quantum = (rng.randrange(100, 900, 100), 128)
+        cluster = make_cluster("a", [2000, 2000, 2000], quantum=quantum)
         for i in range(rng.randint(0, 15)):
-            pending_pod(cluster, f"p{i:03d}", rng.randrange(100, 900, 100))
+            pending_pod(cluster, f"p{i:03d}")
         place_pending(cluster)
         twin = snapshot(cluster)
         assert drain_node(cluster, "a-n000") == drain_node(twin, "a-n000")

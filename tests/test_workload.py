@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -95,8 +96,9 @@ def test_apply_workload_creates_pending_pods():
     delta = apply_workload(cluster, ConstantTrace(level=1000), tick=0)
     assert len(delta.created) == 10
     assert delta.deleted == ()
-    assert all(cluster.pods[p].assignment is None for p in delta.created)
-    assert all(cluster.pods[p].demand == ResourceVector(100, 128) for p in delta.created)
+    assert all(cluster.pods[p] is None for p in delta.created)
+    assert cluster.pending == set(delta.created)
+    assert cluster.quantum == ResourceVector(100, 128)
 
 
 def test_apply_workload_steady_state_is_quiet():
@@ -113,11 +115,11 @@ def test_scale_down_rounds_toward_fewer_deletions():
     # Five 100m pods and a target of 250m: delete two, keep 300m.
     cluster = make_cluster("a", [4000])
     for i in range(5):
-        run_pod(cluster, f"a-p{i}", "a-n000", 100)
+        run_pod(cluster, f"a-p{i}", "a-n000")
     delta = apply_workload(cluster, ConstantTrace(level=250), tick=1)
     assert delta.deleted == ("a-p4", "a-p3")  # newest first
     assert delta.created == ()
-    remaining = sum(p.demand.cpu for p in cluster.pods.values())
+    remaining = 100 * len(cluster.pods)
     assert remaining == 300
     assert abs(remaining - 250) < 100
 
@@ -156,13 +158,13 @@ def test_scale_down_deletes_newest_first_across_a_pod_id_width_change():
 def test_tracking_error_stays_below_one_quantum():
     rng = random.Random(1313)
     for quantum in (ResourceVector(100, 128), ResourceVector(200, 256)):
-        cluster = make_cluster("a", [4000, 4000])
+        cluster = make_cluster("a", [4000, 4000], quantum=(quantum.cpu, quantum.memory))
         for tick in range(60):
             level = rng.randrange(0, 9000)
             trace = ConstantTrace(level=level, pod_quantum=quantum)
             apply_workload(cluster, trace, tick)
             target = target_demand(trace, tick)
-            actual = sum(p.demand.cpu for p in cluster.pods.values())
+            actual = quantum.cpu * len(cluster.pods)
             assert abs(actual - target.cpu) < quantum.cpu
             if rng.random() < 0.5:
                 place_pending(cluster)  # mixing running and pending changes nothing
@@ -182,10 +184,11 @@ HALF_QUANTUM_TRACES = [
 def test_apply_workload_reaches_the_target_demand_exactly(trace):
     # Levels sit on half quanta, where the rounding is tightest; every pod is
     # one quantum, so the total lands on the target itself, not just near it.
-    cluster = make_cluster("a", [1000])
+    quantum = trace.pod_quantum
+    cluster = make_cluster("a", [1000], quantum=(quantum.cpu, quantum.memory))
     for tick in range(12):
         apply_workload(cluster, trace, tick)
-        total = sum(pod.demand.cpu for pod in cluster.pods.values())
+        total = quantum.cpu * len(cluster.pods)
         assert total == target_demand(trace, tick).cpu
         if tick % 2:
             place_pending(cluster)  # some Running, some Pending
@@ -215,6 +218,23 @@ def test_a_second_load_at_one_tick_raises_and_keeps_the_ledger():
         apply_workload(cluster, ConstantTrace(level=7000), tick=0)
     assert cluster == before
     assert_load_matches_pods(cluster)
+
+
+def test_a_trace_of_another_quantum_is_refused():
+    # A cluster's pods are all of its one quantum; a trace asking for another
+    # size raises before any pod changes.
+    cluster = make_cluster("a", [4000])
+    apply_workload(cluster, ConstantTrace(level=1000), tick=0)
+    before = snapshot(cluster)
+    with pytest.raises(
+        ValueError,
+        match=re.escape(
+            "cluster 'a' holds pods of ResourceVector(cpu=100, memory=128), "
+            "the trace asks for ResourceVector(cpu=200, memory=128)"
+        ),
+    ):
+        apply_workload(cluster, ConstantTrace(1000, pod_quantum=ResourceVector(200, 128)), 1)
+    assert cluster == before
 
 
 def test_apply_workload_is_deterministic():
