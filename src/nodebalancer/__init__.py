@@ -31,6 +31,7 @@ from .engine import (
 )
 from .groups import GroupManager, MembershipAction, MembershipChange, RestorationReport
 from .model import (
+    DEFAULT_POD_QUANTUM,
     Cluster,
     Group,
     Node,
@@ -61,7 +62,6 @@ from .reporting import (
 from .rules import Evaluation, evaluate_group
 from .scheduler import DrainOutcome, drain_node, place_pending
 from .workload import (
-    DEFAULT_POD_QUANTUM,
     ConstantTrace,
     SineTrace,
     SpikeTrace,

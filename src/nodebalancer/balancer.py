@@ -97,7 +97,8 @@ def rebalance_cycle(
             actives = donor.active_nodes()
             # actives is in ascending id order and min keeps the first of equal
             # keys, so a tie in load goes to the lowest node id.
-            victim = min(actives, key=node_load)
+            quantum = donor.quantum
+            victim = min(actives, key=lambda node: node_load(node, quantum))
             # Any exit may recall a borrowed node, so only the donor's own
             # nodes count toward the nodes it must keep.
             own = sum(n.origin_cluster == low_id and n is not victim for n in actives)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .groups import GroupManager, MembershipAction, MembershipChange
 from .model import (
-    ZERO,
+    DEFAULT_POD_QUANTUM,
     Cluster,
     ResourceVector,
     Thresholds,
@@ -49,10 +49,14 @@ MAX_SEED = 2**64 - 1
 
 @dataclass(frozen=True)
 class ClusterSpec:
+    """One cluster of a scenario; quantum is the demand of each of its pods,
+    read from its trace's pod_quantum key."""
+
     id: str
     node_count: int
     node_capacity: ResourceVector
     trace: TraceSpec
+    quantum: ResourceVector
 
 
 @dataclass(frozen=True)
@@ -198,7 +202,8 @@ def _step(value) -> tuple[int, int]:
     return _int(obj, "tick", "", 0), _int(obj, "level", "", 0)
 
 
-def _trace(value, where: str) -> TraceSpec:
+def _trace(value, where: str) -> tuple[TraceSpec, ResourceVector]:
+    """The trace and the pod quantum it names, DEFAULT_POD_QUANTUM if none."""
     obj = _object(value, where)
     if "kind" not in obj:
         raise ScenarioInvalid(f"{where}: missing key 'kind'")
@@ -214,10 +219,11 @@ def _trace(value, where: str) -> TraceSpec:
         fields = {"steps": tuple(_array(obj, "steps", where, _step, nonempty=True))}
     else:
         fields = {key: _int(obj, key, where, low) for key, low in minimums.items() if key in obj}
+    quantum = DEFAULT_POD_QUANTUM
     if "pod_quantum" in obj:
-        fields["pod_quantum"] = _resource(obj["pod_quantum"], f"{where}.pod_quantum")
+        quantum = _resource(obj["pod_quantum"], f"{where}.pod_quantum")
     try:
-        return cls(**fields)
+        return cls(**fields), quantum
     except ValueError as exc:  # StepTrace checks the order of its steps
         raise ScenarioInvalid(f"{where}.steps: {exc}") from exc
 
@@ -228,12 +234,10 @@ def _cluster(value) -> ClusterSpec:
     # metrics.csv writes the id as an unquoted cell of one line.
     if "," in cluster_id or "\r" in cluster_id or "\n" in cluster_id:
         raise ScenarioInvalid(f".id: must not hold ',', '\\r' or '\\n', got {cluster_id!r}")
-    return ClusterSpec(
-        id=cluster_id,
-        node_count=_int(obj, "node_count", "", 1),
-        node_capacity=_resource(obj["node_capacity"], ".node_capacity"),
-        trace=_trace(obj["trace"], ".trace"),
-    )
+    node_count = _int(obj, "node_count", "", 1)
+    node_capacity = _resource(obj["node_capacity"], ".node_capacity")
+    trace, quantum = _trace(obj["trace"], ".trace")
+    return ClusterSpec(cluster_id, node_count, node_capacity, trace, quantum)
 
 
 def _group(value) -> GroupSpec:
@@ -351,8 +355,7 @@ def build_world(scenario: Scenario, recorder=None) -> GroupManager:
     """Materialize clusters and groups; initial joins are real joins."""
     manager = GroupManager(recorder=recorder)
     for spec in scenario.clusters:
-        quantum = spec.trace.pod_quantum
-        cluster = build_cluster(spec.id, spec.node_count, spec.node_capacity, quantum=quantum)
+        cluster = build_cluster(spec.id, spec.node_count, spec.node_capacity, quantum=spec.quantum)
         manager.register_cluster(cluster)
     for group_spec in scenario.groups:
         manager.create_group(
@@ -365,24 +368,20 @@ def build_world(scenario: Scenario, recorder=None) -> GroupManager:
 
 def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     u_cpu, u_mem, u = cluster_utilization(cluster)
-    waiting = len(cluster.pending)
-    # Records live all run and most have no backlog: they share ZERO.
-    backlog = ZERO
-    if waiting:
-        quantum = cluster.quantum
-        backlog = ResourceVector(waiting * quantum.cpu, waiting * quantum.memory)
-    return TickRecord(tick, cluster.id, u_cpu, u_mem, u, len(cluster.nodes), waiting, backlog)
+    waiting, quantum = len(cluster.pending), cluster.quantum
+    return TickRecord(tick, cluster.id, u_cpu, u_mem, u, len(cluster.nodes), waiting,
+                      waiting * quantum.cpu, waiting * quantum.memory)
 
 
 def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> None:
     """Structural audit at tick end; violations abort the run.
 
     Each node's pod count is recomputed here from the cluster's pods alone,
-    never through node.used or cluster.pending. Each node's used must be its
-    count times the quantum and within capacity, and pending must hold
-    exactly the pods that have no node, so the audit stays an independent
-    check of both. Node conservation catches a node that two clusters hold,
-    or that none does.
+    never through node.pod_count or cluster.pending. Each node's pod_count
+    must be that count, whose pods times the quantum must fit its capacity,
+    and pending must hold exactly the pods that have no node, so the audit
+    stays an independent check of both. Node conservation catches a node
+    that two clusters hold, or that none does.
     """
     for cluster_id, cluster in manager.clusters.items():
         pods = cluster.pods
@@ -398,13 +397,12 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
         quantum_cpu, quantum_memory = cluster.quantum.cpu, cluster.quantum.memory
         for node_id, node in nodes.items():
             count = counts.get(node_id, 0)
-            cpu, memory = node.used
-            if cpu != count * quantum_cpu or memory != count * quantum_memory:
+            if node.pod_count != count:
                 raise InvariantViolation(
-                    f"tick {tick}: node {node_id!r} 'used' holds {node.used}, but its "
-                    f"{count} pod(s) sum to {[count * quantum_cpu, count * quantum_memory]}"
+                    f"tick {tick}: node {node_id!r} 'pod_count' holds {node.pod_count}, "
+                    f"but {count} pod(s) run on it"
                 )
-            capacity = node.capacity
+            cpu, memory, capacity = count * quantum_cpu, count * quantum_memory, node.capacity
             if cpu > capacity.cpu or memory > capacity.memory:
                 raise InvariantViolation(
                     f"tick {tick}: node {node_id!r} over capacity: "

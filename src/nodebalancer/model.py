@@ -32,7 +32,6 @@ class ResourceVector:
             raise ValueError(f"resource components must be non-negative, got {self!r}")
 
 
-ZERO = ResourceVector(0, 0)
 DEFAULT_POD_QUANTUM = ResourceVector(cpu=100, memory=128)
 
 
@@ -44,16 +43,16 @@ class Node:
     changes afterwards; it is what makes a cluster's original configuration
     restorable after nodes have been loaned around a group. A node is active
     exactly while a cluster's nodes dict holds it; between the drain that
-    detaches it and provision_node, only the caller moving it does. used is
-    the [cpu, memory] of the Running pods on the node, written only by
-    Cluster._charge; a node leaves its cluster drained, so it travels with
-    [0, 0].
+    detaches it and provision_node, only the caller moving it does.
+    pod_count is the number of Running pods on the node, written only by
+    Cluster._charge; each demands its cluster's quantum. A node leaves its
+    cluster drained, so it travels with 0.
     """
 
     id: str
     capacity: ResourceVector
     origin_cluster: str
-    used: list[int] = field(default_factory=lambda: [0, 0], init=False)
+    pod_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.capacity.cpu <= 0 or self.capacity.memory <= 0:
@@ -68,9 +67,9 @@ class Cluster:
     and its node. pods maps each pod id, in creation order, to its node id,
     or None while the pod is Pending; it is a read-only view. Pods change
     only through add_pods, pop_newest, bind and unbind, which keep each
-    node's used and the pending set in step. bind raises KeyError, changing
-    nothing, for a node the cluster does not host, so no pod's demand is
-    charged to a node outside it. min_active_nodes must be at least 1: a
+    node's pod_count and the pending set in step. bind raises KeyError,
+    changing nothing, for a node the cluster does not host, so no pod is
+    counted on a node outside it. min_active_nodes must be at least 1: a
     donor may never give up its last node, or its utilization would have no
     capacity to divide by.
     """
@@ -141,16 +140,14 @@ class Cluster:
         self._pods[pod_id] = None
 
     def _charge(self, node_id: str, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) one quantum on the node.
+        """Add (sign 1) or remove (sign -1) one pod on the node.
 
         Raises KeyError, changing nothing, if the cluster does not host it.
         """
         node = self.nodes.get(node_id)
         if node is None:
             raise KeyError(f"cluster {self.id!r} does not host a node {node_id!r}")
-        used, quantum = node.used, self.quantum
-        used[0] += sign * quantum.cpu
-        used[1] += sign * quantum.memory
+        node.pod_count += sign
 
     def active_nodes(self) -> list[Node]:
         """Hosted nodes in ascending id order (the scheduler's scan order)."""
@@ -231,9 +228,8 @@ class Utilization(NamedTuple):
 
 def node_demand(cluster: Cluster, node_id: str) -> ResourceVector:
     """Requested demand of the Running pods on a node the cluster hosts."""
-    cpu, memory = cluster.nodes[node_id].used
-    # Empty nodes are common; ZERO spares them the costly vector construction.
-    return ResourceVector(cpu, memory) if cpu or memory else ZERO
+    count, quantum = cluster.nodes[node_id].pod_count, cluster.quantum
+    return ResourceVector(count * quantum.cpu, count * quantum.memory)
 
 
 def cluster_utilization(cluster: Cluster) -> Utilization:
@@ -243,34 +239,32 @@ def cluster_utilization(cluster: Cluster) -> Utilization:
     nothing yet. Raises ZeroCapacity when the cluster hosts no node, since
     the ratio is undefined.
     """
-    cpu = memory = capacity_cpu = capacity_memory = 0
+    count = capacity_cpu = capacity_memory = 0
     for node in cluster.nodes.values():
-        node_cpu, node_memory = node.used
         capacity = node.capacity
-        cpu += node_cpu
-        memory += node_memory
+        count += node.pod_count
         capacity_cpu += capacity.cpu
         capacity_memory += capacity.memory
     if not capacity_cpu:  # capacities are strictly positive
         raise ZeroCapacity(f"cluster {cluster.id!r} hosts no node")
-    u_cpu = cpu / capacity_cpu
-    u_mem = memory / capacity_memory
+    quantum = cluster.quantum
+    u_cpu = count * quantum.cpu / capacity_cpu
+    u_mem = count * quantum.memory / capacity_memory
     return Utilization(u_cpu, u_mem, max(u_cpu, u_mem))
 
 
-def node_load(node: Node) -> float:
-    """Max of the node's cpu and memory load ratios, from its used.
+def node_load(node: Node, quantum: ResourceVector) -> float:
+    """Max of the cpu and memory load ratios of the node's pods, each of quantum.
 
     The one formula behind node_utilization and the balancer's donor-node
     ranking; it builds no ResourceVector.
     """
-    cpu, memory = node.used
-    capacity = node.capacity
-    return max(cpu / capacity.cpu, memory / capacity.memory)
+    count, capacity = node.pod_count, node.capacity
+    return max(count * quantum.cpu / capacity.cpu, count * quantum.memory / capacity.memory)
 
 
 def node_utilization(node: Node, cluster: Cluster) -> float:
     """Max of the node's cpu and memory load ratios."""
     if cluster.nodes.get(node.id) is not node:
         raise NodeNotInCluster(f"node {node.id!r} is not hosted by cluster {cluster.id!r}")
-    return node_load(node)
+    return node_load(node, cluster.quantum)

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import IoFailure
-from .model import ZERO, ResourceVector
 
 
 class EventKind(str, Enum):
@@ -91,9 +90,11 @@ NULL_RECORDER = NullRecorder()
 
 
 class TickRecord(NamedTuple):
-    """Per-(tick, cluster) sample of utilization and scheduling backlog.
+    """Per-(tick, cluster) sample of utilization and scheduling backlog: one
+    row of metrics.csv, whose columns are its fields.
 
-    An immutable tuple, like RebalanceEvent; copy one with _replace.
+    The backlog is pending_pods, and the cpu and memory they demand. An
+    immutable tuple, like RebalanceEvent; copy one with _replace.
     """
 
     tick: int
@@ -103,13 +104,14 @@ class TickRecord(NamedTuple):
     u: float
     active_nodes: int
     pending_pods: int
-    pending_demand: ResourceVector
+    pending_cpu_millicores: int
+    pending_memory_mib: int
 
 
-METRICS_HEADER = (
-    "tick,cluster_id,u_cpu,u_mem,u,active_nodes,"
-    "pending_pods,pending_cpu_millicores,pending_memory_mib"
-)
+METRICS_HEADER = ",".join(TickRecord._fields)
+# One metrics row, the fields in TickRecord order. %d writes an int as str()
+# does, but would truncate a float: every field it formats is an int.
+_METRICS_ROW = "%d,%s,%.6f,%.6f,%.6f,%d,%d,%d,%d\n"
 
 
 # One encoder for a detail that holds more than plain scalars, where
@@ -310,11 +312,7 @@ def write_metrics(records: Iterable[TickRecord], path: str | Path) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(METRICS_HEADER + "\n")
-            for tick, cluster_id, u_cpu, u_mem, u, active, pending, demand in ordered:
-                handle.write(
-                    f"{tick},{cluster_id},{u_cpu:.6f},{u_mem:.6f},{u:.6f},{active},{pending},"
-                    f"{demand.cpu},{demand.memory}\n"
-                )
+            handle.writelines(map(_METRICS_ROW.__mod__, ordered))
     except OSError as exc:
         raise IoFailure(f"cannot write metrics {path}: {exc}") from exc
 
@@ -344,17 +342,17 @@ def iter_metrics(path: str | Path) -> Iterator[TickRecord]:
                     if not (_plain(line) or _plain(parts[0] + ",".join(parts[2:]))):
                         raise ValueError
                     tick, active, pending = int(parts[0]), int(parts[5]), int(parts[6])
+                    pending_cpu, pending_memory = int(parts[7]), int(parts[8])
                     u_cpu, u_mem, u = float(parts[2]), float(parts[3]), float(parts[4])
                     # Both bounds at once: NaN fails every comparison.
                     if not (tick >= 0 and active >= 0 and pending >= 0
+                            and pending_cpu >= 0 and pending_memory >= 0
                             and 0.0 <= u_cpu < inf and 0.0 <= u_mem < inf and 0.0 <= u < inf):
                         raise ValueError
-                    # Most rows have no backlog: they share ZERO, as live records do.
-                    demand = (ZERO if parts[7] == parts[8] == "0"
-                              else ResourceVector(int(parts[7]), int(parts[8])))
                 except ValueError:
                     raise IoFailure(f"{path}:{lineno}: {_bad_cell(parts)}") from None
-                yield TickRecord(tick, parts[1], u_cpu, u_mem, u, active, pending, demand)
+                yield TickRecord(tick, parts[1], u_cpu, u_mem, u, active, pending,
+                                 pending_cpu, pending_memory)
             if not header_seen:
                 raise IoFailure(f"{path}: empty metrics file")
     except (OSError, UnicodeDecodeError) as exc:
@@ -365,11 +363,9 @@ def read_metrics(path: str | Path) -> list[TickRecord]:
     return list(iter_metrics(path))
 
 
-# How read_metrics parses each cell, in METRICS_HEADER order, and the columns
-# that must not be negative; only used to name the cell a row failed on, so
-# the per-row path stays short.
+# How read_metrics parses each cell, in METRICS_HEADER order; only used to
+# name the cell a row failed on, so the per-row path stays short.
 _METRICS_PARSERS = (int, str, float, float, float, int, int, int, int)
-_NON_NEGATIVE = ("tick", "u_cpu", "u_mem", "u", "active_nodes", "pending_pods")
 
 
 def _plain(text: str) -> bool:
@@ -380,19 +376,22 @@ def _plain(text: str) -> bool:
 
 
 def _bad_cell(parts: list[str]) -> str:
-    """Describe the first cell of a metrics row that does not parse or is out of range."""
-    for column, parse, text in zip(METRICS_HEADER.split(","), _METRICS_PARSERS, parts):
+    """Describe the first cell of a metrics row that does not parse or is out
+    of range: every numeric cell must be plain and >= 0, and a float finite."""
+    for column, parse, text in zip(TickRecord._fields, _METRICS_PARSERS, parts):
+        if parse is str:
+            continue
         try:
-            if parse is not str and not _plain(text):
+            if not _plain(text):
                 raise ValueError
             value = parse(text)
         except ValueError:
             return f"field {column!r}: cannot read {text!r}"
         if parse is float and not isfinite(value):
             return f"field {column!r}: must be finite, got {value}"
-        if column in _NON_NEGATIVE and value < 0:
+        if value < 0:
             return f"field {column!r}: must be >= 0, got {value}"
-    return f"fields 'pending_cpu_millicores', 'pending_memory_mib': must be >= 0, got {parts[7:]}"
+    return f"cannot read the row {parts!r}"  # not reached: iter_metrics rejects no other row
 
 
 def _quantized(value: float) -> float:
@@ -422,7 +421,7 @@ def _summarize_records(counts: dict[str, int], records: Iterable[TickRecord]) ->
     per_cluster: dict[str, list] = {}
     last_tick = -inf  # any record replaces it
     pending_total = 0
-    for tick, cluster_id, _, _, u, active, pending, _ in records:
+    for tick, cluster_id, _, _, u, active, pending, _, _ in records:
         if tick > last_tick:
             last_tick = tick
         pending_total += pending

@@ -42,11 +42,8 @@ def _fill(
     for node in nodes:
         if placed == len(pod_ids):
             break
-        cpu, memory = node.used
         capacity = node.capacity
-        room = min(
-            (capacity.cpu - cpu) // quantum.cpu, (capacity.memory - memory) // quantum.memory
-        )
+        room = min(capacity.cpu // quantum.cpu, capacity.memory // quantum.memory) - node.pod_count
         if room > 0:
             placements += zip(pod_ids[placed:placed + room], repeat(node.id))
             placed = len(placements)

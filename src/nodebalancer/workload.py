@@ -1,7 +1,7 @@
 """Workload traces: deterministic demand curves applied as pod churn.
 
 A trace gives a raw cpu demand level per tick. Demand is realized as
-uniform pods of one quantum each, so the actual total is the raw level
+pods of the cluster's one quantum, so the actual total is the raw level
 rounded to the nearest whole quantum (half rounds up). apply_workload
 adjusts a cluster's pod set toward that target and always leaves
 |actual - target| < quantum.
@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Union
 
-from .model import DEFAULT_POD_QUANTUM, Cluster, ResourceVector
+from .model import Cluster, ResourceVector
 
 
 @dataclass(frozen=True)
 class ConstantTrace:
     kind: ClassVar[str] = "Constant"
     level: int
-    pod_quantum: ResourceVector = DEFAULT_POD_QUANTUM
 
     def level_at(self, tick: int) -> float:
         return float(self.level)
@@ -32,7 +31,6 @@ class StepTrace:
 
     kind: ClassVar[str] = "Step"
     steps: tuple[tuple[int, int], ...]
-    pod_quantum: ResourceVector = DEFAULT_POD_QUANTUM
 
     def __post_init__(self):
         if not self.steps or self.steps[0][0] != 0:
@@ -59,7 +57,6 @@ class SineTrace:
     amplitude: int
     period: int
     phase: int = 0
-    pod_quantum: ResourceVector = DEFAULT_POD_QUANTUM
 
     def __post_init__(self):
         if self.period < 1:
@@ -80,7 +77,6 @@ class SpikeTrace:
     peak: int
     start: int
     duration: int
-    pod_quantum: ResourceVector = DEFAULT_POD_QUANTUM
 
     def level_at(self, tick: int) -> float:
         if self.start <= tick < self.start + self.duration:
@@ -98,8 +94,8 @@ class WorkloadDelta(NamedTuple):
     deleted: tuple[str, ...]
 
 
-def _target_pods(trace: TraceSpec, tick: int) -> int:
-    """The trace's level at a tick, clamped at zero, in whole pods.
+def _target_pods(trace: TraceSpec, tick: int, quantum: ResourceVector) -> int:
+    """The trace's level at a tick, clamped at zero, in whole pods of quantum.
 
     target_demand and apply_workload both round through here, so the pods
     apply_workload aims at demand exactly target_demand.
@@ -107,13 +103,12 @@ def _target_pods(trace: TraceSpec, tick: int) -> int:
     if tick < 0:
         raise ValueError(f"tick must be >= 0, got {tick}")
     raw = max(0.0, trace.level_at(tick))
-    return math.floor(raw / trace.pod_quantum.cpu + 0.5)  # nearest, half rounds up
+    return math.floor(raw / quantum.cpu + 0.5)  # nearest, half rounds up
 
 
-def target_demand(trace: TraceSpec, tick: int) -> ResourceVector:
-    """The trace's level at a tick, clamped at zero and quantized to pods."""
-    pods = _target_pods(trace, tick)
-    quantum = trace.pod_quantum
+def target_demand(trace: TraceSpec, tick: int, quantum: ResourceVector) -> ResourceVector:
+    """The trace's level at a tick, clamped at zero and quantized to pods of quantum."""
+    pods = _target_pods(trace, tick, quantum)
     return ResourceVector(pods * quantum.cpu, pods * quantum.memory)
 
 
@@ -122,17 +117,11 @@ def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDel
 
     Pods above the target are deleted newest-first (most recently added);
     pods below it are topped up with new Pending pods, and placement is the
-    scheduler's job. New pod ids are unique per cluster and tick, so a
-    second top-up at the same tick raises ValueError. So does a trace whose
-    pod_quantum is not the cluster's quantum: a cluster's pods are all of
-    one size.
+    scheduler's job. The trace's level is rounded to pods of the cluster's
+    quantum. New pod ids are unique per cluster and tick, so a second top-up
+    at the same tick raises ValueError.
     """
-    if trace.pod_quantum != cluster.quantum:
-        raise ValueError(
-            f"cluster {cluster.id!r} holds pods of {cluster.quantum}, "
-            f"the trace asks for {trace.pod_quantum}"
-        )
-    excess = len(cluster.pods) - _target_pods(trace, tick)
+    excess = len(cluster.pods) - _target_pods(trace, tick, cluster.quantum)
     # Creation order, not id order: "p99999" sorts above "p100000".
     deleted = tuple(cluster.pop_newest() for _ in range(excess))
     created: tuple[str, ...] = ()

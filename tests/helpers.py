@@ -73,26 +73,23 @@ def fill(cluster, node_id, total_cpu, prefix=None):
 
 
 def load_from_pods(cluster) -> tuple[dict, set]:
-    """(used, pending) recomputed from the cluster's pods: the [cpu, memory]
-    of each node that has a Running pod, and the ids of the Pending pods."""
-    quantum = cluster.quantum
-    used, pending = {}, set()
+    """(counts, pending) recomputed from the cluster's pods: the number of
+    Running pods on each node that has one, and the ids of the Pending pods."""
+    counts, pending = {}, set()
     for pod_id, node_id in cluster.pods.items():
         if node_id is None:
             pending.add(pod_id)
-            continue
-        total = used.setdefault(node_id, [0, 0])
-        total[0] += quantum.cpu
-        total[1] += quantum.memory
-    return used, pending
+        else:
+            counts[node_id] = counts.get(node_id, 0) + 1
+    return counts, pending
 
 
 def assert_load_matches_pods(cluster):
-    """Every node's used and the cluster's pending equal their recompute."""
-    used, pending = load_from_pods(cluster)
-    assert used.keys() <= cluster.nodes.keys()
-    assert {nid: node.used for nid, node in cluster.nodes.items()} == {
-        nid: used.get(nid, [0, 0]) for nid in cluster.nodes
+    """Every node's pod_count and the cluster's pending equal their recompute."""
+    counts, pending = load_from_pods(cluster)
+    assert counts.keys() <= cluster.nodes.keys()
+    assert {nid: node.pod_count for nid, node in cluster.nodes.items()} == {
+        nid: counts.get(nid, 0) for nid in cluster.nodes
     }
     assert cluster.pending == pending
 

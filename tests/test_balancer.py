@@ -301,7 +301,7 @@ def test_infeasible_drain_moves_to_next_candidate():
     assert outcomes[0].low_cluster == "c"
     assert outcomes[0].attempts == (("b", "DrainInfeasible"),)
     assert set(stuck.nodes) == {"b-n000", "b-n001", "b-n002"}
-    assert [stuck.nodes[nid].used for nid in sorted(stuck.nodes)] == [[2100, 100]] * 3
+    assert [stuck.nodes[nid].pod_count for nid in sorted(stuck.nodes)] == [1] * 3
 
 
 def test_one_role_per_cluster_per_cycle():

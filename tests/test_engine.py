@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nodebalancer import (
+    DEFAULT_POD_QUANTUM,
     EventKind,
     GroupManager,
     MembershipAction,
@@ -94,7 +95,8 @@ def test_parse_accepts_all_trace_kinds():
     }
     scenario = parse_scenario(doc)
     assert scenario.clusters[0].trace.steps == ((0, 100), (5, 900))
-    assert scenario.clusters[1].trace.pod_quantum.cpu == 200
+    assert scenario.clusters[0].quantum == DEFAULT_POD_QUANTUM
+    assert scenario.clusters[1].quantum == ResourceVector(200, 256)
 
     doc["clusters"][1]["trace"] = {
         "kind": "Spike",
@@ -590,7 +592,7 @@ def test_audit_flags_an_over_committed_node(capacity):
     a = manager.clusters["a"]
     for pid in ("p0", "p1", "p2"):
         run_pod(a, pid, "a-n001")
-    # used and the pods agree; only the capacity is too small for them.
+    # pod_count and the pods agree; only the capacity is too small for them.
     a.nodes["a-n001"].capacity = ResourceVector(*capacity)
     with pytest.raises(InvariantViolation, match="tick 3: node 'a-n001' over capacity"):
         _verify_world(manager, expected, tick=3)
@@ -613,7 +615,7 @@ def test_audit_accepts_nodes_that_over_commit_only_when_summed_together():
     a = manager.clusters["a"]
     fill(a, "a-n000", 3000)
     fill(a, "a-n001", 4000)
-    assert [node.used for node in a.nodes.values()] == [[4000, 5120], [4000, 5120]]
+    assert [node.pod_count for node in a.nodes.values()] == [4, 4]
     for node in a.nodes.values():
         node.capacity = ResourceVector(4000, 5120)
     _verify_world(manager, expected, tick=3)
@@ -667,23 +669,32 @@ def _corrupt_pending_with_a_running_id(cluster):
     cluster.pending.add("other")
 
 
-def _corrupt_used(cluster):
-    cluster.nodes["a-n000"].used[1] += 1
+def _corrupt_pod_count(cluster):
+    cluster.nodes["a-n000"].pod_count += 1
+
+
+def _corrupt_capacity_through_the_count(cluster):
+    # bind keeps pod_count in step but checks no capacity: five 1000m pods
+    # on a 4000m node.
+    for i in range(4):
+        run_pod(cluster, f"x{i}", "a-n000")
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
-    # Each corrupts one field only; every other field still matches the pods.
+    # Each breaks one stored fact only; every other still matches the pods.
     [
         (_corrupt_pending, r"cluster 'a' 'pending' does not hold exactly the Pending pods: "
                            r"it has \[\], the pods \['waiting'\]"),
         (_corrupt_pending_with_a_running_id,
          r"cluster 'a' 'pending' does not hold exactly the Pending pods: "
          r"it has \['other'\], the pods \['waiting'\]"),
-        (_corrupt_used, r"node 'a-n000' 'used' holds \[1000, 1281\], "
-                        r"but its 1 pod\(s\) sum to \[1000, 1280\]"),
+        (_corrupt_pod_count, r"node 'a-n000' 'pod_count' holds 2, but 1 pod\(s\) run on it"),
+        (_corrupt_capacity_through_the_count,
+         r"node 'a-n000' over capacity: ResourceVector\(cpu=5000, memory=6400\) > "
+         r"ResourceVector\(cpu=4000, memory=8192\)"),
     ],
-    ids=["pending", "pending-running-id", "used"],
+    ids=["pending", "pending-running-id", "pod_count", "over-capacity"],
 )
 def test_audit_flags_a_ledger_field_drifting_from_the_pods(corrupt, message):
     manager, expected = _audited_world()
@@ -710,5 +721,6 @@ def test_tick_record_counts_and_sums_only_pending_pods():
         u=900 / 8000,
         active_nodes=2,
         pending_pods=3,
-        pending_demand=ResourceVector(900, 300),
+        pending_cpu_millicores=900,
+        pending_memory_mib=300,
     )

@@ -64,7 +64,7 @@ def test_build_cluster_records_original_configuration():
     cluster = build_cluster("a", 3, ResourceVector(4000, 8192))
     assert sorted(cluster.nodes) == ["a-n000", "a-n001", "a-n002"]
     assert cluster.original_node_ids == frozenset(cluster.nodes)
-    assert all(n.used == [0, 0] for n in cluster.nodes.values())
+    assert all(n.pod_count == 0 for n in cluster.nodes.values())
     assert all(n.origin_cluster == "a" for n in cluster.nodes.values())
 
 
@@ -124,7 +124,7 @@ def test_pending_pods_do_not_count_as_demand():
     assert cluster_utilization(cluster).u == pytest.approx(0.5, abs=1e-9)
     assert cluster.pending == {"p1", "p2"}
     assert node_demand(cluster, "a-n000").cpu == 500
-    assert cluster.nodes["a-n000"].used == [500, 640]
+    assert cluster.nodes["a-n000"].pod_count == 1
 
 
 def test_only_active_nodes_provide_capacity():
@@ -159,7 +159,7 @@ def test_node_and_free_accounting():
     run_pod(cluster, "p1", "a-n000")
     demand = node_demand(cluster, "a-n000")
     assert demand == ResourceVector(400, 300)
-    assert cluster.nodes["a-n000"].used == [400, 300]
+    assert cluster.nodes["a-n000"].pod_count == 2
     assert cluster_utilization(cluster) == Utilization(0.4, 0.3, 0.4)
     capacity = cluster.nodes["a-n000"].capacity
     assert (capacity.cpu - demand.cpu, capacity.memory - demand.memory) == (600, 700)
@@ -220,10 +220,13 @@ def test_ledger_matches_a_recompute_from_the_pods():
             for tick in (0, 1):  # the second load both creates and deletes pods
                 randomize_load(rng, cluster, tick)
             assert_load_matches_pods(cluster)
-            used, pending = load_from_pods(cluster)
+            counts, pending = load_from_pods(cluster)
+            quantum = cluster.quantum
             for node_id in cluster.nodes:
-                assert node_demand(cluster, node_id) == rv(*used.get(node_id, (0, 0)))
-            assert set(used) <= set(cluster.nodes)
+                count = counts.get(node_id, 0)
+                demand = rv(count * quantum.cpu, count * quantum.memory)
+                assert node_demand(cluster, node_id) == demand
+            assert set(counts) <= set(cluster.nodes)
             saw_pending = saw_pending or bool(pending)
     assert saw_pending
 
@@ -245,7 +248,7 @@ def test_mutation_api_keeps_the_ledger():
     pending_pod(cluster, "p0")
     cluster.bind("p0", "a-n001")
     cluster.bind("r0", "a-n001")  # a drain's move: Running to Running
-    assert [node.used for node in cluster.nodes.values()] == [[0, 0], [600, 400]]
+    assert [node.pod_count for node in cluster.nodes.values()] == [0, 2]
     cluster.unbind("p0")
     assert cluster.pending == {"p0"}
     with pytest.raises(ValueError, match="'p0' is not bound"):
@@ -254,20 +257,20 @@ def test_mutation_api_keeps_the_ledger():
     with pytest.raises(ValueError, match="cluster 'a' already holds a pod 'r0'"):
         cluster.add_pods(["x0", "r0"])
     assert dict(cluster.pods) == {"r0": "a-n001", "p0": None}
-    assert cluster.nodes["a-n001"].used == [300, 200] and cluster.pending == {"p0"}
+    assert cluster.nodes["a-n001"].pod_count == 1 and cluster.pending == {"p0"}
     assert_load_matches_pods(cluster)
     cluster.add_pods(["x0", "x1"])
     assert list(cluster.pods) == ["r0", "p0", "x0", "x1"]  # creation order
     assert cluster.pending == {"p0", "x0", "x1"}
     assert [cluster.pop_newest() for _ in range(4)] == ["x1", "x0", "p0", "r0"]
     assert not cluster.pods and cluster.pending == set()
-    assert all(node.used == [0, 0] for node in cluster.nodes.values())
+    assert all(node.pod_count == 0 for node in cluster.nodes.values())
     assert_load_matches_pods(cluster)
 
 
 def _loads(cluster):
     return dict(cluster.pods), set(cluster.pending), {
-        node_id: list(node.used) for node_id, node in cluster.nodes.items()
+        node_id: node.pod_count for node_id, node in cluster.nodes.items()
     }
 
 
@@ -312,15 +315,15 @@ def test_slotted_records_survive_deepcopy_and_pickle(clone):
     assert twin.quantum == cluster.quantum
     assert_load_matches_pods(twin)
     assert twin.pending == cluster.pending and twin.nodes == cluster.nodes
-    # The twin's pod column and pending set are its own, not the originals.
+    # The twin's pod column, pending set and nodes are its own, not the originals.
     twin.unbind("r0")
     assert cluster.pods["r0"] == "a-n000" and cluster.pending == {"wait"}
-    assert twin.nodes["a-n000"].used is not cluster.nodes["a-n000"].used
+    assert twin.nodes["a-n000"].pod_count == 0 and cluster.nodes["a-n000"].pod_count == 1
     with pytest.raises(AttributeError):
         twin.nodes["a-n000"].note = "slotted records take no new attributes"
     records = (
         cluster_utilization(cluster),
-        TickRecord(1, "a", 0.45, 0.45, 0.45, 2, 1, rv(1500)),
+        TickRecord(1, "a", 0.45, 0.45, 0.45, 2, 1, 1500, 1920),
         RebalanceEvent(1, 0, "DrainStarted", cluster="a", node="a-n000", detail={"pods": 1}),
     )
     assert clone(records) == records

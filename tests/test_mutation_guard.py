@@ -1,7 +1,7 @@
 """Pods change only through Cluster.add_pods, pop_newest, bind and unbind,
-which keep each node's used and the cluster's pending set in step with the
-pod column. These tests parse the package and fail if any module but
-model.py stores into .pods, .used or .pending, calls a mutating method on
+which keep each node's pod_count and the cluster's pending set in step with
+the pod column. These tests parse the package and fail if any module but
+model.py stores into .pods, .pod_count or .pending, calls a mutating method on
 one of them, or touches the column's private dict ._pods at all: any of
 those would leave the others stale until the next audit.
 
@@ -14,7 +14,8 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nodebalancer"
-POD_FACTS = frozenset({"pods", "used", "pending"})  # Cluster.pods, Node.used, Cluster.pending
+# Cluster.pods, Node.pod_count, Cluster.pending
+POD_FACTS = frozenset({"pods", "pod_count", "pending"})
 MUTATORS = frozenset(
     {
         "add", "append", "clear", "difference_update", "discard", "extend", "insert",
@@ -43,7 +44,7 @@ def _stores(node):
 
 def _attributes(target):
     """Attribute names along an attribute or subscript target, outermost
-    first: `c.nodes[k].used[0]` gives used, nodes. A bare name gives none."""
+    first: `c.nodes[k].pod_count` gives pod_count, nodes. A bare name gives none."""
     names = []
     node = target
     while isinstance(node, (ast.Attribute, ast.Subscript)):
@@ -63,7 +64,7 @@ def _column_changes(node):
         and node.func.attr in MUTATORS
         and not POD_FACTS.isdisjoint(_attributes(node.func.value))
     ):
-        return f"calls .{node.func.attr}() on .pods, .used or .pending"
+        return f"calls .{node.func.attr}() on .pods, .pod_count or .pending"
     return None
 
 
@@ -88,7 +89,7 @@ def bypasses(source: str, filename: str) -> list[str]:
             elif filename == "model.py":
                 continue
             elif not POD_FACTS.isdisjoint(_attributes(target)):
-                why = "stores into .pods, .used or .pending"
+                why = "stores into .pods, .pod_count or .pending"
             else:
                 continue
             found.append((node.lineno, why))
@@ -113,32 +114,32 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
             "del cluster.pods[pod_id]",
             "cluster._pods.popitem()",
             "node_id = cluster._pods[pod_id]",
-            "node.used[0] -= 1",
-            "cluster.nodes[n].used = [0, 0]",
+            "node.pod_count -= 1",
+            "cluster.nodes[n].pod_count = 0",
             "cluster.pending.add(pod_id)",
             "cluster.pending.discard(pod_id)",
             "cluster.pending = set()",
-            "cluster.nodes[n].used.clear()",
+            "cluster.pending.clear()",
             "cluster.nodes[n] = node",
             "del host.nodes[n]",
-            "host.nodes[n], node.used = node, [0, 0]",
+            "host.nodes[n], node.pod_count = node, 0",
         ]
     )
     assert bypasses(bad, "bad.py") == [
-        "bad.py:1: stores into .pods, .used or .pending",
-        "bad.py:2: stores into .pods, .used or .pending",
+        "bad.py:1: stores into .pods, .pod_count or .pending",
+        "bad.py:2: stores into .pods, .pod_count or .pending",
         "bad.py:3: touches ._pods",
         "bad.py:4: touches ._pods",
-        "bad.py:5: stores into .pods, .used or .pending",
-        "bad.py:6: stores into .pods, .used or .pending",
-        "bad.py:7: calls .add() on .pods, .used or .pending",
-        "bad.py:8: calls .discard() on .pods, .used or .pending",
-        "bad.py:9: stores into .pods, .used or .pending",
-        "bad.py:10: calls .clear() on .pods, .used or .pending",
+        "bad.py:5: stores into .pods, .pod_count or .pending",
+        "bad.py:6: stores into .pods, .pod_count or .pending",
+        "bad.py:7: calls .add() on .pods, .pod_count or .pending",
+        "bad.py:8: calls .discard() on .pods, .pod_count or .pending",
+        "bad.py:9: stores into .pods, .pod_count or .pending",
+        "bad.py:10: calls .clear() on .pods, .pod_count or .pending",
         "bad.py:11: stores into .nodes[...]",
         "bad.py:12: stores into .nodes[...]",
         "bad.py:13: stores into .nodes[...]",
-        "bad.py:13: stores into .pods, .used or .pending",
+        "bad.py:13: stores into .pods, .pod_count or .pending",
     ]
     clean = "\n".join(
         [
@@ -146,11 +147,11 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
             "counts = Counter(cluster.pods.values())",
             "node = cluster.nodes[node_id]",
             "nodes[node_id] = Node(id=node_id, capacity=capacity, origin_cluster=cluster_id)",
-            "used = {node_id: [0, 0] for node_id in cluster.nodes}",
-            "used[node_id][0] += quantum.cpu",
+            "counts = {node_id: 0 for node_id in cluster.nodes}",
+            "counts[node_id] += 1",
             "pending = []",
             "pending.extend(outcome.pending)",
-            "cpu, memory = node.used",
+            "count = node.pod_count",
             "waiting = sorted(cluster.pending)",
             "pods = dict(cluster.pods)",
             "pods[pod_id] = node_id",
@@ -171,5 +172,5 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
         "groups.py:1: stores into .nodes[...]"
     ]
     assert bypasses("cluster.pending.add(pod_id)", "balancer.py") == [
-        "balancer.py:1: calls .add() on .pods, .used or .pending"
+        "balancer.py:1: calls .add() on .pods, .pod_count or .pending"
     ]

@@ -7,7 +7,6 @@ from nodebalancer import (
     ConstantTrace,
     EventKind,
     EventRecorder,
-    ResourceVector,
     apply_workload,
     drain_node,
     place_pending,
@@ -85,7 +84,7 @@ def test_pending_order_is_the_id_string_order_not_creation_order():
     # created runs on the second node and "a-p00000-9999" is the one left
     # Pending. Creation order would leave "a-p00000-10000" Pending instead.
     cluster = make_cluster("a", [1000] * 10, quantum=(1, 1))
-    apply_workload(cluster, ConstantTrace(level=10_001, pod_quantum=ResourceVector(1, 1)), 0)
+    apply_workload(cluster, ConstantTrace(level=10_001), 0)
     assert len(place_pending(cluster)) == 10_000
     assert cluster.pending == {"a-p00000-9999"}
     assert cluster.pods["a-p00000-10000"] == "a-n001"
@@ -118,8 +117,12 @@ def _loaded_cluster(draw):
 
 
 def _free_slots(cluster, nodes):
+    """Each node's capacity less its pod_count quanta, as ffd_oracle's slots."""
+    quantum = cluster.quantum
     return [
-        (n.id, n.capacity.cpu - n.used[0], n.capacity.memory - n.used[1]) for n in nodes
+        (n.id, n.capacity.cpu - n.pod_count * quantum.cpu,
+         n.capacity.memory - n.pod_count * quantum.memory)
+        for n in nodes
     ]
 
 
@@ -286,13 +289,13 @@ def test_completed_drain_detaches_the_node(force):
     # aborts and its node stays hosted.
     assert drain_node(cluster, "a-n001").restored
     assert cluster.nodes["a-n001"] is kept
-    assert kept.used == [1500, 768]
+    assert kept.pod_count == 3
 
     recorder = EventRecorder()
     outcome = drain_node(cluster, "a-n000", force=force, recorder=recorder)
     assert not outcome.restored and outcome.pending == ()
     assert sorted(cluster.nodes) == ["a-n001", "a-n002"]
-    assert node.used == [0, 0]
+    assert node.pod_count == 0
     assert node.origin_cluster == "a"
     assert cluster.pods["p0"] == "a-n002"
     assert [(e.kind, e.cluster, e.node) for e in recorder.events] == [

@@ -1,10 +1,10 @@
 import math
 import random
-import re
 
 import pytest
 
 from nodebalancer import (
+    DEFAULT_POD_QUANTUM as Q,
     ConstantTrace,
     ResourceVector,
     SineTrace,
@@ -20,37 +20,37 @@ from helpers import assert_load_matches_pods, make_cluster, run_pod, snapshot
 
 def test_constant_trace():
     trace = ConstantTrace(level=2500)
-    assert target_demand(trace, 0) == ResourceVector(2500, 3200)
-    assert target_demand(trace, 99) == ResourceVector(2500, 3200)
+    assert target_demand(trace, 0, Q) == ResourceVector(2500, 3200)
+    assert target_demand(trace, 99, Q) == ResourceVector(2500, 3200)
 
 
 def test_quantization_rounds_half_up():
-    assert target_demand(ConstantTrace(level=250), 0).cpu == 300  # 2.5 -> 3 pods
-    assert target_demand(ConstantTrace(level=249), 0).cpu == 200  # 2.49 -> 2
-    assert target_demand(ConstantTrace(level=251), 0).cpu == 300
-    assert target_demand(ConstantTrace(level=0), 0) == ResourceVector(0, 0)
-    assert target_demand(ConstantTrace(level=49), 0).cpu == 0
-    assert target_demand(ConstantTrace(level=50), 0).cpu == 100
+    assert target_demand(ConstantTrace(level=250), 0, Q).cpu == 300  # 2.5 -> 3 pods
+    assert target_demand(ConstantTrace(level=249), 0, Q).cpu == 200  # 2.49 -> 2
+    assert target_demand(ConstantTrace(level=251), 0, Q).cpu == 300
+    assert target_demand(ConstantTrace(level=0), 0, Q) == ResourceVector(0, 0)
+    assert target_demand(ConstantTrace(level=49), 0, Q).cpu == 0
+    assert target_demand(ConstantTrace(level=50), 0, Q).cpu == 100
 
 
 def test_custom_quantum():
-    trace = ConstantTrace(level=500, pod_quantum=ResourceVector(200, 256))
-    assert target_demand(trace, 0) == ResourceVector(600, 768)  # 2.5 -> 3 pods
+    quantum = ResourceVector(200, 256)
+    assert target_demand(ConstantTrace(level=500), 0, quantum) == ResourceVector(600, 768)  # 2.5 -> 3
 
 
 def test_negative_tick_rejected():
     with pytest.raises(ValueError):
-        target_demand(ConstantTrace(level=100), -1)
+        target_demand(ConstantTrace(level=100), -1, Q)
 
 
 def test_step_trace_switches_levels():
     trace = StepTrace(steps=((0, 1000), (10, 3000), (20, 500)))
-    assert target_demand(trace, 0).cpu == 1000
-    assert target_demand(trace, 9).cpu == 1000
-    assert target_demand(trace, 10).cpu == 3000
-    assert target_demand(trace, 19).cpu == 3000
-    assert target_demand(trace, 20).cpu == 500
-    assert target_demand(trace, 100).cpu == 500
+    assert target_demand(trace, 0, Q).cpu == 1000
+    assert target_demand(trace, 9, Q).cpu == 1000
+    assert target_demand(trace, 10, Q).cpu == 3000
+    assert target_demand(trace, 19, Q).cpu == 3000
+    assert target_demand(trace, 20, Q).cpu == 500
+    assert target_demand(trace, 100, Q).cpu == 500
 
 
 def test_step_trace_validation():
@@ -64,31 +64,31 @@ def test_step_trace_validation():
 
 def test_sine_trace_follows_the_curve():
     trace = SineTrace(base=4000, amplitude=2000, period=100)
-    assert target_demand(trace, 0).cpu == 4000
-    assert target_demand(trace, 25).cpu == 6000  # crest
-    assert target_demand(trace, 75).cpu == 2000  # trough
+    assert target_demand(trace, 0, Q).cpu == 4000
+    assert target_demand(trace, 25, Q).cpu == 6000  # crest
+    assert target_demand(trace, 75, Q).cpu == 2000  # trough
     # Independent recomputation at an arbitrary tick.
     raw = 4000 + 2000 * math.sin(2 * math.pi * 13 / 100)
-    assert target_demand(trace, 13).cpu == int(math.floor(raw / 100 + 0.5)) * 100
+    assert target_demand(trace, 13, Q).cpu == int(math.floor(raw / 100 + 0.5)) * 100
 
 
 def test_sine_phase_shifts_the_curve():
     base = SineTrace(base=4000, amplitude=2000, period=100)
     shifted = SineTrace(base=4000, amplitude=2000, period=100, phase=25)
-    assert target_demand(shifted, 0) == target_demand(base, 25)
+    assert target_demand(shifted, 0, Q) == target_demand(base, 25, Q)
 
 
 def test_sine_clamps_at_zero():
     trace = SineTrace(base=1000, amplitude=3000, period=4)
-    assert target_demand(trace, 3).cpu == 0  # raw is -2000
+    assert target_demand(trace, 3, Q).cpu == 0  # raw is -2000
 
 
 def test_spike_trace_boundaries():
     trace = SpikeTrace(base=2000, peak=16000, start=50, duration=10)
-    assert target_demand(trace, 49).cpu == 2000
-    assert target_demand(trace, 50).cpu == 16000
-    assert target_demand(trace, 59).cpu == 16000
-    assert target_demand(trace, 60).cpu == 2000
+    assert target_demand(trace, 49, Q).cpu == 2000
+    assert target_demand(trace, 50, Q).cpu == 16000
+    assert target_demand(trace, 59, Q).cpu == 16000
+    assert target_demand(trace, 60, Q).cpu == 2000
 
 
 def test_apply_workload_creates_pending_pods():
@@ -161,9 +161,9 @@ def test_tracking_error_stays_below_one_quantum():
         cluster = make_cluster("a", [4000, 4000], quantum=(quantum.cpu, quantum.memory))
         for tick in range(60):
             level = rng.randrange(0, 9000)
-            trace = ConstantTrace(level=level, pod_quantum=quantum)
+            trace = ConstantTrace(level=level)
             apply_workload(cluster, trace, tick)
-            target = target_demand(trace, tick)
+            target = target_demand(trace, tick, quantum)
             actual = quantum.cpu * len(cluster.pods)
             assert abs(actual - target.cpu) < quantum.cpu
             if rng.random() < 0.5:
@@ -171,25 +171,25 @@ def test_tracking_error_stays_below_one_quantum():
 
 
 HALF_QUANTUM_TRACES = [
-    ConstantTrace(level=250),
-    ConstantTrace(level=500, pod_quantum=ResourceVector(200, 256)),
-    StepTrace(steps=((0, 150), (2, 250), (4, 50), (6, 0), (8, 1050))),
-    SineTrace(base=250, amplitude=100, period=4),
-    SineTrace(base=50, amplitude=300, period=7, phase=3),
-    SpikeTrace(base=50, peak=350, start=3, duration=4),
+    (ConstantTrace(level=250), Q),
+    (ConstantTrace(level=500), ResourceVector(200, 256)),
+    (StepTrace(steps=((0, 150), (2, 250), (4, 50), (6, 0), (8, 1050))), Q),
+    (SineTrace(base=250, amplitude=100, period=4), Q),
+    (SineTrace(base=50, amplitude=300, period=7, phase=3), Q),
+    (SpikeTrace(base=50, peak=350, start=3, duration=4), Q),
 ]
 
 
-@pytest.mark.parametrize("trace", HALF_QUANTUM_TRACES, ids=lambda t: t.kind)
-def test_apply_workload_reaches_the_target_demand_exactly(trace):
+@pytest.mark.parametrize("trace, quantum", HALF_QUANTUM_TRACES,
+                         ids=[trace.kind for trace, _ in HALF_QUANTUM_TRACES])
+def test_apply_workload_reaches_the_target_demand_exactly(trace, quantum):
     # Levels sit on half quanta, where the rounding is tightest; every pod is
     # one quantum, so the total lands on the target itself, not just near it.
-    quantum = trace.pod_quantum
     cluster = make_cluster("a", [1000], quantum=(quantum.cpu, quantum.memory))
     for tick in range(12):
         apply_workload(cluster, trace, tick)
         total = quantum.cpu * len(cluster.pods)
-        assert total == target_demand(trace, tick).cpu
+        assert total == target_demand(trace, tick, quantum).cpu
         if tick % 2:
             place_pending(cluster)  # some Running, some Pending
     before = snapshot(cluster)
@@ -218,23 +218,6 @@ def test_a_second_load_at_one_tick_raises_and_keeps_the_ledger():
         apply_workload(cluster, ConstantTrace(level=7000), tick=0)
     assert cluster == before
     assert_load_matches_pods(cluster)
-
-
-def test_a_trace_of_another_quantum_is_refused():
-    # A cluster's pods are all of its one quantum; a trace asking for another
-    # size raises before any pod changes.
-    cluster = make_cluster("a", [4000])
-    apply_workload(cluster, ConstantTrace(level=1000), tick=0)
-    before = snapshot(cluster)
-    with pytest.raises(
-        ValueError,
-        match=re.escape(
-            "cluster 'a' holds pods of ResourceVector(cpu=100, memory=128), "
-            "the trace asks for ResourceVector(cpu=200, memory=128)"
-        ),
-    ):
-        apply_workload(cluster, ConstantTrace(1000, pod_quantum=ResourceVector(200, 128)), 1)
-    assert cluster == before
 
 
 def test_apply_workload_is_deterministic():
