@@ -31,7 +31,7 @@ class OutcomeKind(str, Enum):
 class AttemptReason(str, Enum):
     """Why a donor candidate was passed over."""
 
-    MIN_ACTIVE_NODES = "MinActiveNodes"  # donor would keep too few nodes of its own
+    MIN_ACTIVE_NODES = "MinActiveNodes"  # donor would keep no node of its own
     DRAIN_INFEASIBLE = "DrainInfeasible"  # drain aborted, pods would not fit
     WOULD_EXCEED_T_HIGH = "WouldExceedTHigh"  # donor itself went hot; reversed
 
@@ -50,24 +50,23 @@ class RebalanceOutcome(NamedTuple):
     attempts: tuple[tuple[str, str], ...] = ()
 
 
-def provision_node(cluster: Cluster, node: Node, recorder=None) -> None:
+def provision_node(cluster: Cluster, node: Node, recorder=NULL_RECORDER) -> None:
     """Attach to a cluster a node that a completed drain detached.
 
     origin_cluster is deliberately left alone: the node remembers where it
     came from no matter how many times it is re-homed.
     """
-    rec = recorder if recorder is not None else NULL_RECORDER
     if node.id in cluster.nodes:
         raise DuplicateNode(f"cluster {cluster.id!r} already hosts a node {node.id!r}")
     cluster.nodes[node.id] = node
-    rec.emit(EventKind.NODE_PROVISIONED, cluster=cluster.id, node=node.id)
+    recorder.emit(EventKind.NODE_PROVISIONED, cluster=cluster.id, node=node.id)
 
 
 def rebalance_cycle(
     group: Group,
     clusters: dict[str, Cluster],
     *,
-    recorder=None,
+    recorder=NULL_RECORDER,
 ) -> list[RebalanceOutcome]:
     """Run one balancing cycle over the group; returns one outcome per
     overutilized cluster (reversals appear as extra outcomes as they happen).
@@ -77,7 +76,6 @@ def rebalance_cycle(
     cluster is reclassified mid-cycle, which keeps the cycle deterministic
     and guarantees termination.
     """
-    rec = recorder if recorder is not None else NULL_RECORDER
     evaluation = evaluate_group(group, clusters)
     t_high = group.thresholds.t_high
     outcomes: list[RebalanceOutcome] = []
@@ -99,10 +97,9 @@ def rebalance_cycle(
             # keys, so a tie in load goes to the lowest node id.
             quantum = donor.quantum
             victim = min(actives, key=lambda node: node_load(node, quantum))
-            # Any exit may recall a borrowed node, so only the donor's own
-            # nodes count toward the nodes it must keep.
-            own = sum(n.origin_cluster == low_id and n is not victim for n in actives)
-            if own < donor.min_active_nodes:
+            # Any exit may recall a borrowed node, so the donor must keep a
+            # node of its own besides the victim.
+            if not any(n.origin_cluster == low_id and n is not victim for n in actives):
                 attempts.append((low_id, AttemptReason.MIN_ACTIVE_NODES.value))
                 continue
 
@@ -120,7 +117,7 @@ def rebalance_cycle(
 
             if donor_after > t_high:
                 provision_node(donor, victim, recorder=recorder)
-                rec.emit(
+                recorder.emit(
                     EventKind.MOVE_REVERSED,
                     group=group.id,
                     cluster=low_id,
@@ -145,7 +142,7 @@ def rebalance_cycle(
             except Exception:
                 provision_node(donor, victim, recorder=recorder)
                 raise
-            rec.emit(
+            recorder.emit(
                 EventKind.MOVE_COMPLETED,
                 group=group.id,
                 cluster=high_id,
@@ -166,7 +163,7 @@ def rebalance_cycle(
             used.add(low_id)
             break
         else:
-            rec.emit(
+            recorder.emit(
                 EventKind.NO_CANDIDATE,
                 group=group.id,
                 cluster=high_id,

@@ -2,8 +2,8 @@
 balanced-versus-static comparison runs.
 
 Each tick executes fixed phases in order: membership changes, workload
-deltas, pod placement, balancing for due groups, placement for clusters
-that just received a node, then metrics sampling. Nothing depends on hash
+deltas, pod placement, balancing for due groups, placement of every cluster
+again if any group was due, then metrics sampling. Nothing depends on hash
 order or wall clock, so identical scenarios produce identical artifacts.
 """
 
@@ -16,7 +16,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .balancer import OutcomeKind, rebalance_cycle
+from .balancer import rebalance_cycle
 from .errors import (
     InvalidThresholds,
     InvariantViolation,
@@ -33,7 +33,14 @@ from .model import (
     cluster_utilization,
     node_demand,  # noqa: F401  unused here; perfbench/tracing.SITES wraps engine.node_demand
 )
-from .reporting import EventRecorder, RebalanceEvent, TickRecord, compose_comparison, summarize
+from .reporting import (
+    NULL_RECORDER,
+    EventRecorder,
+    RebalanceEvent,
+    TickRecord,
+    compose_comparison,
+    summarize,
+)
 from .scheduler import place_pending
 from .workload import (
     ConstantTrace,
@@ -351,7 +358,7 @@ def load_scenario(path: str | Path, ticks: int | None = None) -> Scenario:
 # --- running ----------------------------------------------------------------
 
 
-def build_world(scenario: Scenario, recorder=None) -> GroupManager:
+def build_world(scenario: Scenario, recorder=NULL_RECORDER) -> GroupManager:
     """Materialize clusters and groups; initial joins are real joins."""
     manager = GroupManager(recorder=recorder)
     for spec in scenario.clusters:
@@ -464,20 +471,20 @@ def run(
             for cluster_id in cluster_ids:
                 place_pending(clusters[cluster_id])
 
-            received: set[str] = set()
+            balanced = False
             for group_id in sorted(manager.groups):
                 group = manager.groups[group_id]
-                if tick % group.balance_interval != 0:
-                    continue
-                outcomes = rebalance_cycle(group, clusters, recorder=recorder)
-                for outcome in outcomes:
-                    if outcome.kind is OutcomeKind.MOVED:
-                        received.add(outcome.high_cluster)
-                    elif outcome.kind is OutcomeKind.REVERSED:
-                        # The donor got its node back; its backlog may fit now.
-                        received.add(outcome.low_cluster)
-            for cluster_id in sorted(received):
-                place_pending(clusters[cluster_id])
+                if tick % group.balance_interval == 0:
+                    rebalance_cycle(group, clusters, recorder=recorder)
+                    balanced = True
+            if balanced:
+                # Only a recipient can have gained room. A drain fills the
+                # donor's other nodes. A reversed node comes back empty, and
+                # if its donor has a backlog, every node was full before the
+                # drain, so a node whose pods all fitted elsewhere held none
+                # and has no slot.
+                for cluster_id in cluster_ids:
+                    place_pending(clusters[cluster_id])
 
             for cluster_id in cluster_ids:
                 records.append(_tick_record(tick, clusters[cluster_id]))

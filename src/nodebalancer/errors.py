@@ -16,7 +16,7 @@ class NodeNotInCluster(BalancingError):
 
 
 class LastNodeGuard(BalancingError):
-    """Draining the node would leave the cluster fewer than min_active_nodes nodes."""
+    """A non-forced drain of the cluster's last node."""
 
 
 class DuplicateNode(BalancingError):

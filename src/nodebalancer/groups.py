@@ -57,10 +57,10 @@ class GroupManager:
     run when a cluster leaves its group.
     """
 
-    def __init__(self, recorder=None):
+    def __init__(self, recorder=NULL_RECORDER):
         self.clusters: dict[str, Cluster] = {}
         self.groups: dict[str, Group] = {}
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        self.recorder = recorder
 
     def register_cluster(self, cluster: Cluster) -> None:
         if cluster.id in self.clusters:

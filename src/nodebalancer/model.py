@@ -69,25 +69,15 @@ class Cluster:
     only through add_pods, pop_newest, bind and unbind, which keep each
     node's pod_count and the pending set in step. bind raises KeyError,
     changing nothing, for a node the cluster does not host, so no pod is
-    counted on a node outside it. min_active_nodes must be at least 1: a
-    donor may never give up its last node, or its utilization would have no
-    capacity to divide by.
+    counted on a node outside it.
     """
 
     id: str
     nodes: dict[str, Node] = field(default_factory=dict)
     original_node_ids: frozenset[str] = frozenset()
-    min_active_nodes: int = 1
     quantum: ResourceVector = DEFAULT_POD_QUANTUM
     _pods: dict[str, str | None] = field(default_factory=dict, init=False)
     pending: set[str] = field(default_factory=set, init=False, repr=False)  # pod ids
-
-    def __post_init__(self):
-        if self.min_active_nodes < 1:
-            raise ValueError(
-                f"cluster {self.id!r}: min_active_nodes must be >= 1, "
-                f"got {self.min_active_nodes}"
-            )
 
     @property
     def pods(self) -> Mapping[str, str | None]:
@@ -158,14 +148,13 @@ def build_cluster(
     cluster_id: str,
     node_count: int,
     node_capacity: ResourceVector,
-    min_active_nodes: int = 1,
     quantum: ResourceVector = DEFAULT_POD_QUANTUM,
 ) -> Cluster:
     """Provision a fresh cluster of identical nodes whose pods each demand quantum.
 
     The resulting node-id set is recorded as the cluster's original
     configuration, the target state for restoration on group exit. Raises
-    ValueError for a node_count or min_active_nodes below 1.
+    ValueError for a node_count below 1.
     """
     if node_count < 1:
         raise ValueError(f"cluster {cluster_id!r}: node_count must be >= 1")
@@ -177,7 +166,6 @@ def build_cluster(
         id=cluster_id,
         nodes=nodes,
         original_node_ids=frozenset(nodes),
-        min_active_nodes=min_active_nodes,
         quantum=quantum,
     )
 

@@ -7,6 +7,7 @@ bytes, so artifacts can be diffed and hashed.
 from __future__ import annotations
 
 import json
+import re
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
@@ -109,9 +110,20 @@ class TickRecord(NamedTuple):
 
 
 METRICS_HEADER = ",".join(TickRecord._fields)
-# One metrics row, the fields in TickRecord order. %d writes an int as str()
-# does, but would truncate a float: every field it formats is an int.
-_METRICS_ROW = "%d,%s,%.6f,%.6f,%.6f,%d,%d,%d,%d\n"
+
+# The metrics row, defined once: for each cell in TickRecord order, the
+# format write_metrics writes it with and the grammar iter_metrics reads it
+# by. %d writes an int with no leading zero (it would truncate a float) and
+# %.6f a float with exactly six decimals; every value is finite and >= 0, so
+# neither writes a sign, and a cell is read only in the form the writer
+# gives it. parse_scenario refuses a cluster id holding ',', '\r' or '\n'.
+_COUNT = ("%d", "(?:0|[1-9][0-9]*)")
+_RATIO = ("%.6f", r"(?:0|[1-9][0-9]*)\.[0-9]{6}")
+_METRICS_CELLS = (_COUNT, ("%s", r"[^,\r\n]+"), _RATIO, _RATIO, _RATIO,
+                  _COUNT, _COUNT, _COUNT, _COUNT)
+_METRICS_ROW = ",".join(form for form, _ in _METRICS_CELLS) + "\n"
+# No capture groups: a match and one split is cheaper than a match's groups.
+_IS_METRICS_ROW = re.compile(",".join(grammar for _, grammar in _METRICS_CELLS)).fullmatch
 
 
 # One encoder for a detail that holds more than plain scalars, where
@@ -334,25 +346,11 @@ def iter_metrics(path: str | Path) -> Iterator[TickRecord]:
                         raise IoFailure(f"{path}: unexpected header {line!r}")
                     header_seen = True
                     continue
-                parts = line.split(",")
-                if len(parts) != 9:
-                    raise IoFailure(f"{path}:{lineno}: expected 9 columns, got {len(parts)}")
-                try:
-                    # cluster_id is the scenario's own string: left out if the line fails.
-                    if not (_plain(line) or _plain(parts[0] + ",".join(parts[2:]))):
-                        raise ValueError
-                    tick, active, pending = int(parts[0]), int(parts[5]), int(parts[6])
-                    pending_cpu, pending_memory = int(parts[7]), int(parts[8])
-                    u_cpu, u_mem, u = float(parts[2]), float(parts[3]), float(parts[4])
-                    # Both bounds at once: NaN fails every comparison.
-                    if not (tick >= 0 and active >= 0 and pending >= 0
-                            and pending_cpu >= 0 and pending_memory >= 0
-                            and 0.0 <= u_cpu < inf and 0.0 <= u_mem < inf and 0.0 <= u < inf):
-                        raise ValueError
-                except ValueError:
-                    raise IoFailure(f"{path}:{lineno}: {_bad_cell(parts)}") from None
-                yield TickRecord(tick, parts[1], u_cpu, u_mem, u, active, pending,
-                                 pending_cpu, pending_memory)
+                if not _IS_METRICS_ROW(line):
+                    raise IoFailure(f"{path}:{lineno}: {_bad_cell(line)}")
+                tick, cluster_id, u_cpu, u_mem, u, active, pending, cpu, memory = line.split(",")
+                yield TickRecord(int(tick), cluster_id, float(u_cpu), float(u_mem), float(u),
+                                 int(active), int(pending), int(cpu), int(memory))
             if not header_seen:
                 raise IoFailure(f"{path}: empty metrics file")
     except (OSError, UnicodeDecodeError) as exc:
@@ -363,35 +361,16 @@ def read_metrics(path: str | Path) -> list[TickRecord]:
     return list(iter_metrics(path))
 
 
-# How read_metrics parses each cell, in METRICS_HEADER order; only used to
-# name the cell a row failed on, so the per-row path stays short.
-_METRICS_PARSERS = (int, str, float, float, float, int, int, int, int)
-
-
-def _plain(text: str) -> bool:
-    """False if text holds what int() and float() read but write_metrics never writes:
-    a non-ASCII character (such as a non-ASCII digit), '_', '+' or whitespace."""
-    return (text.isascii() and text.isprintable()
-            and not ("_" in text or "+" in text or " " in text))
-
-
-def _bad_cell(parts: list[str]) -> str:
-    """Describe the first cell of a metrics row that does not parse or is out
-    of range: every numeric cell must be plain and >= 0, and a float finite."""
-    for column, parse, text in zip(TickRecord._fields, _METRICS_PARSERS, parts):
-        if parse is str:
-            continue
-        try:
-            if not _plain(text):
-                raise ValueError
-            value = parse(text)
-        except ValueError:
-            return f"field {column!r}: cannot read {text!r}"
-        if parse is float and not isfinite(value):
-            return f"field {column!r}: must be finite, got {value}"
-        if value < 0:
-            return f"field {column!r}: must be >= 0, got {value}"
-    return f"cannot read the row {parts!r}"  # not reached: iter_metrics rejects no other row
+def _bad_cell(line: str) -> str:
+    """Name what is wrong with a metrics row that failed the row grammar:
+    its column count, or else the first cell that fails its own grammar."""
+    parts = line.split(",")
+    if len(parts) != len(_METRICS_CELLS):
+        return f"expected {len(_METRICS_CELLS)} columns, got {len(parts)}"
+    # A cell holds no ',', so a row of nine cells that each match matches.
+    return next(f"field {column!r}: cannot read {text!r}"
+                for column, (_, grammar), text in zip(TickRecord._fields, _METRICS_CELLS, parts)
+                if not re.fullmatch(grammar, text))
 
 
 def _quantized(value: float) -> float:

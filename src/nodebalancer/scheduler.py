@@ -64,7 +64,7 @@ def place_pending(cluster: Cluster) -> list[tuple[str, str]]:
 
 
 def drain_node(
-    cluster: Cluster, node_id: str, *, force: bool = False, recorder=None
+    cluster: Cluster, node_id: str, *, force: bool = False, recorder=NULL_RECORDER
 ) -> DrainOutcome:
     """Empty a node and detach it from the cluster.
 
@@ -73,28 +73,25 @@ def drain_node(
     untouched (restored=True). Otherwise the pods move, the node leaves
     cluster.nodes and NodeDeprovisioned is emitted; the caller, which holds
     the node, provisions it somewhere. With force=True the drain always
-    completes and unplaceable pods become Pending; forced drains also skip
-    the min_active_nodes guard, since restoration must be able to empty a
+    completes and unplaceable pods become Pending. Only a forced drain may
+    take a cluster's last node, since restoration must be able to empty a
     cluster's last borrowed node.
     """
-    rec = recorder if recorder is not None else NULL_RECORDER
     if node_id not in cluster.nodes:
         raise NodeNotInCluster(f"node {node_id!r} is not hosted by cluster {cluster.id!r}")
     actives = cluster.active_nodes()
-    if not force and len(actives) - 1 < cluster.min_active_nodes:
+    if not force and len(actives) == 1:
         raise LastNodeGuard(
-            f"draining {node_id!r} would leave cluster {cluster.id!r} below "
-            f"min_active_nodes={cluster.min_active_nodes}"
-        )
+            f"draining {node_id!r} would leave cluster {cluster.id!r} with no node")
 
     victims = sorted([pod_id for pod_id, host in cluster.pods.items() if host == node_id])
     siblings = [n for n in actives if n.id != node_id]
     placements, unplaced = _fill(victims, siblings, cluster.quantum)
 
-    rec.emit(EventKind.DRAIN_STARTED, cluster=cluster.id, node=node_id, pods=len(victims))
+    recorder.emit(EventKind.DRAIN_STARTED, cluster=cluster.id, node=node_id, pods=len(victims))
     if unplaced and not force:
         # Nothing was mutated yet, so aborting really is a no-op.
-        rec.emit(
+        recorder.emit(
             EventKind.DRAIN_RESTORED,
             cluster=cluster.id,
             node=node_id,
@@ -107,7 +104,7 @@ def drain_node(
     for pod_id in unplaced:
         cluster.unbind(pod_id)
     del cluster.nodes[node_id]
-    rec.emit(EventKind.NODE_DEPROVISIONED, cluster=cluster.id, node=node_id)
+    recorder.emit(EventKind.NODE_DEPROVISIONED, cluster=cluster.id, node=node_id)
     return DrainOutcome(
         node=node_id, relocated=tuple(placements), restored=False, pending=tuple(unplaced)
     )

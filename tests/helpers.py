@@ -38,7 +38,7 @@ def rv(cpu: int, memory: int | None = None) -> ResourceVector:
     return ResourceVector(cpu, memory)
 
 
-def make_cluster(cid, cpus, memory=8192, min_active=1, quantum=(100, 128)) -> Cluster:
+def make_cluster(cid, cpus, memory=8192, quantum=(100, 128)) -> Cluster:
     """Cluster with one node per entry of cpus, all with the same memory,
     whose pods each demand quantum (cpu, memory)."""
     nodes = {}
@@ -49,7 +49,6 @@ def make_cluster(cid, cpus, memory=8192, min_active=1, quantum=(100, 128)) -> Cl
         id=cid,
         nodes=nodes,
         original_node_ids=frozenset(nodes),
-        min_active_nodes=min_active,
         quantum=ResourceVector(*quantum),
     )
 

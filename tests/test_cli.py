@@ -312,11 +312,13 @@ def test_report_on_unreadable_metrics(scenario_file, tmp_path, capsys):
          "events.jsonl:1: field 'tick' must be int, got False"),
         ("metrics.csv", 2, "0,b,0.250000,0.156250,0.250000,two,0,0,0",
          "metrics.csv:3: field 'active_nodes': cannot read 'two'"),
-        ("metrics.csv", 2, "-7,b,0.250000,0.156250,0.250000,-3,-2,0,0",
-         "metrics.csv:3: field 'tick': must be >= 0, got -7"),
+        ("metrics.csv", 2, "-7,b,0.250000,0.156250,0.250000,2,0,0,0",
+         "metrics.csv:3: field 'tick': cannot read '-7'"),
         ("metrics.csv", 2, "0,b,nan,0.156250,0.250000,2,0,0,0",
-         "metrics.csv:3: field 'u_cpu': must be finite, got nan"),
-        ("metrics.csv", 1, "0,a,0.5,0.5,0.5,2,0,\udcff,0", "cannot read metrics"),
+         "metrics.csv:3: field 'u_cpu': cannot read 'nan'"),
+        ("metrics.csv", 2, "0,b,0.25,0.156250,0.250000,2,0,0,0",
+         "metrics.csv:3: field 'u_cpu': cannot read '0.25'"),
+        ("metrics.csv", 1, "0,a,0.500000,0.500000,0.500000,2,0,\udcff,0", "cannot read metrics"),
         ("metrics.csv", 2, "\n\n0,b,x,0.156250,0.250000,2,0,0,0",
          "metrics.csv:5: field 'u_cpu': cannot read 'x'"),
         ("events.jsonl", 1, TOO_DEEP_JSON, "events.jsonl:2: not valid JSON: maximum recursion"),
@@ -330,6 +332,7 @@ def test_report_on_unreadable_metrics(scenario_file, tmp_path, capsys):
         "metrics-cell-not-an-integer",
         "metrics-negative-count",
         "metrics-not-finite",
+        "metrics-not-six-decimals",
         "metrics-not-utf8",
         "metrics-after-blank-lines",
         "event-too-deep",

@@ -37,8 +37,8 @@ from helpers import (
 )
 
 
-def _manager(*clusters, recorder=None):
-    manager = GroupManager(recorder=recorder)
+def _manager(*clusters, **recorder):
+    manager = GroupManager(**recorder)
     for cluster in clusters:
         manager.register_cluster(cluster)
     return manager

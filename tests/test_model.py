@@ -1,12 +1,10 @@
 import copy
 import pickle
 import random
-import re
 
 import pytest
 
 from nodebalancer import (
-    Cluster,
     Node,
     RebalanceEvent,
     ResourceVector,
@@ -66,17 +64,6 @@ def test_build_cluster_records_original_configuration():
     assert cluster.original_node_ids == frozenset(cluster.nodes)
     assert all(n.pod_count == 0 for n in cluster.nodes.values())
     assert all(n.origin_cluster == "a" for n in cluster.nodes.values())
-
-
-@pytest.mark.parametrize("min_active", [0, -1])
-def test_min_active_nodes_below_one_is_rejected(min_active):
-    # A one-node donor allowed 0 would let a balancing cycle drain its only
-    # node, then raise ZeroCapacity out of the whole cycle.
-    message = f"cluster 'a': min_active_nodes must be >= 1, got {min_active}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        Cluster(id="a", min_active_nodes=min_active)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        build_cluster("a", 2, ResourceVector(4000, 8192), min_active_nodes=min_active)
 
 
 def test_empty_cluster_utilization_is_zero():

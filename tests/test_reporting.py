@@ -476,12 +476,14 @@ def test_write_metrics_matches_the_f_string_rows(tmp_path_factory, records):
     assert path.read_bytes() == (
         METRICS_HEADER + "\n" + "".join(map(_reference_metrics_row, ordered))
     ).encode("utf-8")
-    # A record whose floats are already at six decimals is read back as it is.
+    # Every file write_metrics writes reads back, each float at six decimals,
+    # so a record whose floats are already at six decimals reads back as it is.
     exact = [
         record._replace(u_cpu=_six_decimals(record.u_cpu), u_mem=_six_decimals(record.u_mem),
                         u=_six_decimals(record.u))
         for record in ordered
     ]
+    assert read_metrics(path) == exact
     write_metrics(exact, path)
     assert read_metrics(path) == exact
 
@@ -502,54 +504,54 @@ def test_metrics_sorted_on_write(tmp_path):
     assert [(r.tick, r.cluster_id) for r in loaded] == [(0, "a"), (0, "b"), (1, "b")]
 
 
+def _bad_row(column: str, text: str) -> tuple[str, str]:
+    """A metrics file whose one row is as write_metrics writes it, except
+    for text in the column, and the message read_metrics fails it with."""
+    cells = dict(zip(TickRecord._fields, "0 a 0.500000 0.500000 0.500000 2 0 0 0".split()))
+    cells[column] = text
+    return (METRICS_HEADER + "\n" + ",".join(cells.values()) + "\n",
+            f"metrics.csv:2: field {column!r}: cannot read {text!r}")
+
+
 @pytest.mark.parametrize(
     "content,message",
     [
         ("", "empty metrics"),
         ("tick,wrong,header\n", "unexpected header"),
+        # The column count is checked before any cell, so '0.5' is not the fault.
         (METRICS_HEADER + "\n0,a,0.5\n", "expected 9 columns"),
-        pytest.param(METRICS_HEADER + "\n-7,a,0.5,0.5,0.5,2,0,0,0\n",
-                     "metrics.csv:2: field 'tick': must be >= 0, got -7", id="negative-tick"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,-3,0,0,0\n",
-                     "metrics.csv:2: field 'active_nodes': must be >= 0, got -3",
-                     id="negative-active-nodes"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,2,-2,0,0\n",
-                     "metrics.csv:2: field 'pending_pods': must be >= 0, got -2",
-                     id="negative-pending-pods"),
-        pytest.param(METRICS_HEADER + "\n0,a,inf,0.5,0.5,2,0,0,0\n",
-                     "metrics.csv:2: field 'u_cpu': must be finite, got inf", id="u-cpu-inf"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,-inf,0.5,2,0,0,0\n",
-                     "metrics.csv:2: field 'u_mem': must be finite, got -inf", id="u-mem-minus-inf"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,nan,2,0,0,0\n",
-                     "metrics.csv:2: field 'u': must be finite, got nan", id="u-nan"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,2,0,-100,0\n",
-                     "metrics.csv:2: field 'pending_cpu_millicores': must be >= 0, got -100",
-                     id="negative-pending-demand"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,2,0,0,-100\n",
-                     "metrics.csv:2: field 'pending_memory_mib': must be >= 0, got -100",
-                     id="negative-pending-memory"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,2,0,0,0\n\n\n1,a,x,0.1,0.1,1,0,0,0\n",
+        pytest.param(*_bad_row("tick", "-7"), id="negative-tick"),
+        pytest.param(*_bad_row("active_nodes", "-3"), id="negative-active-nodes"),
+        pytest.param(*_bad_row("pending_pods", "-2"), id="negative-pending-pods"),
+        pytest.param(*_bad_row("u_cpu", "inf"), id="u-cpu-inf"),
+        pytest.param(*_bad_row("u_mem", "-inf"), id="u-mem-minus-inf"),
+        pytest.param(*_bad_row("u", "nan"), id="u-nan"),
+        pytest.param(*_bad_row("pending_cpu_millicores", "-100"), id="negative-pending-demand"),
+        pytest.param(*_bad_row("pending_memory_mib", "-100"), id="negative-pending-memory"),
+        pytest.param(METRICS_HEADER + "\n0,a,0.500000,0.500000,0.500000,2,0,0,0\n\n\n"
+                     "1,a,x,0.100000,0.100000,1,0,0,0\n",
                      "metrics.csv:5: field 'u_cpu': cannot read 'x'", id="file-line-after-blanks"),
         # int() and float() read these, but write_metrics never writes them.
-        pytest.param(METRICS_HEADER + "\n5_0,a,0.5,0.5,0.5,2,0,0,0\n",
-                     "metrics.csv:2: field 'tick': cannot read '5_0'", id="underscore-in-tick"),
-        pytest.param(METRICS_HEADER + "\n 5,a,0.5,0.5,0.5,2,0,0,0\n",
-                     "metrics.csv:2: field 'tick': cannot read ' 5'", id="space-in-tick"),
-        pytest.param(METRICS_HEADER + "\n\u0665,a,0.5,0.5,0.5,2,0,0,0\n",
-                     "metrics.csv:2: field 'tick': cannot read '\u0665'", id="arabic-indic-tick"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,+2,0,0,0\n",
-                     "metrics.csv:2: field 'active_nodes': cannot read '+2'", id="plus-sign"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,\t0.5,0.5,2,0,0,0\n",
-                     "metrics.csv:2: field 'u_mem': cannot read '\\t0.5'", id="tab-in-u-mem"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,0.5,2,0,0,7\u00a0\n",
-                     "metrics.csv:2: field 'pending_memory_mib': cannot read '7\\xa0'",
-                     id="no-break-space"),
-        pytest.param(METRICS_HEADER + "\n0,a,-0.500000,0.5,0.5,2,0,0,0\n",
-                     "metrics.csv:2: field 'u_cpu': must be >= 0, got -0.5", id="negative-u-cpu"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,-0.25,0.5,2,0,0,0\n",
-                     "metrics.csv:2: field 'u_mem': must be >= 0, got -0.25", id="negative-u-mem"),
-        pytest.param(METRICS_HEADER + "\n0,a,0.5,0.5,-1e-06,2,0,0,0\n",
-                     "metrics.csv:2: field 'u': must be >= 0, got -1e-06", id="negative-u"),
+        pytest.param(*_bad_row("tick", "5_0"), id="underscore-in-tick"),
+        pytest.param(*_bad_row("tick", " 5"), id="space-in-tick"),
+        pytest.param(*_bad_row("tick", "\u0665"), id="arabic-indic-tick"),
+        pytest.param(*_bad_row("active_nodes", "+2"), id="plus-sign"),
+        pytest.param(*_bad_row("u_mem", "\t0.500000"), id="tab-in-u-mem"),
+        pytest.param(*_bad_row("pending_memory_mib", "7\u00a0"), id="no-break-space"),
+        pytest.param(*_bad_row("u_cpu", "-0.500000"), id="negative-u-cpu"),
+        pytest.param(*_bad_row("u_mem", "-0.25"), id="negative-u-mem"),
+        pytest.param(*_bad_row("u", "-1e-06"), id="negative-u"),
+        # No cluster id is empty: parse_scenario refuses one.
+        pytest.param(*_bad_row("cluster_id", ""), id="empty-cluster-id"),
+        # More of those: %d writes no sign and no leading zero, and %.6f
+        # exactly six decimals and no exponent.
+        *(pytest.param(*_bad_row(column, text), id=f"never-written-{column}-{text}")
+          for column, text in [
+              ("u_cpu", "5e-1"), ("u_cpu", "0.5"), ("u_cpu", ".5"), ("u_cpu", "1"),
+              ("u_cpu", "-0.000000"), ("u_cpu", "0.5000000"), ("u_cpu", "00.500000"),
+              ("tick", "007"), ("tick", "-0"), ("active_nodes", "02"),
+              ("pending_cpu_millicores", "-0"), ("pending_cpu_millicores", "00"),
+          ]),
     ],
 )
 def test_read_metrics_rejects_malformed_files(tmp_path, content, message):
@@ -557,6 +559,7 @@ def test_read_metrics_rejects_malformed_files(tmp_path, content, message):
     path.write_text(content, encoding="utf-8")
     with pytest.raises(IoFailure, match=re.escape(message)):
         read_metrics(path)
+
 
 
 def test_summarize_counts_and_aggregates():

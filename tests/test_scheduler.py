@@ -259,9 +259,11 @@ def test_last_node_guard():
     cluster = make_cluster("a", [4000])
     with pytest.raises(LastNodeGuard):
         drain_node(cluster, "a-n000")
-    two = make_cluster("b", [4000, 4000], min_active=2)
-    with pytest.raises(LastNodeGuard):
-        drain_node(two, "b-n000")
+    two = make_cluster("b", [4000, 4000])
+    drain_node(two, "b-n000")
+    message = "^draining 'b-n001' would leave cluster 'b' with no node$"
+    with pytest.raises(LastNodeGuard, match=message):
+        drain_node(two, "b-n001")
     relaxed = make_cluster("c", [4000, 4000])
     assert not drain_node(relaxed, "c-n000").restored
 
