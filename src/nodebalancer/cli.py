@@ -14,10 +14,9 @@ from .engine import compare, load_scenario, run
 from .errors import ScenarioInvalid
 from .reporting import (
     _check_events,
-    _summarize_records,
+    _summarize_metrics,
     compose_comparison,
     iter_events,
-    iter_metrics,
     write_events,
     write_metrics,
     write_summary,
@@ -114,7 +113,7 @@ def _rebuild_summary(run_dir: Path) -> dict | None:
         for violation in violations:
             print(f"{run_dir}: {violation}", file=sys.stderr)
         return None
-    summary = _summarize_records(kind_counts, iter_metrics(run_dir / "metrics.csv"))
+    summary = _summarize_metrics(kind_counts, run_dir / "metrics.csv")
     write_summary(summary, run_dir / "summary.json")
     return summary
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
 from operator import itemgetter
@@ -112,18 +113,29 @@ class TickRecord(NamedTuple):
 METRICS_HEADER = ",".join(TickRecord._fields)
 
 # The metrics row, defined once: for each cell in TickRecord order, the
-# format write_metrics writes it with and the grammar iter_metrics reads it
-# by. %d writes an int with no leading zero (it would truncate a float) and
-# %.6f a float with exactly six decimals; every value is finite and >= 0, so
-# neither writes a sign, and a cell is read only in the form the writer
-# gives it. parse_scenario refuses a cluster id holding ',', '\r' or '\n'.
-_COUNT = ("%d", "(?:0|[1-9][0-9]*)")
-_RATIO = ("%.6f", r"(?:0|[1-9][0-9]*)\.[0-9]{6}")
-_METRICS_CELLS = (_COUNT, ("%s", r"[^,\r\n]+"), _RATIO, _RATIO, _RATIO,
+# format write_metrics writes it with, the grammar the reader checks it by
+# and the type the reader converts it to. %d writes an int with no leading
+# zero (it would truncate a float) and %.6f a float with exactly six
+# decimals; every value is finite and >= 0, so neither writes a sign, and a
+# cell is read only in the form the writer gives it. parse_scenario refuses
+# a cluster id holding ',', '\r' or '\n'.
+_COUNT = ("%d", "(?:0|[1-9][0-9]*)", int)
+_RATIO = ("%.6f", r"(?:0|[1-9][0-9]*)\.[0-9]{6}", float)
+_METRICS_CELLS = (_COUNT, ("%s", r"[^,\r\n]+", str), _RATIO, _RATIO, _RATIO,
                   _COUNT, _COUNT, _COUNT, _COUNT)
-_METRICS_ROW = ",".join(form for form, _ in _METRICS_CELLS) + "\n"
-# No capture groups: a match and one split is cheaper than a match's groups.
-_IS_METRICS_ROW = re.compile(",".join(grammar for _, grammar in _METRICS_CELLS)).fullmatch
+_METRICS_ROW = ",".join(form for form, _, _ in _METRICS_CELLS) + "\n"
+# One whole row with its "\n", as write_metrics writes it. No capture groups:
+# one match per row and one split per batch are cheaper than a match's groups.
+_IS_METRICS_ROW = re.compile(
+    ",".join(grammar for _, grammar, _ in _METRICS_CELLS) + "\n").fullmatch
+# The TickRecord columns a summary is folded from: tick, cluster_id, u,
+# active_nodes and pending_pods. report converts only these: converting all
+# nine cells made it about a fifth slower on a run of many rows.
+_SUMMARY_COLUMNS = (0, 1, 4, 5, 6)
+# metrics.csv is read this many characters of whole lines at a time: enough
+# rows that checking, splitting and converting them are a few C calls per
+# batch, and few enough that a reader holds kilobytes however long the file.
+_BATCH_CHARS = 2048
 
 
 # One encoder for a detail that holds more than plain scalars, where
@@ -329,32 +341,67 @@ def write_metrics(records: Iterable[TickRecord], path: str | Path) -> None:
         raise IoFailure(f"cannot write metrics {path}: {exc}") from exc
 
 
-def iter_metrics(path: str | Path) -> Iterator[TickRecord]:
-    """The metrics table's rows in file order, each parsed and checked as it
-    is read; a malformed row raises IoFailure naming its file line when the
-    stream reaches it. Blank lines are skipped. The file is open while the
+def _metrics_batches(path: str | Path, columns) -> Iterator[Iterator[tuple]]:
+    """metrics.csv a batch of lines at a time: for each batch that holds a
+    row, an iterator over its rows in file order, each the tuple of its cells
+    in columns (TickRecord indices), converted to their types.
+
+    A batch of whole rows in writer form is checked one regex call a row and
+    split with one call. Any other batch (the header, a blank or
+    whitespace-only line, a last line with no newline, a malformed row) is
+    read a line at a time: its rows before the file's first bad line are
+    yielded, then IoFailure names that line. The file is open while the
     stream is, and closed when the stream ends, fails or is closed."""
+    width = len(_METRICS_CELLS)
+    kinds = [(column, _METRICS_CELLS[column][2]) for column in columns]
+    header = METRICS_HEADER + "\n"
     try:
         with open(path, "r", encoding="utf-8") as handle:
             header_seen = False
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():  # no copy unless the line has edge whitespace
-                    continue
-                if not header_seen:
-                    if line != METRICS_HEADER:
-                        raise IoFailure(f"{path}: unexpected header {line!r}")
-                    header_seen = True
-                    continue
-                if not _IS_METRICS_ROW(line):
-                    raise IoFailure(f"{path}:{lineno}: {_bad_cell(line)}")
-                tick, cluster_id, u_cpu, u_mem, u, active, pending, cpu, memory = line.split(",")
-                yield TickRecord(int(tick), cluster_id, float(u_cpu), float(u_mem), float(u),
-                                 int(active), int(pending), int(cpu), int(memory))
+            lineno = 0
+            while lines := handle.readlines(_BATCH_CHARS):
+                failure = None
+                if header_seen and all(map(_IS_METRICS_ROW, lines)):
+                    lineno += len(lines)
+                else:
+                    rows = []
+                    for lineno, line in enumerate(lines, start=lineno + 1):
+                        if not line.endswith("\n"):  # only a file's last line
+                            line += "\n"
+                        if line.isspace():
+                            continue
+                        if not header_seen:
+                            if line != header:
+                                raise IoFailure(f"{path}: unexpected header {line[:-1]!r}")
+                            header_seen = True
+                        elif _IS_METRICS_ROW(line):
+                            rows.append(line)
+                        else:
+                            failure = IoFailure(f"{path}:{lineno}: {_bad_cell(line[:-1])}")
+                            break
+                    lines = rows
+                if lines:
+                    # Every row has exactly width cells, so column k is every
+                    # width-th cell from k.
+                    cells = "".join(lines)[:-1].replace("\n", ",").split(",")
+                    yield zip(*[cells[column::width] if kind is str
+                                else map(kind, cells[column::width]) for column, kind in kinds])
+                if failure is not None:
+                    raise failure
             if not header_seen:
                 raise IoFailure(f"{path}: empty metrics file")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read metrics {path}: {exc}") from exc
+
+
+def iter_metrics(path: str | Path) -> Iterator[TickRecord]:
+    """The metrics table's rows in file order, read and checked a batch of
+    lines at a time; a malformed row raises IoFailure naming its file line
+    when the stream reaches it. Blank lines are skipped. The file is open
+    while the stream is, and closed when the stream ends, fails or is
+    closed."""
+    for rows in _metrics_batches(path, range(len(_METRICS_CELLS))):
+        yield from map(TickRecord._make, rows)
 
 
 def read_metrics(path: str | Path) -> list[TickRecord]:
@@ -369,7 +416,7 @@ def _bad_cell(line: str) -> str:
         return f"expected {len(_METRICS_CELLS)} columns, got {len(parts)}"
     # A cell holds no ',', so a row of nine cells that each match matches.
     return next(f"field {column!r}: cannot read {text!r}"
-                for column, (_, grammar), text in zip(TickRecord._fields, _METRICS_CELLS, parts)
+                for column, (_, grammar, _), text in zip(TickRecord._fields, _METRICS_CELLS, parts)
                 if not re.fullmatch(grammar, text))
 
 
@@ -389,18 +436,24 @@ def summarize(events: list[RebalanceEvent], records: list[TickRecord]) -> dict:
     for event in events:
         kind = event.kind
         counts[kind] = counts.get(kind, 0) + 1
-    return _summarize_records(counts, records)
+    return _summarize_records(counts, map(itemgetter(*_SUMMARY_COLUMNS), records))
 
 
-def _summarize_records(counts: dict[str, int], records: Iterable[TickRecord]) -> dict:
+def _summarize_metrics(counts: dict[str, int], path: str | Path) -> dict:
+    """summarize's document from a run's event count per kind and its
+    metrics.csv, read a batch at a time; no row outlives its batch."""
+    return _summarize_records(counts, chain.from_iterable(_metrics_batches(path, _SUMMARY_COLUMNS)))
+
+
+def _summarize_records(counts: dict[str, int], rows: Iterable[tuple]) -> dict:
     """The summary of a run from its event count per kind and one pass over
-    its metrics records."""
+    its metrics rows, each (tick, cluster_id, u, active_nodes, pending_pods)."""
     # cluster_id -> [peak utilization, min active nodes, max active nodes,
     # pending pod-ticks]; comparisons, not max/min calls, on every row.
     per_cluster: dict[str, list] = {}
     last_tick = -inf  # any record replaces it
     pending_total = 0
-    for tick, cluster_id, _, _, u, active, pending, _, _ in records:
+    for tick, cluster_id, u, active, pending in rows:
         if tick > last_tick:
             last_tick = tick
         pending_total += pending

@@ -2,13 +2,15 @@
 
 The reference functions (ffd_oracle, raw utilization sums) are written from
 the documented behaviour, not from the package internals, so they can catch
-the package drifting from its own contract.
+the package drifting from its own contract. reference_iter_metrics is the
+metrics reader the package's batched one replaced, kept to compare against.
 """
 
 from __future__ import annotations
 
 import copy
 import random
+import re
 from collections import Counter
 
 from nodebalancer import (
@@ -22,6 +24,8 @@ from nodebalancer import (
     build_cluster,
     place_pending,
 )
+from nodebalancer.errors import IoFailure
+from nodebalancer.reporting import METRICS_HEADER, TickRecord, _bad_cell, _METRICS_CELLS
 
 
 # JSON that json.loads refuses with RecursionError or ValueError rather than
@@ -29,6 +33,37 @@ from nodebalancer import (
 # longer than the int-to-str digit limit.
 TOO_DEEP_JSON = "[" * 100_000
 OVER_LONG_INT_JSON = '{"tick":' + "1" * 5000 + "}"
+
+
+# One metrics row without its line end, by the package's cell grammars.
+_IS_REFERENCE_ROW = re.compile(",".join(grammar for _, grammar, _ in _METRICS_CELLS)).fullmatch
+
+
+def reference_iter_metrics(path):
+    """Reference for iter_metrics: the reader that checks, splits and
+    converts metrics.csv one line at a time, skipping blank lines, and names
+    the first malformed line with the package's own messages."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            header_seen = False
+            for lineno, line in enumerate(handle, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                if not header_seen:
+                    if line != METRICS_HEADER:
+                        raise IoFailure(f"{path}: unexpected header {line!r}")
+                    header_seen = True
+                    continue
+                if not _IS_REFERENCE_ROW(line):
+                    raise IoFailure(f"{path}:{lineno}: {_bad_cell(line)}")
+                tick, cluster_id, u_cpu, u_mem, u, active, pending, cpu, memory = line.split(",")
+                yield TickRecord(int(tick), cluster_id, float(u_cpu), float(u_mem), float(u),
+                                 int(active), int(pending), int(cpu), int(memory))
+            if not header_seen:
+                raise IoFailure(f"{path}: empty metrics file")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read metrics {path}: {exc}") from exc
 
 
 def rv(cpu: int, memory: int | None = None) -> ResourceVector:

@@ -7,7 +7,7 @@ import pytest
 
 from nodebalancer import engine
 from nodebalancer.cli import main
-from nodebalancer.reporting import read_events
+from nodebalancer.reporting import read_events, read_metrics
 
 from helpers import OVER_LONG_INT_JSON, TOO_DEEP_JSON
 
@@ -421,6 +421,42 @@ def test_report_memory_does_not_grow_with_the_log(tmp_path):
         events = read_events(out / "events.jsonl")
         held = tracemalloc.get_traced_memory()[0]
         del events
+        tracemalloc.reset_peak()
+        assert main(["report", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held / 2
+
+
+def test_report_memory_does_not_grow_with_the_metrics_table(tmp_path):
+    """report reads metrics.csv a batch at a time: on a run of 20,000 rows
+    and few events its peak stays well below what the rows take once read
+    into memory."""
+    capacity = {"cpu_millicores": 4000, "memory_mib": 8192}
+    doc = {
+        "clusters": [
+            {"id": f"c{i:02d}", "node_count": 1, "node_capacity": capacity,
+             "trace": {"kind": "Constant", "level": 1000}}
+            for i in range(20)
+        ],
+        "groups": [{"id": "g", "thresholds": {"t_low": 0.3, "t_high": 0.8},
+                    "balance_interval": 500, "members": ["c00", "c01"]}],
+        "ticks": 1000,
+        "seed": 1,
+    }
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+
+    tracemalloc.start()
+    try:
+        records = read_metrics(out / "metrics.csv")
+        held = tracemalloc.get_traced_memory()[0]
+        assert len(records) == 20_000
+        assert len(read_events(out / "events.jsonl")) < 10
+        del records
         tracemalloc.reset_peak()
         assert main(["report", "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]

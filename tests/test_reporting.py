@@ -29,9 +29,9 @@ from nodebalancer import (
 )
 from nodebalancer.errors import IoFailure
 from nodebalancer.model import ResourceVector, Utilization
-from nodebalancer.reporting import METRICS_HEADER, _event_line
+from nodebalancer.reporting import METRICS_HEADER, _event_line, _summarize_metrics
 
-from helpers import OVER_LONG_INT_JSON, TOO_DEEP_JSON
+from helpers import OVER_LONG_INT_JSON, TOO_DEEP_JSON, reference_iter_metrics
 
 
 def _record(tick, cid, u_cpu, u_mem, active=2, pending=0, pending_cpu=0, pending_memory=0):
@@ -560,6 +560,79 @@ def test_read_metrics_rejects_malformed_files(tmp_path, content, message):
     with pytest.raises(IoFailure, match=re.escape(message)):
         read_metrics(path)
 
+
+# Cluster ids with multi-byte and edge-space text, so a batch's size in
+# characters and in bytes differ and no row is blank once stripped of a space.
+_METRICS_IDS = ["a", "c07", " edge ", "\u00e9t\u00e9", "\u8282\u70b9", "x\u2028y", "long-" * 6]
+_BLANK_LINES = ["", " ", "\t", "  \t ", "\x0c", "\u3000", "\u2028"]
+_LINE_ENDS = ["\n", "\r\n", "\r"]
+# What one corrupted cell holds: text the writer never writes, a cell
+# split in two or an empty one.
+_BAD_CELLS = ["", "x", "-1", "0.5", "nan", "1e3", " 5", "007", "a,b", "\u0665"]
+
+
+def _metrics_outcome(read, path):
+    """What a reader makes of a metrics file: the records it yields, one at
+    a time, and then its error message, or None if it reads to the end."""
+    records = []
+    try:
+        for record in read(path):
+            records.append(record)
+    except IoFailure as exc:
+        return records, str(exc)
+    return records, None
+
+
+@settings(max_examples=60, **_CODEC_SETTINGS)
+@given(
+    seed=st.integers(0, 2**32),
+    rows=st.integers(0, 400),
+    blanks=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_BLANK_LINES)), max_size=6),
+    ends=st.sampled_from(["\n", "\r\n", "mixed"]),
+    final_end=st.booleans(),
+    corruption=st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 8),
+                                     st.sampled_from(_BAD_CELLS)),
+)
+@example(seed=0, rows=0, blanks=[], ends="\n", final_end=False, corruption=None)
+@example(seed=0, rows=0, blanks=[(0, "")], ends="\n", final_end=True, corruption=None)
+@example(seed=1, rows=120, blanks=[], ends="\n", final_end=True, corruption=(0, 3, "x"))
+def test_batched_metrics_reader_matches_the_per_line_reference(
+    tmp_path_factory, seed, rows, blanks, ends, final_end, corruption
+):
+    rng = random.Random(seed)
+    records = [
+        TickRecord(tick // 7, rng.choice(_METRICS_IDS), rng.random(), rng.random() * 2,
+                   rng.choice([0.0, 1.0, rng.random()]), rng.randint(0, 12),
+                   rng.choice([0, rng.randint(0, 10**6)]), rng.randint(0, 2**40), 0)
+        for tick in range(rows)
+    ]
+    path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+    write_metrics(records, path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    if corruption is not None:
+        index, column, text = corruption
+        index %= len(lines)  # the header too
+        cells = lines[index].split(",")
+        cells[column] = text
+        lines[index] = ",".join(cells)
+    for position, blank in blanks:
+        lines.insert(position % (len(lines) + 1), blank)
+    text = "".join(line + (rng.choice(_LINE_ENDS) if ends == "mixed" else ends) for line in lines)
+    if not final_end:
+        text = text.rstrip("\r\n")
+    path.write_bytes(text.encode("utf-8"))
+
+    # The same records up to the same error: a consumer that stops at the
+    # error has seen every row before the bad line.
+    expected = _metrics_outcome(reference_iter_metrics, path)
+    assert _metrics_outcome(iter_metrics, path) == expected
+    # report's own fold of the file: the summary summarize makes of the
+    # records, or the same error.
+    records, error = expected
+    rebuilt = _metrics_outcome(lambda path: [_summarize_metrics({}, path)], path)
+    assert rebuilt == (([], error) if error else ([summarize([], records)], None))
+    if corruption is None and blanks == [] and ends != "mixed" and final_end:
+        assert len(records) == rows
 
 
 def test_summarize_counts_and_aggregates():
