@@ -10,13 +10,7 @@ get its exact original configuration back.
 """
 
 from . import errors
-from .balancer import (
-    AttemptReason,
-    OutcomeKind,
-    RebalanceOutcome,
-    provision_node,
-    rebalance_cycle,
-)
+from .balancer import AttemptReason, OutcomeKind, RebalanceOutcome, rebalance_cycle
 from .engine import (
     ClusterSpec,
     ComparisonReport,
@@ -60,7 +54,7 @@ from .reporting import (
     write_summary,
 )
 from .rules import Evaluation, evaluate_group
-from .scheduler import DrainOutcome, drain_node, place_pending
+from .scheduler import DrainOutcome, drain_node, place_pending, provision_node
 from .workload import (
     ConstantTrace,
     SineTrace,

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .balancer import provision_node
 from .errors import (
     AlreadyGrouped,
     DuplicateGroup,
@@ -17,7 +16,7 @@ from .errors import (
 )
 from .model import Cluster, Group, Thresholds
 from .reporting import NULL_RECORDER, EventKind
-from .scheduler import drain_node
+from .scheduler import drain_node, provision_node
 
 
 class MembershipAction(str, Enum):

@@ -1,4 +1,7 @@
-"""Simulated pod scheduling: placement by fill, and node drains.
+"""Simulated pod scheduling: placement by fill, and node hosting.
+
+A node changes clusters only here: drain_node detaches it from one cluster
+and provision_node, its inverse, attaches it to another.
 
 A cluster's pods all demand its one quantum, so first-fit-decreasing
 placement is a fill: the pods, in ascending id-string order, go to the
@@ -11,7 +14,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import NamedTuple
 
-from .errors import LastNodeGuard, NodeNotInCluster
+from .errors import DuplicateNode, LastNodeGuard, NodeNotInCluster
 from .model import Cluster, Node, ResourceVector
 from .reporting import NULL_RECORDER, EventKind
 
@@ -108,3 +111,15 @@ def drain_node(
     return DrainOutcome(
         node=node_id, relocated=tuple(placements), restored=False, pending=tuple(unplaced)
     )
+
+
+def provision_node(cluster: Cluster, node: Node, recorder=NULL_RECORDER) -> None:
+    """Attach to a cluster a node that a completed drain detached.
+
+    origin_cluster is deliberately left alone: the node remembers where it
+    came from no matter how many times it is re-homed.
+    """
+    if node.id in cluster.nodes:
+        raise DuplicateNode(f"cluster {cluster.id!r} already hosts a node {node.id!r}")
+    cluster.nodes[node.id] = node
+    recorder.emit(EventKind.NODE_PROVISIONED, cluster=cluster.id, node=node.id)

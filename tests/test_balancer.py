@@ -390,3 +390,70 @@ def test_cycle_is_deterministic_byte_for_byte():
         dump_b = json.dumps([o._asdict() for o in out_b])
         assert dump_a == dump_b
         assert rec_a.events == rec_b.events
+
+
+def _refusing_donor(reason):
+    """A donor that refuses for the given reason under Thresholds(0.6, 0.85)."""
+    if reason == "MinActiveNodes":
+        donor = make_cluster("d", [4000])  # its only node is its last own one
+        fill(donor, "d-n000", 1000)  # 0.25
+    elif reason == "DrainInfeasible":
+        # One pod per node and every node full, so no drain victim's pod fits.
+        donor = make_cluster("d", [4000, 4000, 4000], quantum=(2100, 100))
+        for i in range(3):
+            run_pod(donor, f"d-p{i}", f"d-n{i:03d}")  # 6300/12000 = 0.525
+    else:
+        donor = make_cluster("d", [4000, 4000, 4000])
+        fill(donor, "d-n000", 3500)
+        fill(donor, "d-n001", 3500)  # 7000/12000; 7000/8000 = 0.875 without a node
+    return donor
+
+
+@pytest.mark.parametrize("reason", ["MinActiveNodes", "DrainInfeasible", "WouldExceedTHigh"])
+def test_a_refusing_donor_is_consulted_once_per_cycle(reason):
+    hot1 = make_cluster("a", [4000, 4000])
+    fill(hot1, "a-n000", 4000)
+    fill(hot1, "a-n001", 3600)  # 0.95
+    hot2 = make_cluster("b", [4000, 4000])
+    fill(hot2, "b-n000", 4000)
+    fill(hot2, "b-n001", 3500)  # 0.9375
+    clusters = {"a": hot1, "b": hot2, "d": _refusing_donor(reason)}
+    group = Group(id="g", members=["a", "b", "d"], thresholds=Thresholds(0.6, 0.85))
+    recorder = EventRecorder()
+    outcomes = rebalance_cycle(group, clusters, recorder=recorder)
+
+    attempts = [attempt for outcome in outcomes for attempt in outcome.attempts]
+    assert attempts == [("d", reason)]
+    assert outcomes[-1] == (OutcomeKind.NO_CANDIDATE, "b", None, None, ())
+    drains = [
+        e for e in recorder.events
+        if e.kind == EventKind.DRAIN_STARTED.value and e.cluster == "d"
+    ]
+    assert len(drains) <= 1
+    no_candidates = [e for e in recorder.events if e.kind == EventKind.NO_CANDIDATE.value]
+    assert [(e.cluster, e.detail["attempts"]) for e in no_candidates] == [
+        ("a", [["d", reason]]),
+        ("b", []),
+    ]
+
+
+def test_no_donor_is_consulted_twice_in_a_cycle():
+    rng = random.Random(20)
+    refusals = 0
+    for _ in range(400):
+        manager, group = random_world(rng, n_clusters=rng.randint(3, 6))
+        for cluster in manager.clusters.values():
+            randomize_load(rng, cluster, 0)
+        outcomes = rebalance_cycle(group, manager.clusters)
+        # A reversal's outcome repeats the attempt its recipient lists, so
+        # the consultations are the attempts and the donors that gave.
+        consulted = [donor for outcome in outcomes for donor, _ in outcome.attempts]
+        consulted += [o.low_cluster for o in outcomes if o.kind is OutcomeKind.MOVED]
+        assert len(consulted) == len(set(consulted))
+        reversed_donors = {o.low_cluster for o in outcomes if o.kind is OutcomeKind.REVERSED}
+        assert reversed_donors == {
+            donor for outcome in outcomes for donor, why in outcome.attempts
+            if why == "WouldExceedTHigh"
+        }
+        refusals += len(consulted) - sum(o.kind is OutcomeKind.MOVED for o in outcomes)
+    assert refusals > 20

@@ -6,7 +6,7 @@ comparison's top-level summary.json must equal the pinned values, so any
 change to the bytes a scenario produces shows up here. A change that moves a
 pin on purpose says why in CHANGES.md.
 
-Six scenarios are written by hand; eight more are the first Sine-free
+Seven scenarios are written by hand; eight more are the first Sine-free
 documents helpers.random_scenario draws from a fixed rng, so editing that
 helper moves their pins. No scenario uses a Sine trace: Sine levels go through
 the C library's sin() right at the half-up quantization boundary, and these
@@ -121,6 +121,22 @@ SCENARIOS = {
         "ticks": 15,
         "seed": 5,
     },
+    # Every node of d is full with one 2100m pod, so the drain of its victim
+    # is infeasible each time d is consulted. At tick 2 a asks d, then takes
+    # e's idle node; b, the second recipient, comes after both donors were
+    # consulted and gets NoCandidate with no attempts. From tick 3 e is no
+    # longer underutilized, and b is refused by d alone until its load drops.
+    "infeasible-drain": {
+        "clusters": [
+            _cluster("a", 2, 4000, 8192, _steps((0, 2000), (2, 7600))),
+            _cluster("b", 2, 4000, 8192, _steps((0, 2000), (2, 7200), (7, 3000))),
+            _cluster("d", 3, 4000, 8192, {"kind": "Constant", "level": 6300}, (2100, 128)),
+            _cluster("e", 4, 4000, 8192, {"kind": "Constant", "level": 9000}),
+        ],
+        "groups": [_group("g", 0.6, 0.85, 1, ["a", "b", "d", "e"])],
+        "ticks": 10,
+        "seed": 7,
+    },
     # No groups at all: overload only builds a Pending backlog, and the
     # comparison's two runs are identical.
     "ungrouped": {
@@ -156,6 +172,12 @@ PINS = {
         "metrics.csv": "7a49ae8b61545e058dd3c6b1215e060b5a498fc6c1737d9c54f82c8f45e5a088",
         "summary.json": "c4a02f8b15a497587dc4453e2de4976947a98f35472d3f3f14ae262e923ce40c",
         "compare/summary.json": "806e3c6619c82509a796521977a601f076f6c8e1623546eb83536437711b3326",
+    },
+    "infeasible-drain": {
+        "events.jsonl": "1651d658f64e70d9b8dea813e9c1f37482554a0c0e0ef29f729553395c8289e1",
+        "metrics.csv": "039436649ccb107507820f1dccf441e5b96cb5d029eba5e5e5c96d88df8a4094",
+        "summary.json": "80345655407c92a75f4af1c05e19a303e24ec4fb6a5e96176bf53ec20ef01448",
+        "compare/summary.json": "4e7ed870e0ec3af023c9c79443694a5e5eba98fe581d5dcf9870bd9ec980ed58",
     },
     "membership": {
         "events.jsonl": "681cbf13d48690a3a5af5d1df20f3213d885a0d14dbd8a75f064855a4c815796",

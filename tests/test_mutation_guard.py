@@ -6,9 +6,9 @@ one of them, or touches the column's private dict ._pods at all: any of
 those would leave the others stale until the next audit.
 
 A node moves between clusters only through the scheduler's drain, which
-detaches it, and the balancer's provision, which attaches it. Any other
-module, model.py included, that stores into or deletes from a .nodes[...]
-is flagged too."""
+detaches it, and its provision, which attaches it. Any other module,
+model.py and balancer.py included, that stores into or deletes from a
+.nodes[...] is flagged too."""
 
 import ast
 from pathlib import Path
@@ -23,7 +23,7 @@ MUTATORS = frozenset(
         "sort", "symmetric_difference_update", "update",
     }
 )
-HOSTING = frozenset({"scheduler.py", "balancer.py"})  # the detach and the attach
+HOSTING = frozenset({"scheduler.py"})  # the detach and the attach
 
 
 def _stores(node):
@@ -162,7 +162,7 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
     assert bypasses(clean, "clean.py") == []
     # Each owner may make its own stores, and only those.
     assert bypasses("del cluster.nodes[node_id]", "scheduler.py") == []
-    assert bypasses("cluster.nodes[node.id] = node", "balancer.py") == []
+    assert bypasses("cluster.nodes[node.id] = node", "scheduler.py") == []
     assert bypasses("self._pods[pod_id] = node_id", "model.py") == []
     assert bypasses("self.pending.remove(pod_id)", "model.py") == []
     assert bypasses("del self.nodes[node_id]", "model.py") == [
@@ -170,6 +170,9 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
     ]
     assert bypasses("host.nodes[node.id] = node", "groups.py") == [
         "groups.py:1: stores into .nodes[...]"
+    ]
+    assert bypasses("cluster.nodes[node.id] = node", "balancer.py") == [
+        "balancer.py:1: stores into .nodes[...]"
     ]
     assert bypasses("cluster.pending.add(pod_id)", "balancer.py") == [
         "balancer.py:1: calls .add() on .pods, .pod_count or .pending"
