@@ -6,7 +6,7 @@ comparison's top-level summary.json must equal the pinned values, so any
 change to the bytes a scenario produces shows up here. A change that moves a
 pin on purpose says why in CHANGES.md.
 
-Seven scenarios are written by hand; eight more are the first Sine-free
+Eight scenarios are written by hand; eight more are the first Sine-free
 documents helpers.random_scenario draws from a fixed rng, so editing that
 helper moves their pins. No scenario uses a Sine trace: Sine levels go through
 the C library's sin() right at the half-up quantization boundary, and these
@@ -137,6 +137,22 @@ SCENARIOS = {
         "ticks": 10,
         "seed": 7,
     },
+    # 12,000 pods of (1m, 1Mi) in one tick, whose ids do not sort in creation
+    # order: "a-p00000-10000" comes right after "a-p00000-1000". Placement
+    # takes them in id-string order, so a's own nodes take the first 8,000
+    # of that order and b's first loaned node "a-p00000-6000" to "-9999".
+    # At a's exit at tick 2 those are the pods left Pending; creation order
+    # would leave "a-p00000-8000" to "-11999" instead.
+    "id-order": {
+        "clusters": [
+            _cluster("a", 2, 4000, 8192, {"kind": "Constant", "level": 12000}, (1, 1)),
+            _cluster("b", 3, 4000, 8192, {"kind": "Constant", "level": 1000}),
+        ],
+        "groups": [_group("g", 0.3, 0.8, 1, ["a", "b"])],
+        "membership_changes": [{"tick": 2, "action": "Remove", "cluster": "a", "group": "g"}],
+        "ticks": 4,
+        "seed": 0,
+    },
     # No groups at all: overload only builds a Pending backlog, and the
     # comparison's two runs are identical.
     "ungrouped": {
@@ -172,6 +188,12 @@ PINS = {
         "metrics.csv": "7a49ae8b61545e058dd3c6b1215e060b5a498fc6c1737d9c54f82c8f45e5a088",
         "summary.json": "c4a02f8b15a497587dc4453e2de4976947a98f35472d3f3f14ae262e923ce40c",
         "compare/summary.json": "806e3c6619c82509a796521977a601f076f6c8e1623546eb83536437711b3326",
+    },
+    "id-order": {
+        "events.jsonl": "1b4bedc9c1bbef91486390ede3bad5724c72872ff7983d8bdbbdc34a6f82174f",
+        "metrics.csv": "fafe53f3c9af940822c2e7c0aeba72dcaa7ca96ee6719c946390d3db9eb71345",
+        "summary.json": "6a6b312751439e762ed2b76be646eb7af2888c9576ce051fd1a0d61d65d1caa2",
+        "compare/summary.json": "69dd78a83f69d0efdaef0784cea6f00b105ec1d22ac489d9a3a9aa71d09508b9",
     },
     "infeasible-drain": {
         "events.jsonl": "1651d658f64e70d9b8dea813e9c1f37482554a0c0e0ef29f729553395c8289e1",
