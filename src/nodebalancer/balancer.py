@@ -86,15 +86,14 @@ def rebalance_cycle(
 
         for low_id in donors:
             donor = clusters[low_id]
-            actives = donor.active_nodes()
-            # actives is in ascending id order and min keeps the first of equal
-            # keys, so a tie in load goes to the lowest node id.
             quantum = donor.quantum
-            victim = min(actives, key=lambda node: node_load(node, quantum))
+            # The least-loaded node; a tie in load goes to the lowest node id.
+            nodes = donor.nodes.values()
+            victim = min(nodes, key=lambda node: (node_load(node, quantum), node.id))
             # Any exit may recall a borrowed node, so the donor must keep a
             # node of its own besides the victim; that node also leaves the
             # donor a node to be measured after the drain.
-            if not any(n.origin_cluster == low_id and n is not victim for n in actives):
+            if not any(n.origin_cluster == low_id and n is not victim for n in nodes):
                 reason = AttemptReason.MIN_ACTIVE_NODES
             elif drain_node(donor, victim.id, recorder=recorder).restored:
                 reason = AttemptReason.DRAIN_INFEASIBLE

@@ -375,7 +375,11 @@ def build_world(scenario: Scenario, recorder=NULL_RECORDER) -> GroupManager:
 
 def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     u_cpu, u_mem, u = cluster_utilization(cluster)
-    waiting, quantum = len(cluster.pending), cluster.quantum
+    waiting = 0
+    for length, node_id in cluster.runs:
+        if node_id is None:
+            waiting += length
+    quantum = cluster.quantum
     return TickRecord(tick, cluster.id, u_cpu, u_mem, u, len(cluster.nodes), waiting,
                       waiting * quantum.cpu, waiting * quantum.memory)
 
@@ -383,17 +387,19 @@ def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
 def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> None:
     """Structural audit at tick end; violations abort the run.
 
-    Each node's pod count is recomputed here from the cluster's pods alone,
-    never through node.pod_count or cluster.pending. Each node's pod_count
-    must be that count, whose pods times the quantum must fit its capacity,
-    and pending must hold exactly the pods that have no node, so the audit
-    stays an independent check of both. Node conservation catches a node
-    that two clusters hold, or that none does.
+    Each node's pod count is recomputed here by summing the cluster's runs
+    of pods, never through node.pod_count. Each node's pod_count must be
+    that count, whose pods times the quantum must fit its capacity, and the
+    runs must hold as many pods as the batches that name them, so the audit
+    stays an independent check of the column. Node conservation catches a
+    node that two clusters hold, or that none does.
     """
     for cluster_id, cluster in manager.clusters.items():
-        pods = cluster.pods
-        counts = Counter(pods.values())
-        waiting = counts.pop(None, 0)
+        counts: dict[str | None, int] = {}
+        for length, node_id in cluster.runs:
+            counts[node_id] = counts.get(node_id, 0) + length
+        total = sum(counts.values())
+        counts.pop(None, None)
         nodes = cluster.nodes
         if not counts.keys() <= nodes.keys():
             node_id = min(counts.keys() - nodes.keys())
@@ -415,12 +421,11 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
                     f"tick {tick}: node {node_id!r} over capacity: "
                     f"{ResourceVector(cpu, memory)} > {capacity}"
                 )
-        held = cluster.pending
-        if len(held) != waiting or any(pods.get(pod_id, "") is not None for pod_id in held):
+        named = sum(count for _, count in cluster.batches)
+        if total != named:
             raise InvariantViolation(
-                f"tick {tick}: cluster {cluster_id!r} 'pending' does not hold exactly the "
-                f"Pending pods: it has {sorted(held)}, the pods "
-                f"{sorted(pod_id for pod_id, node_id in pods.items() if node_id is None)}"
+                f"tick {tick}: cluster {cluster_id!r} runs hold {total} pod(s), "
+                f"but its batches name {named}"
             )
     seen = Counter(chain.from_iterable(cluster.nodes for cluster in manager.clusters.values()))
     # Neither Counter holds a zero count, so dict equality (in C) is Counter

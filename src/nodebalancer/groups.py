@@ -14,7 +14,7 @@ from .errors import (
     UnknownCluster,
     UnknownGroup,
 )
-from .model import Cluster, Group, Thresholds
+from .model import Cluster, Group, PodIds, Thresholds
 from .reporting import NULL_RECORDER, EventKind
 from .scheduler import drain_node, provision_node
 
@@ -45,7 +45,7 @@ class RestorationReport:
     cluster: str
     returned: tuple[tuple[str, str], ...]  # (node id, origin cluster)
     recalled: tuple[tuple[str, str], ...]  # (node id, host it was recalled from)
-    pending_pods: tuple[tuple[str, str], ...]
+    pending_pods: PodIds
 
 
 class GroupManager:
@@ -133,9 +133,10 @@ class GroupManager:
             for node in host.nodes.values()
             if node.origin_cluster == cluster_id
         )
-        pending: list[tuple[str, str]] = []
+        slices: list[tuple] = []
         for node_id, host_id in [(nid, cluster_id) for nid, _ in returned] + recalled:
-            pending.extend(self._send_home(self.clusters[host_id], node_id))
+            slices += self._send_home(self.clusters[host_id], node_id)
+        pending = PodIds(slices)
 
         group.members.remove(cluster_id)
         self.recorder.emit(
@@ -156,12 +157,14 @@ class GroupManager:
             cluster=cluster_id,
             returned=tuple(returned),
             recalled=tuple(recalled),
-            pending_pods=tuple(pending),
+            pending_pods=pending,
         )
 
-    def _send_home(self, host: Cluster, node_id: str) -> list[tuple[str, str]]:
-        """Force-drain a node, then move it to its origin; returns (pod, host) left Pending."""
+    def _send_home(self, host: Cluster, node_id: str) -> list[tuple]:
+        """Force-drain a node, then move it to its origin; returns the PodIds
+        slices of the pods left Pending, each paired with the host."""
         node = host.nodes[node_id]
         outcome = drain_node(host, node_id, force=True, recorder=self.recorder)  # detaches it
         provision_node(self.clusters[node.origin_cluster], node, recorder=self.recorder)
-        return [(pod_id, host.id) for pod_id in outcome.pending]
+        return [(cluster_id, tick, indices, host.id)
+                for cluster_id, tick, indices, _ in outcome.pending.slices]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -45,7 +46,7 @@ class Node:
     exactly while a cluster's nodes dict holds it; between the drain that
     detaches it and provision_node, only the caller moving it does.
     pod_count is the number of Running pods on the node, written only by
-    Cluster._charge; each demands its cluster's quantum. A node leaves its
+    Cluster.resize and Cluster.rebind; each demands its cluster's quantum. A node leaves its
     cluster drained, so it travels with 0.
     """
 
@@ -59,85 +60,229 @@ class Node:
             raise ValueError(f"node {self.id!r}: capacity must be strictly positive")
 
 
+def pod_id(cluster_id: str, tick: int, index: int) -> str:
+    """The id of pod index of the batch a cluster created at tick."""
+    return f"{cluster_id}-p{tick:05d}-{index:04d}"
+
+
+def _id_order(piece: tuple) -> str:
+    """Sort key of a piece (tick, first index, ...): its first pod's id less
+    the cluster's prefix, which all of a cluster's ids share."""
+    return f"{piece[0]:05d}-{piece[1]:04d}"
+
+
+class PodIds(Sequence):
+    """Pod ids in a fixed order, each formatted only when it is read.
+
+    slices holds (cluster id, tick, indices, tag) tuples, each standing for
+    pod i of the batch the cluster created at tick, for i in the range
+    indices. An item is the id, or (id, tag) where tag is not None. It
+    equals any list or tuple of the same items.
+    """
+
+    __slots__ = ("slices",)
+
+    def __init__(self, slices=()):
+        self.slices = tuple(slices)
+
+    def __len__(self) -> int:
+        return sum(len(indices) for _, _, indices, _ in self.slices)
+
+    def __iter__(self):
+        for cluster_id, tick, indices, tag in self.slices:
+            for i in indices:
+                yield pod_id(cluster_id, tick, i) if tag is None else (
+                    pod_id(cluster_id, tick, i), tag)
+
+    def __getitem__(self, index: int):
+        position = index + len(self) if index < 0 else index
+        for cluster_id, tick, indices, tag in self.slices:
+            if 0 <= position < len(indices):
+                item = pod_id(cluster_id, tick, indices[position])
+                return item if tag is None else (item, tag)
+            position -= len(indices)
+        raise IndexError(f"pod index {index} out of range")
+
+    def __eq__(self, other):
+        if not isinstance(other, (PodIds, list, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"PodIds({list(self)!r})"
+
+
+NO_PODS = PodIds()
+
+
+def _extend(runs: list[tuple], length: int, node_id: str | None) -> None:
+    """Append length pods on node_id to runs, merging with a last run on the same node."""
+    if length:
+        if runs and runs[-1][1] == node_id:
+            runs[-1] = (runs[-1][0] + length, node_id)
+        else:
+            runs.append((length, node_id))
+
+
 @dataclass
 class Cluster:
     """A set of nodes and the pods running (or waiting to run) on them.
 
     Every pod demands the cluster's fixed quantum, so a pod is only its id
-    and its node. pods maps each pod id, in creation order, to its node id,
-    or None while the pod is Pending; it is a read-only view. Pods change
-    only through add_pods, pop_newest, bind and unbind, which keep each
-    node's pod_count and the pending set in step. bind raises KeyError,
-    changing nothing, for a node the cluster does not host, so no pod is
-    counted on a node outside it.
+    and its node, and the pods are stored as two creation-ordered lists.
+    Runs (length, node id or None) give consecutive pods on one node, or
+    Pending; adjacent runs on one node are merged. Batches (tick, count)
+    give the pods created together at a tick: pod i of a batch is
+    f"{cluster id}-p{tick:05d}-{i:04d}", derived and never stored. Pods
+    change only through resize and rebind, which keep each node's pod_count
+    in step with the runs; pods, pending, runs and batches are read-only
+    views.
     """
 
     id: str
     nodes: dict[str, Node] = field(default_factory=dict)
     original_node_ids: frozenset[str] = frozenset()
     quantum: ResourceVector = DEFAULT_POD_QUANTUM
-    _pods: dict[str, str | None] = field(default_factory=dict, init=False)
-    pending: set[str] = field(default_factory=set, init=False, repr=False)  # pod ids
+    _runs: list[tuple[int, str | None]] = field(default_factory=list, init=False, repr=False)
+    _batches: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def runs(self) -> tuple[tuple[int, str | None], ...]:
+        """(length, node id or None) runs of the pods, in creation order."""
+        return tuple(self._runs)
+
+    @property
+    def batches(self) -> tuple[tuple[int, int], ...]:
+        """(tick, count) batches of the pods, in creation order."""
+        return tuple(self._batches)
 
     @property
     def pods(self) -> Mapping[str, str | None]:
         """Pod id -> node id or None, in creation order; a store raises TypeError."""
-        # A property, not a proxy attribute: copy.deepcopy cannot copy a proxy.
-        return MappingProxyType(self._pods)
+        ids = (pod_id(self.id, tick, i) for tick, count in self._batches for i in range(count))
+        hosts = chain.from_iterable(repeat(node_id, length) for length, node_id in self._runs)
+        return MappingProxyType(dict(zip(ids, hosts)))
 
-    def add_pods(self, pod_ids: Sequence[str]) -> None:
-        """Append new Pending pods, in the given order.
+    @property
+    def pending(self) -> frozenset[str]:
+        """The ids of the Pending pods."""
+        return frozenset(pod_id for pod_id, node_id in self.pods.items() if node_id is None)
 
-        Raises ValueError, changing nothing, if the cluster already holds a
-        pod under one of the ids.
+    def resize(self, target: int, tick: int) -> tuple[PodIds, PodIds]:
+        """Delete the newest pods, Running or Pending, or append Pending pods
+        created at tick, until the cluster holds target pods.
+
+        Returns the (created, deleted) ids, the deleted newest first. A tick
+        whose batch the cluster still holds would reuse its ids, so adding
+        pods at it raises ValueError, changing nothing.
         """
-        held = self._pods.keys() & pod_ids
-        if held:
-            raise ValueError(f"cluster {self.id!r} already holds a pod {min(held)!r}")
-        self._pods.update(dict.fromkeys(pod_ids))
-        self.pending.update(pod_ids)
+        runs, batches = self._runs, self._batches
+        excess = -target
+        for length, _ in runs:
+            excess += length
+        if excess < 0:
+            if any(t == tick for t, _ in batches):
+                raise ValueError(f"cluster {self.id!r} already holds pods created at tick {tick}")
+            batches.append((tick, -excess))
+            _extend(runs, -excess, None)
+            return PodIds([(self.id, tick, range(-excess), None)]), NO_PODS
+        left = excess
+        while left:
+            length, node_id = runs.pop()
+            take = min(length, left)
+            if node_id is not None:
+                self.nodes[node_id].pod_count -= take
+            _extend(runs, length - take, node_id)
+            left -= take
+        deleted, left = [], excess
+        while left:
+            batch_tick, count = batches.pop()
+            take = min(count, left)
+            deleted.append((self.id, batch_tick, range(count - 1, count - take - 1, -1), None))
+            if take < count:
+                batches.append((batch_tick, count - take))
+            left -= take
+        return NO_PODS, PodIds(deleted)
 
-    def pop_newest(self) -> str:
-        """Delete the most recently added pod, Running or Pending; return its id."""
-        pod_id, node_id = self._pods.popitem()
-        if node_id is None:
-            self.pending.remove(pod_id)
+    def pieces(self, node_id: str | None) -> list[tuple[int, int, int, int, int]]:
+        """The pods on a node, or the Pending pods for None, in id-string order.
+
+        Each piece is (tick, first index in the batch of that tick, run
+        index, offset in the run, count): one run's pods of one batch. A
+        batch of 10,000 or more pods gives one piece per pod, because its ids
+        do not sort in creation order ("…-10000" sorts before "…-2000").
+        """
+        runs, batches = self._runs, self._batches
+        for _, host in reversed(runs):
+            if host == node_id:
+                break
         else:
-            self._charge(node_id, -1)
-        return pod_id
+            return []
+        # Walk the runs and the batches back from the newest pod; after and
+        # batch_after count the pods after runs[index] and batches[j].
+        pieces = []
+        after = batch_after = 0
+        index, j = len(runs), len(batches) - 1
+        for length, host in reversed(runs):
+            index -= 1
+            if host == node_id:
+                while True:
+                    tick, count = batches[j]
+                    low = after if after > batch_after else batch_after
+                    high = min(after + length, batch_after + count)
+                    if low < high:
+                        first, offset = count - high + batch_after, after + length - high
+                        if count < 10_000:
+                            pieces.append((tick, first, index, offset, high - low))
+                        else:
+                            pieces += [(tick, i, index, offset + i - first, 1)
+                                       for i in range(first, first + high - low)]
+                    if batch_after + count >= after + length:
+                        break  # the batch goes on before this run
+                    batch_after += count
+                    j -= 1
+            after += length
+        if len(pieces) > 1:
+            pieces.sort(key=_id_order)
+        return pieces
 
-    def bind(self, pod_id: str, node_id: str) -> None:
-        """Run a pod on a node.
+    def rebind(self, moves) -> None:
+        """Put slices of the pods on nodes, or back to Pending.
 
-        A Pending pod starts Running there; a Running pod moves there from its
-        current node, as a drain's relocation does.
+        Each move (run index, offset, count, node id or None, tick, first
+        index) takes count pods from offset in a run, as pieces numbers
+        them; moves do not overlap. Raises KeyError, changing nothing, for a
+        node the cluster does not host.
         """
-        current = self._pods[pod_id]
-        self._charge(node_id, 1)  # first, so an unhosted node changes nothing
-        if current is None:
-            self.pending.remove(pod_id)
-        else:
-            self._charge(current, -1)
-        self._pods[pod_id] = node_id
-
-    def unbind(self, pod_id: str) -> None:
-        """Take a Running pod off its node; it waits Pending for placement."""
-        current = self._pods[pod_id]
-        if current is None:
-            raise ValueError(f"pod {pod_id!r} is not bound to a node")
-        self._charge(current, -1)
-        self.pending.add(pod_id)
-        self._pods[pod_id] = None
-
-    def _charge(self, node_id: str, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) one pod on the node.
-
-        Raises KeyError, changing nothing, if the cluster does not host it.
-        """
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise KeyError(f"cluster {self.id!r} does not host a node {node_id!r}")
-        node.pod_count += sign
+        if not moves:
+            return
+        nodes = self.nodes
+        for move in moves:
+            if move[3] is not None and move[3] not in nodes:
+                raise KeyError(f"cluster {self.id!r} does not host a node {move[3]!r}")
+        if len(moves) > 1:
+            moves = sorted(moves)
+        old = self._runs
+        index = moves[0][0]
+        runs, at = old[:index], 0  # at: pods of old[index] already in runs
+        for move_index, offset, count, target, _, _ in moves:
+            while index < move_index:
+                _extend(runs, old[index][0] - at, old[index][1])
+                index, at = index + 1, 0
+            source = old[index][1]
+            _extend(runs, offset - at, source)
+            _extend(runs, count, target)
+            if source is not None:
+                nodes[source].pod_count -= count
+            if target is not None:
+                nodes[target].pod_count += count
+            at = offset + count
+        _extend(runs, old[index][0] - at, old[index][1])
+        rest = old[index + 1:]
+        if rest:
+            _extend(runs, *rest[0])  # the only run of rest that can merge
+            runs += rest[1:]
+        self._runs = runs
 
     def active_nodes(self) -> list[Node]:
         """Hosted nodes in ascending id order (the scheduler's scan order)."""

@@ -6,64 +6,83 @@ and provision_node, its inverse, attaches it to another.
 A cluster's pods all demand its one quantum, so first-fit-decreasing
 placement is a fill: the pods, in ascending id-string order, go to the
 nodes in ascending node-id order, each node taking as many as its free
-capacity holds. Placement is fully deterministic.
+capacity holds. Placement is fully deterministic, and it moves slices of a
+cluster's runs of pods, not single pods.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import NamedTuple
 
 from .errors import DuplicateNode, LastNodeGuard, NodeNotInCluster
-from .model import Cluster, Node, ResourceVector
+from .model import NO_PODS, Cluster, Node, PodIds, ResourceVector
 from .reporting import NULL_RECORDER, EventKind
 
 
 class DrainOutcome(NamedTuple):
     """Result of a drain: where each pod went, or restored=True if aborted.
 
-    pending lists, in ascending id, the pods a forced drain left Pending.
-    An immutable tuple; copy one with _replace.
+    relocated holds (pod id, new node id) pairs, and pending the pods a
+    forced drain left Pending, each in ascending id. An immutable tuple;
+    copy one with _replace.
     """
 
     node: str
-    relocated: tuple[tuple[str, str], ...]  # (pod id, new node id)
+    relocated: PodIds
     restored: bool
-    pending: tuple[str, ...] = ()
+    pending: PodIds = NO_PODS
 
 
-def _fill(
-    pod_ids: list[str], nodes: list[Node], quantum: ResourceVector
-) -> tuple[list[tuple[str, str]], list[str]]:
-    """Plan the pods onto the nodes' free capacity, in the given orders.
+def _fill(pieces, nodes: list[Node], quantum: ResourceVector) -> tuple[list, list]:
+    """Plan the pieces' pods onto the nodes' free capacity, in the given orders.
 
     Each node takes as many of the next pods as its free capacity holds, so
-    for pods of one quantum this is first-fit-decreasing placement.
+    for pods of one quantum this is first-fit-decreasing placement. Returns
+    the placed and the unplaced moves, each (run index, offset, count, node
+    id, tick, first index in the batch) as Cluster.rebind takes them; an
+    unplaced move's node id is None.
     """
-    placements: list[tuple[str, str]] = []
-    placed = 0
+    placed = []
+    k = done = 0  # pieces[k] is the next piece, of which done pods are placed
     for node in nodes:
-        if placed == len(pod_ids):
+        if k == len(pieces):
             break
         capacity = node.capacity
         room = min(capacity.cpu // quantum.cpu, capacity.memory // quantum.memory) - node.pod_count
-        if room > 0:
-            placements += zip(pod_ids[placed:placed + room], repeat(node.id))
-            placed = len(placements)
-    return placements, pod_ids[placed:]
+        while room > 0 and k < len(pieces):
+            tick, first, index, offset, count = pieces[k]
+            take = min(count - done, room)
+            placed.append((index, offset + done, take, node.id, tick, first + done))
+            room -= take
+            done += take
+            if done == count:
+                k, done = k + 1, 0
+    unplaced = []
+    for tick, first, index, offset, count in pieces[k:]:
+        unplaced.append((index, offset + done, count - done, None, tick, first + done))
+        done = 0
+    return placed, unplaced
 
 
-def place_pending(cluster: Cluster) -> list[tuple[str, str]]:
+def _ids(cluster: Cluster, moves, tag: bool) -> PodIds:
+    """The moves' pod ids, paired with their node ids if tag is set."""
+    if not moves:
+        return NO_PODS
+    return PodIds([(cluster.id, tick, range(first, first + count), node_id if tag else None)
+                   for _, _, count, node_id, tick, first in moves])
+
+
+def place_pending(cluster: Cluster) -> PodIds:
     """Schedule as many Pending pods as fit; returns (pod, node) placements.
 
     Pods that fit nowhere stay Pending. Placing nothing is not an error.
     """
-    if not cluster.pending:
-        return []
-    placements, _ = _fill(sorted(cluster.pending), cluster.active_nodes(), cluster.quantum)
-    for pod_id, node_id in placements:
-        cluster.bind(pod_id, node_id)
-    return placements
+    pieces = cluster.pieces(None)
+    if not pieces:
+        return NO_PODS
+    placed, _ = _fill(pieces, cluster.active_nodes(), cluster.quantum)
+    cluster.rebind(placed)
+    return _ids(cluster, placed, True)
 
 
 def drain_node(
@@ -87,11 +106,11 @@ def drain_node(
         raise LastNodeGuard(
             f"draining {node_id!r} would leave cluster {cluster.id!r} with no node")
 
-    victims = sorted([pod_id for pod_id, host in cluster.pods.items() if host == node_id])
     siblings = [n for n in actives if n.id != node_id]
-    placements, unplaced = _fill(victims, siblings, cluster.quantum)
+    placed, unplaced = _fill(cluster.pieces(node_id), siblings, cluster.quantum)
 
-    recorder.emit(EventKind.DRAIN_STARTED, cluster=cluster.id, node=node_id, pods=len(victims))
+    recorder.emit(EventKind.DRAIN_STARTED, cluster=cluster.id, node=node_id,
+                  pods=cluster.nodes[node_id].pod_count)
     if unplaced and not force:
         # Nothing was mutated yet, so aborting really is a no-op.
         recorder.emit(
@@ -100,16 +119,14 @@ def drain_node(
             node=node_id,
             reason="DrainInfeasible",
         )
-        return DrainOutcome(node=node_id, relocated=(), restored=True)
+        return DrainOutcome(node=node_id, relocated=NO_PODS, restored=True)
 
-    for pod_id, target_id in placements:
-        cluster.bind(pod_id, target_id)
-    for pod_id in unplaced:
-        cluster.unbind(pod_id)
+    cluster.rebind(placed + unplaced)
     del cluster.nodes[node_id]
     recorder.emit(EventKind.NODE_DEPROVISIONED, cluster=cluster.id, node=node_id)
     return DrainOutcome(
-        node=node_id, relocated=tuple(placements), restored=False, pending=tuple(unplaced)
+        node=node_id, relocated=_ids(cluster, placed, True), restored=False,
+        pending=_ids(cluster, unplaced, False),
     )
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Union
 
-from .model import Cluster, ResourceVector
+from .model import Cluster, PodIds, ResourceVector
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ TraceSpec = Union[ConstantTrace, StepTrace, SineTrace, SpikeTrace]
 class WorkloadDelta(NamedTuple):
     """Pod churn performed by one apply_workload call; an immutable tuple."""
 
-    created: tuple[str, ...]
-    deleted: tuple[str, ...]
+    created: PodIds
+    deleted: PodIds
 
 
 def _target_pods(trace: TraceSpec, tick: int, quantum: ResourceVector) -> int:
@@ -121,12 +121,4 @@ def apply_workload(cluster: Cluster, trace: TraceSpec, tick: int) -> WorkloadDel
     quantum. New pod ids are unique per cluster and tick, so a second top-up
     at the same tick raises ValueError.
     """
-    excess = len(cluster.pods) - _target_pods(trace, tick, cluster.quantum)
-    # Creation order, not id order: "p99999" sorts above "p100000".
-    deleted = tuple(cluster.pop_newest() for _ in range(excess))
-    created: tuple[str, ...] = ()
-    if excess < 0:
-        prefix = f"{cluster.id}-p{tick:05d}-"
-        created = tuple(f"{prefix}{i:04d}" for i in range(-excess))
-        cluster.add_pods(created)
-    return WorkloadDelta(created, deleted)
+    return WorkloadDelta(*cluster.resize(_target_pods(trace, tick, cluster.quantum), tick))

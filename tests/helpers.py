@@ -3,7 +3,9 @@
 The reference functions (ffd_oracle, raw utilization sums) are written from
 the documented behaviour, not from the package internals, so they can catch
 the package drifting from its own contract. reference_iter_metrics is the
-metrics reader the package's batched one replaced, kept to compare against.
+metrics reader the package's batched one replaced, and ReferenceColumn the
+per-pod column that a cluster's runs of pods replaced, kept to compare
+against.
 """
 
 from __future__ import annotations
@@ -88,22 +90,33 @@ def make_cluster(cid, cpus, memory=8192, quantum=(100, 128)) -> Cluster:
     )
 
 
-def run_pod(cluster, pid, node_id) -> None:
-    """Add one pod of the cluster's quantum, Running on the node."""
-    cluster.add_pods([pid])
-    cluster.bind(pid, node_id)
+def add_pods(cluster, count, node_id=None, tick=None) -> list[str]:
+    """Create count pods of the cluster's quantum in one batch at tick (by
+    default one past the newest batch), Pending, or Running on node_id;
+    returns their ids."""
+    if tick is None:
+        tick = max((t for t, _ in cluster.batches), default=-1) + 1
+    total = sum(length for length, _ in cluster.runs)
+    created, _ = cluster.resize(total + count, tick)
+    if node_id is not None and count:
+        length, _ = cluster.runs[-1]
+        cluster.rebind([(len(cluster.runs) - 1, length - count, count, node_id, None, None)])
+    return list(created)
 
 
-def pending_pod(cluster, pid) -> None:
-    """Add one Pending pod of the cluster's quantum."""
-    cluster.add_pods([pid])
+def run_pod(cluster, node_id) -> str:
+    """Add one pod of the cluster's quantum, Running on the node; returns its id."""
+    return add_pods(cluster, 1, node_id)[0]
 
 
-def fill(cluster, node_id, total_cpu, prefix=None):
+def pending_pod(cluster) -> str:
+    """Add one Pending pod of the cluster's quantum; returns its id."""
+    return add_pods(cluster, 1)[0]
+
+
+def fill(cluster, node_id, total_cpu) -> list[str]:
     """Load one node with total_cpu of running demand in quantum-sized pods."""
-    prefix = prefix or f"{node_id}-fill"
-    for i in range(total_cpu // cluster.quantum.cpu):
-        run_pod(cluster, f"{prefix}-{i:04d}", node_id)
+    return add_pods(cluster, total_cpu // cluster.quantum.cpu, node_id)
 
 
 def load_from_pods(cluster) -> tuple[dict, set]:
@@ -119,13 +132,113 @@ def load_from_pods(cluster) -> tuple[dict, set]:
 
 
 def assert_load_matches_pods(cluster):
-    """Every node's pod_count and the cluster's pending equal their recompute."""
+    """Every node's pod_count and the cluster's pending equal their recompute,
+    and the runs are merged: no empty run, no two adjacent runs on one node."""
     counts, pending = load_from_pods(cluster)
     assert counts.keys() <= cluster.nodes.keys()
     assert {nid: node.pod_count for nid, node in cluster.nodes.items()} == {
         nid: counts.get(nid, 0) for nid in cluster.nodes
     }
     assert cluster.pending == pending
+    runs = cluster.runs
+    assert all(length > 0 for length, _ in runs)
+    assert all(a[1] != b[1] for a, b in zip(runs, runs[1:]))
+    assert all(count > 0 for _, count in cluster.batches)
+
+
+class ReferenceColumn:
+    """Reference for a cluster's pod column: the per-pod column that runs
+    and batches replaced, with its own fill, placement and drain.
+
+    pods maps each pod id, in creation order, to its node id or None, and
+    pending holds the Pending ids; pod_count and capacity are per node id.
+    It keeps no runs and sorts every id it places.
+    """
+
+    def __init__(self, cluster):
+        self.id = cluster.id
+        self.quantum = cluster.quantum
+        self.capacity = {nid: node.capacity for nid, node in cluster.nodes.items()}
+        self.pod_count = dict.fromkeys(self.capacity, 0)
+        self.pods: dict = {}
+        self.pending: set = set()
+
+    def add_pods(self, pod_ids):
+        held = self.pods.keys() & pod_ids
+        if held:
+            raise ValueError(f"cluster {self.id!r} already holds a pod {min(held)!r}")
+        self.pods.update(dict.fromkeys(pod_ids))
+        self.pending.update(pod_ids)
+
+    def pop_newest(self):
+        pod_id, node_id = self.pods.popitem()
+        if node_id is None:
+            self.pending.remove(pod_id)
+        else:
+            self.pod_count[node_id] -= 1
+        return pod_id
+
+    def bind(self, pod_id, node_id):
+        current = self.pods[pod_id]
+        self.pod_count[node_id] += 1
+        if current is None:
+            self.pending.remove(pod_id)
+        else:
+            self.pod_count[current] -= 1
+        self.pods[pod_id] = node_id
+
+    def unbind(self, pod_id):
+        self.pod_count[self.pods[pod_id]] -= 1
+        self.pending.add(pod_id)
+        self.pods[pod_id] = None
+
+    def resize(self, target, tick):
+        """apply_workload's churn: (created, deleted) ids."""
+        excess = len(self.pods) - target
+        deleted = tuple(self.pop_newest() for _ in range(excess))
+        created = ()
+        if excess < 0:
+            created = tuple(f"{self.id}-p{tick:05d}-{i:04d}" for i in range(-excess))
+            self.add_pods(created)
+        return created, deleted
+
+    def _fill(self, pod_ids, node_ids):
+        placements, placed = [], 0
+        for node_id in node_ids:
+            if placed == len(pod_ids):
+                break
+            capacity, quantum = self.capacity[node_id], self.quantum
+            room = (min(capacity.cpu // quantum.cpu, capacity.memory // quantum.memory)
+                    - self.pod_count[node_id])
+            if room > 0:
+                placements += [(pod_id, node_id) for pod_id in pod_ids[placed:placed + room]]
+                placed = len(placements)
+        return placements, pod_ids[placed:]
+
+    def place_pending(self):
+        placements, _ = self._fill(sorted(self.pending), sorted(self.pod_count))
+        for pod_id, node_id in placements:
+            self.bind(pod_id, node_id)
+        return placements
+
+    def drain_node(self, node_id, force=False):
+        """(relocated, restored, pending) as DrainOutcome gives them; a
+        completed drain detaches the node."""
+        victims = sorted(pod_id for pod_id, host in self.pods.items() if host == node_id)
+        siblings = sorted(nid for nid in self.pod_count if nid != node_id)
+        placements, unplaced = self._fill(victims, siblings)
+        if unplaced and not force:
+            return (), True, ()
+        for pod_id, target in placements:
+            self.bind(pod_id, target)
+        for pod_id in unplaced:
+            self.unbind(pod_id)
+        del self.pod_count[node_id], self.capacity[node_id]
+        return tuple(placements), False, tuple(unplaced)
+
+    def provision(self, node):
+        self.capacity[node.id] = node.capacity
+        self.pod_count[node.id] = 0
 
 
 def snapshot(obj):

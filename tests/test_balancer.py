@@ -66,13 +66,13 @@ def test_provision_attaches_and_feeds_the_scheduler():
 
     target = make_cluster("b", [4000])
     fill(target, "b-n000", 4000)  # full
-    pending_pod(target, "waiting")
+    waiting = pending_pod(target)
     assert place_pending(target) == []
 
     provision_node(target, node)
     assert target.nodes["a-n001"] is node
     assert target.nodes["a-n001"].origin_cluster == "a"  # origin survives the move
-    assert place_pending(target) == [("waiting", "a-n001")]
+    assert place_pending(target) == [(waiting, "a-n001")]
 
 
 def test_deprovision_provision_round_trip_preserves_node_set():
@@ -288,9 +288,9 @@ def test_infeasible_drain_moves_to_next_candidate():
     # Least-utilized candidate, but its drain victim carries a pod larger
     # than any sibling's free space, so the drain must abort.
     stuck = make_cluster("b", [4000, 4000, 4000], quantum=(2100, 100))
-    run_pod(stuck, "b-p0", "b-n000")
-    run_pod(stuck, "b-p1", "b-n001")
-    run_pod(stuck, "b-p2", "b-n002")
+    run_pod(stuck, "b-n000")
+    run_pod(stuck, "b-n001")
+    run_pod(stuck, "b-n002")
     free = make_cluster("c", [4000, 4000, 4000])
     fill(free, "c-n000", 3300)
     fill(free, "c-n001", 3300)
@@ -401,7 +401,7 @@ def _refusing_donor(reason):
         # One pod per node and every node full, so no drain victim's pod fits.
         donor = make_cluster("d", [4000, 4000, 4000], quantum=(2100, 100))
         for i in range(3):
-            run_pod(donor, f"d-p{i}", f"d-n{i:03d}")  # 6300/12000 = 0.525
+            run_pod(donor, f"d-n{i:03d}")  # 6300/12000 = 0.525
     else:
         donor = make_cluster("d", [4000, 4000, 4000])
         fill(donor, "d-n000", 3500)

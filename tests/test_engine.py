@@ -23,6 +23,7 @@ from nodebalancer import (
     load_scenario,
     run,
 )
+from nodebalancer import engine
 from nodebalancer.engine import _tick_record, _verify_world
 from nodebalancer.errors import InvariantViolation, ScenarioInvalid, SimulationAborted
 
@@ -574,7 +575,7 @@ def _audited_world():
         make_cluster("b", [4000]),
     ):
         manager.register_cluster(cluster)
-    run_pod(manager.clusters["a"], "other", "a-n000")
+    run_pod(manager.clusters["a"], "a-n000")
     expected = Counter(nid for c in manager.clusters.values() for nid in c.nodes)
     _verify_world(manager, expected, tick=0)
     return manager, expected
@@ -590,8 +591,8 @@ def _audited_world():
 def test_audit_flags_an_over_committed_node(capacity):
     manager, expected = _audited_world()
     a = manager.clusters["a"]
-    for pid in ("p0", "p1", "p2"):
-        run_pod(a, pid, "a-n001")
+    for _ in range(3):
+        run_pod(a, "a-n001")
     # pod_count and the pods agree; only the capacity is too small for them.
     a.nodes["a-n001"].capacity = ResourceVector(*capacity)
     with pytest.raises(InvariantViolation, match="tick 3: node 'a-n001' over capacity"):
@@ -624,8 +625,8 @@ def test_audit_accepts_nodes_that_over_commit_only_when_summed_together():
 def test_audit_flags_a_pod_on_a_node_its_cluster_does_not_host():
     manager, expected = _audited_world()
     a, b = manager.clusters["a"], manager.clusters["b"]
-    run_pod(a, "x", "a-n001")
-    run_pod(a, "y", "a-n001")
+    run_pod(a, "a-n001")
+    run_pod(a, "a-n001")
     # The node moves to the other cluster with its pods still bound to it, which
     # the model's own methods refuse but a direct store does not.
     node = a.nodes.pop("a-n001")
@@ -659,60 +660,111 @@ def test_audit_flags_an_extra_node():
         _verify_world(manager, expected, tick=3)
 
 
-def _corrupt_pending(cluster):
-    cluster.pending.discard("waiting")
-
-
-def _corrupt_pending_with_a_running_id(cluster):
-    # Same size as the Pending pods, so only a check of the ids sees it.
-    cluster.pending.discard("waiting")
-    cluster.pending.add("other")
-
-
 def _corrupt_pod_count(cluster):
     cluster.nodes["a-n000"].pod_count += 1
 
 
 def _corrupt_capacity_through_the_count(cluster):
-    # bind keeps pod_count in step but checks no capacity: five 1000m pods
+    # rebind keeps pod_count in step but checks no capacity: five 1000m pods
     # on a 4000m node.
     for i in range(4):
-        run_pod(cluster, f"x{i}", "a-n000")
+        run_pod(cluster, "a-n000")
+
+
+def _corrupt_batches(cluster):
+    tick, count = cluster._batches[-1]
+    cluster._batches[-1] = (tick, count + 1)
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
-    # Each breaks one stored fact only; every other still matches the pods.
+    # Each breaks one stored fact only; every other still matches the runs.
     [
-        (_corrupt_pending, r"cluster 'a' 'pending' does not hold exactly the Pending pods: "
-                           r"it has \[\], the pods \['waiting'\]"),
-        (_corrupt_pending_with_a_running_id,
-         r"cluster 'a' 'pending' does not hold exactly the Pending pods: "
-         r"it has \['other'\], the pods \['waiting'\]"),
         (_corrupt_pod_count, r"node 'a-n000' 'pod_count' holds 2, but 1 pod\(s\) run on it"),
         (_corrupt_capacity_through_the_count,
          r"node 'a-n000' over capacity: ResourceVector\(cpu=5000, memory=6400\) > "
          r"ResourceVector\(cpu=4000, memory=8192\)"),
+        (_corrupt_batches, r"cluster 'a' runs hold 2 pod\(s\), but its batches name 3"),
     ],
-    ids=["pending", "pending-running-id", "pod_count", "over-capacity"],
+    ids=["pod_count", "over-capacity", "batches"],
 )
 def test_audit_flags_a_ledger_field_drifting_from_the_pods(corrupt, message):
     manager, expected = _audited_world()
-    pending_pod(manager.clusters["a"], "waiting")
+    pending_pod(manager.clusters["a"])
     _verify_world(manager, expected, tick=3)
     corrupt(manager.clusters["a"])
     with pytest.raises(InvariantViolation, match=r"^tick 3: " + message + "$"):
         _verify_world(manager, expected, tick=3)
 
 
+def _run_on_a_missing_node(a, b):
+    length, _ = a._runs[0]
+    a._runs[0] = (length, "a-n999")
+
+
+def _one_pod_more_than_pod_count(a, b):
+    length, node_id = a._runs[0]
+    a._runs[0] = (length + 1, node_id)
+    a._batches[0] = (0, 76)
+
+
+def _one_pod_more_than_capacity(a, b):
+    _one_pod_more_than_pod_count(a, b)
+    a.nodes["a-n000"].pod_count += 1
+
+
+def _runs_longer_than_batches(a, b):
+    a._batches[0] = (0, 74)
+
+
+def _a_node_in_no_cluster(a, b):
+    del b.nodes["b-n002"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_run_on_a_missing_node, "40 pod(s) of cluster 'a' assigned to missing node 'a-n999'"),
+        (_one_pod_more_than_pod_count,
+         "node 'a-n000' 'pod_count' holds 40, but 41 pod(s) run on it"),
+        (_one_pod_more_than_capacity,
+         "node 'a-n000' over capacity: ResourceVector(cpu=4100, memory=5248) > "
+         "ResourceVector(cpu=4000, memory=8192)"),
+        (_runs_longer_than_batches, "cluster 'a' runs hold 75 pod(s), but its batches name 74"),
+        (_a_node_in_no_cluster, "node conservation broken; missing=['b-n002'] extra=[]"),
+    ],
+    ids=["missing-node", "pod_count", "over-capacity", "batches", "conservation"],
+)
+def test_a_corrupted_run_column_aborts_the_run(monkeypatch, corrupt, message):
+    # At tick 2 a's 75 pods run as (40, a-n000), (35, a-n001), and b keeps its
+    # 20 pods on b-n000 and an empty b-n002; the column is corrupted right
+    # before the tick's audit.
+    audit = engine._verify_world
+
+    def corrupt_then_audit(manager, expected, tick):
+        if tick == 2:
+            a, b = manager.clusters["a"], manager.clusters["b"]
+            assert a.runs == ((40, "a-n000"), (35, "a-n001")) and a.batches == ((0, 75),)
+            assert sorted(b.nodes) == ["b-n000", "b-n002"]
+            corrupt(a, b)
+        audit(manager, expected, tick)
+
+    monkeypatch.setattr(engine, "_verify_world", corrupt_then_audit)
+    with pytest.raises(SimulationAborted) as info:
+        run(parse_scenario(_doc(ticks=4)))
+    assert (info.value.tick, info.value.last_consistent_tick) == (2, 1)
+    assert isinstance(info.value.__cause__, InvariantViolation)
+    assert str(info.value.__cause__) == f"tick 2: {message}"
+
+
 def test_tick_record_counts_and_sums_only_pending_pods():
     # An uneven cpu:memory quantum, so a swapped dimension changes the backlog.
     cluster = make_cluster("a", [4000, 4000], quantum=(300, 100))
-    run_pod(cluster, "r0", "a-n000")
-    run_pod(cluster, "r1", "a-n001")
-    run_pod(cluster, "r2", "a-n001")
-    for pid in ("p0", "p1", "p2"):
-        pending_pod(cluster, pid)
+    run_pod(cluster, "a-n000")
+    run_pod(cluster, "a-n001")
+    run_pod(cluster, "a-n001")
+    for _ in range(3):
+        pending_pod(cluster)
     assert _tick_record(5, cluster) == TickRecord(
         tick=5,
         cluster_id="a",

@@ -27,13 +27,13 @@ from nodebalancer.errors import (
 )
 
 from helpers import (
+    add_pods,
     fill,
     make_cluster,
     node_multiset,
     origin_map,
     random_world,
     randomize_load,
-    run_pod,
 )
 
 
@@ -189,7 +189,7 @@ def test_forced_recall_parks_displaced_pods():
     # Pack a so the recalled node's pods cannot relocate inside a.
     fill(a, "a-n000", 4000)
     fill(a, "a-n001", 4000)
-    fill(a, "b-n001", 3000, prefix="displaced")
+    fill(a, "b-n001", 3000)
 
     report = manager.remove_cluster("g", "b")
     assert report.recalled == (("b-n001", "a"),)
@@ -212,13 +212,15 @@ def test_displaced_pods_are_reported_in_ascending_id():
     _lend(manager, "b", "b-n001", "a")
     fill(a, "a-n000", 4000)
     fill(a, "a-n001", 4000)
-    # Insertion order c, a, b; id order a, b, c.
-    run_pod(a, "pod-c", "b-n001")
-    run_pod(a, "pod-a", "b-n001")
-    run_pod(a, "pod-b", "b-n001")
+    # Insertion order c, a, b; id order a, b, c, since "p100000" sorts
+    # before "p99998".
+    [pod_c] = add_pods(a, 1, "b-n001", tick=99_999)
+    [pod_a] = add_pods(a, 1, "b-n001", tick=100_000)
+    [pod_b] = add_pods(a, 1, "b-n001", tick=99_998)
 
     report = manager.remove_cluster("g", "b")
-    expected = (("pod-a", "a"), ("pod-b", "a"), ("pod-c", "a"))
+    expected = ((pod_a, "a"), (pod_b, "a"), (pod_c, "a"))
+    assert [pod_a, pod_b, pod_c] == ["a-p100000-0000", "a-p99998-0000", "a-p99999-0000"]
     assert report.pending_pods == expected
     completed = recorder.events[-1]
     assert completed.kind == EventKind.RESTORATION_COMPLETED.value

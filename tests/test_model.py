@@ -17,7 +17,7 @@ from nodebalancer import (
     place_pending,
 )
 from nodebalancer.errors import NodeNotInCluster, ZeroCapacity
-from nodebalancer.model import node_demand
+from nodebalancer.model import NO_PODS, PodIds, node_demand
 
 from helpers import (
     assert_load_matches_pods,
@@ -73,7 +73,7 @@ def test_empty_cluster_utilization_is_zero():
 
 def test_utilization_simple_ratio():
     cluster = make_cluster("a", [1000], memory=1000, quantum=(500, 250))
-    run_pod(cluster, "p0", "a-n000")
+    run_pod(cluster, "a-n000")
     util = cluster_utilization(cluster)
     assert util.u_cpu == pytest.approx(0.5, abs=1e-9)
     assert util.u_mem == pytest.approx(0.25, abs=1e-9)
@@ -82,7 +82,7 @@ def test_utilization_simple_ratio():
 
 def test_utilization_is_max_of_dimensions():
     cluster = make_cluster("a", [1000], memory=1000, quantum=(300, 600))
-    run_pod(cluster, "p0", "a-n000")
+    run_pod(cluster, "a-n000")
     util = cluster_utilization(cluster)
     assert util.u == pytest.approx(0.6, abs=1e-9)
     assert util.u == util.u_mem
@@ -92,7 +92,7 @@ def test_utilization_sums_across_nodes():
     # 70 pods of 100m over three 4000m nodes; checked against raw sums.
     cluster = make_cluster("a", [4000, 4000, 4000], quantum=(100, 96))
     for i in range(70):
-        run_pod(cluster, f"p{i:03d}", f"a-n{i % 3:03d}")
+        run_pod(cluster, f"a-n{i % 3:03d}")
     total_cpu = 100 * len(cluster.pods)
     total_mem = 96 * len(cluster.pods)
     cap_cpu = sum(n.capacity.cpu for n in cluster.nodes.values())
@@ -105,18 +105,17 @@ def test_utilization_sums_across_nodes():
 
 def test_pending_pods_do_not_count_as_demand():
     cluster = make_cluster("a", [1000], memory=100000, quantum=(500, 640))
-    run_pod(cluster, "p0", "a-n000")
-    pending_pod(cluster, "p1")
-    pending_pod(cluster, "p2")
+    run_pod(cluster, "a-n000")
+    waiting = {pending_pod(cluster), pending_pod(cluster)}
     assert cluster_utilization(cluster).u == pytest.approx(0.5, abs=1e-9)
-    assert cluster.pending == {"p1", "p2"}
+    assert cluster.pending == waiting == {"a-p00001-0000", "a-p00002-0000"}
     assert node_demand(cluster, "a-n000").cpu == 500
     assert cluster.nodes["a-n000"].pod_count == 1
 
 
 def test_only_active_nodes_provide_capacity():
     cluster = make_cluster("a", [1000, 1000], memory=4096, quantum=(500, 640))
-    run_pod(cluster, "p0", "a-n000")
+    run_pod(cluster, "a-n000")
     assert cluster_utilization(cluster).u_cpu == pytest.approx(0.25, abs=1e-9)
     del cluster.nodes["a-n001"]  # a node leaves with its capacity
     assert cluster_utilization(cluster).u_cpu == pytest.approx(0.5, abs=1e-9)
@@ -131,7 +130,7 @@ def test_zero_capacity_is_an_error():
 
 def test_node_utilization_value_and_errors():
     cluster = make_cluster("a", [1000, 1000], memory=1000, quantum=(300, 600))
-    run_pod(cluster, "p0", "a-n000")
+    run_pod(cluster, "a-n000")
     node = cluster.nodes["a-n000"]
     assert node_utilization(node, cluster) == pytest.approx(0.6, abs=1e-9)
 
@@ -142,8 +141,8 @@ def test_node_utilization_value_and_errors():
 
 def test_node_and_free_accounting():
     cluster = make_cluster("a", [1000], memory=1000, quantum=(200, 150))
-    run_pod(cluster, "p0", "a-n000")
-    run_pod(cluster, "p1", "a-n000")
+    run_pod(cluster, "a-n000")
+    run_pod(cluster, "a-n000")
     demand = node_demand(cluster, "a-n000")
     assert demand == ResourceVector(400, 300)
     assert cluster.nodes["a-n000"].pod_count == 2
@@ -159,12 +158,12 @@ def test_scale_consistency():
         cpu = rng.randrange(100, 2000, 100)
         mem = rng.randrange(128, 4096, 128)
         base = make_cluster("a", [2000], memory=4096, quantum=(cpu, mem))
-        run_pod(base, "p0", "a-n000")
+        run_pod(base, "a-n000")
         base_u = cluster_utilization(base)
         for k in (2, 3, 7):
             scaled = make_cluster("b", [2000] * k, memory=4096, quantum=(cpu, mem))
             for i in range(k):
-                run_pod(scaled, f"p{i}", f"b-n{i:03d}")
+                run_pod(scaled, f"b-n{i:03d}")
             scaled_u = cluster_utilization(scaled)
             assert scaled_u.u == pytest.approx(base_u.u, abs=1e-9)
             assert scaled_u.u_cpu == pytest.approx(base_u.u_cpu, abs=1e-9)
@@ -177,7 +176,7 @@ def test_losing_an_idle_node_raises_utilization():
         nodes = rng.randint(2, 5)
         quantum = (rng.randrange(100, 2000, 100), 128)
         cluster = make_cluster("a", [2000] * nodes, memory=4096, quantum=quantum)
-        run_pod(cluster, "p0", "a-n000")
+        run_pod(cluster, "a-n000")
         before = cluster_utilization(cluster).u
         del cluster.nodes[f"a-n{nodes - 1:03d}"]  # capacity shrinks, demand fixed
         assert cluster_utilization(cluster).u > before
@@ -192,7 +191,7 @@ def test_node_utilization_never_exceeds_one_for_scheduled_pods():
             quantum=(rng.randrange(100, 1200, 100), 128),
         )
         for i in range(rng.randint(0, 40)):
-            pending_pod(cluster, f"p{i:03d}")
+            pending_pod(cluster)
         place_pending(cluster)
         for node in cluster.active_nodes():
             assert node_utilization(node, cluster) <= 1.0 + 1e-12
@@ -220,74 +219,104 @@ def test_ledger_matches_a_recompute_from_the_pods():
 
 def test_pods_are_a_read_only_view():
     cluster = make_cluster("a", [1000])
-    pending_pod(cluster, "p0")
+    pod_id = pending_pod(cluster)
     with pytest.raises(TypeError):
         cluster.pods["x"] = None
     with pytest.raises(TypeError):
-        del cluster.pods["p0"]
-    assert dict(cluster.pods) == {"p0": None}
+        del cluster.pods[pod_id]
+    with pytest.raises(TypeError):
+        cluster.runs[0] = (1, "a-n000")
+    with pytest.raises(AttributeError):
+        cluster.batches = ()
+    assert dict(cluster.pods) == {pod_id: None}
     assert_load_matches_pods(cluster)
 
 
 def test_mutation_api_keeps_the_ledger():
     cluster = make_cluster("a", [1000, 1000], memory=1000, quantum=(300, 200))
-    run_pod(cluster, "r0", "a-n000")
-    pending_pod(cluster, "p0")
-    cluster.bind("p0", "a-n001")
-    cluster.bind("r0", "a-n001")  # a drain's move: Running to Running
+    created, deleted = cluster.resize(2, 7)
+    assert created == ["a-p00007-0000", "a-p00007-0001"] and deleted == []
+    assert cluster.runs == ((2, None),) and cluster.batches == ((7, 2),)
+    cluster.rebind([(0, 1, 1, "a-n001", 7, 1), (0, 0, 1, "a-n000", 7, 0)])
+    assert cluster.runs == ((1, "a-n000"), (1, "a-n001"))
+    cluster.rebind([(0, 0, 1, "a-n001", 7, 0)])  # a drain's move: Running to Running
+    assert cluster.runs == ((2, "a-n001"),)  # adjacent runs on one node merge
     assert [node.pod_count for node in cluster.nodes.values()] == [0, 2]
-    cluster.unbind("p0")
-    assert cluster.pending == {"p0"}
-    with pytest.raises(ValueError, match="'p0' is not bound"):
-        cluster.unbind("p0")
-    # New pods under a held id are refused, all of them; the pods and loads stay.
-    with pytest.raises(ValueError, match="cluster 'a' already holds a pod 'r0'"):
-        cluster.add_pods(["x0", "r0"])
-    assert dict(cluster.pods) == {"r0": "a-n001", "p0": None}
-    assert cluster.nodes["a-n001"].pod_count == 1 and cluster.pending == {"p0"}
+    cluster.rebind([(0, 1, 1, None, 7, 1)])  # back to Pending
+    assert cluster.pending == {"a-p00007-0001"}
+    # A top-up at a tick whose batch the cluster holds would reuse its ids.
+    with pytest.raises(ValueError, match="cluster 'a' already holds pods created at tick 7"):
+        cluster.resize(5, 7)
+    assert cluster.runs == ((1, "a-n001"), (1, None)) and cluster.batches == ((7, 2),)
     assert_load_matches_pods(cluster)
-    cluster.add_pods(["x0", "x1"])
-    assert list(cluster.pods) == ["r0", "p0", "x0", "x1"]  # creation order
-    assert cluster.pending == {"p0", "x0", "x1"}
-    assert [cluster.pop_newest() for _ in range(4)] == ["x1", "x0", "p0", "r0"]
-    assert not cluster.pods and cluster.pending == set()
+    cluster.resize(4, 8)
+    assert list(cluster.pods) == [  # creation order
+        "a-p00007-0000", "a-p00007-0001", "a-p00008-0000", "a-p00008-0001"]
+    assert cluster.runs == ((1, "a-n001"), (3, None))
+    created, deleted = cluster.resize(0, 9)
+    assert created == [] and len(deleted) == 4
+    assert deleted == ["a-p00008-0001", "a-p00008-0000", "a-p00007-0001", "a-p00007-0000"]
+    assert not cluster.pods and cluster.runs == () and cluster.batches == ()
     assert all(node.pod_count == 0 for node in cluster.nodes.values())
-    assert_load_matches_pods(cluster)
+    cluster.resize(1, 7)  # the tick's batch is gone, so its ids are free again
+    assert list(cluster.pods) == ["a-p00007-0000"]
+    cluster.resize(2, 3)  # ticks need not rise: a library caller picks them
+    with pytest.raises(ValueError, match="already holds pods created at tick 7"):
+        cluster.resize(3, 7)
+    assert cluster.batches == ((7, 1), (3, 1))
+
+
+def test_pod_ids_format_only_what_is_read():
+    ids = PodIds([("a", 7, range(2), None), ("a", 100_000, range(1, -1, -1), "a-n000")])
+    assert len(ids) == 4 and len(NO_PODS) == 0
+    assert ids[0] == "a-p00007-0000" and ids[-1] == ("a-p100000-0000", "a-n000")
+    assert list(ids) == [
+        "a-p00007-0000", "a-p00007-0001",
+        ("a-p100000-0001", "a-n000"), ("a-p100000-0000", "a-n000"),
+    ]
+    assert ids == tuple(ids) and ids == list(ids) and ids != list(ids)[1:]
+    with pytest.raises(IndexError):
+        ids[4]
+    with pytest.raises(IndexError):
+        ids[-5]
 
 
 def _loads(cluster):
-    return dict(cluster.pods), set(cluster.pending), {
+    return dict(cluster.pods), set(cluster.pending), cluster.runs, {
         node_id: node.pod_count for node_id, node in cluster.nodes.items()
     }
 
 
 @pytest.mark.parametrize(
-    "act",
+    "moves",
     [
-        lambda cluster: cluster.bind("p0", "b-n000"),
-        lambda cluster: cluster.bind("r0", "b-n000"),
+        [(0, 0, 1, "a-n001", None, None), (1, 0, 1, "b-n000", None, None)],
+        [(1, 0, 1, "a-n001", None, None), (0, 0, 1, "b-n000", None, None)],
     ],
     ids=["bind-pending", "bind-running"],
 )
-def test_an_unhosted_node_is_refused_before_any_change(act):
+def test_an_unhosted_node_is_refused_before_any_change(moves):
     cluster = make_cluster("a", [1000, 1000])
-    run_pod(cluster, "r0", "a-n000")
-    pending_pod(cluster, "p0")
+    running = run_pod(cluster, "a-n000")
+    waiting = pending_pod(cluster)
     before = _loads(cluster)
     with pytest.raises(KeyError, match="cluster 'a' does not host a node 'b-n000'"):
-        act(cluster)
+        cluster.rebind(moves)
     assert _loads(cluster) == before
-    assert dict(cluster.pods) == {"r0": "a-n000", "p0": None}
+    assert dict(cluster.pods) == {running: "a-n000", waiting: None}
     assert_load_matches_pods(cluster)
 
 
 def _mixed_cluster():
     """Two nodes with a Running pod each, one Pending pod that fits neither."""
     cluster = make_cluster("a", [1000, 1000], quantum=(600, 128))
-    run_pod(cluster, "r0", "a-n000")
-    run_pod(cluster, "r1", "a-n001")
-    pending_pod(cluster, "wait")
+    run_pod(cluster, "a-n000")
+    run_pod(cluster, "a-n001")
+    pending_pod(cluster)
     return cluster
+
+
+R0, R1, WAIT = "a-p00000-0000", "a-p00001-0000", "a-p00002-0000"
 
 
 @pytest.mark.parametrize(
@@ -298,13 +327,13 @@ def _mixed_cluster():
 def test_slotted_records_survive_deepcopy_and_pickle(clone):
     cluster = _mixed_cluster()
     twin = clone(cluster)
-    assert dict(twin.pods) == {"r0": "a-n000", "r1": "a-n001", "wait": None}
+    assert dict(twin.pods) == {R0: "a-n000", R1: "a-n001", WAIT: None}
     assert twin.quantum == cluster.quantum
     assert_load_matches_pods(twin)
     assert twin.pending == cluster.pending and twin.nodes == cluster.nodes
-    # The twin's pod column, pending set and nodes are its own, not the originals.
-    twin.unbind("r0")
-    assert cluster.pods["r0"] == "a-n000" and cluster.pending == {"wait"}
+    # The twin's pods and nodes are its own, not the originals.
+    twin.rebind([(0, 0, 1, None, None, None)])
+    assert cluster.pods[R0] == "a-n000" and cluster.pending == {WAIT}
     assert twin.nodes["a-n000"].pod_count == 0 and cluster.nodes["a-n000"].pod_count == 1
     with pytest.raises(AttributeError):
         twin.nodes["a-n000"].note = "slotted records take no new attributes"
@@ -318,13 +347,15 @@ def test_slotted_records_survive_deepcopy_and_pickle(clone):
 
 def test_pod_state_follows_bind_unbind_and_forced_drains():
     cluster = _mixed_cluster()
-    cluster.unbind("r1")
-    assert dict(cluster.pods) == {"r0": "a-n000", "r1": None, "wait": None}
-    cluster.bind("r1", "a-n001")
-    assert dict(cluster.pods) == {"r0": "a-n000", "r1": "a-n001", "wait": None}
-    # a-n001 has no room for a second 600m pod, so r0 waits.
+    cluster.rebind([(1, 0, 1, None, None, None)])  # unbind R1
+    assert dict(cluster.pods) == {R0: "a-n000", R1: None, WAIT: None}
+    assert cluster.runs == ((1, "a-n000"), (2, None))
+    cluster.rebind([(1, 0, 1, "a-n001", None, None)])  # bind it again: the run splits
+    assert dict(cluster.pods) == {R0: "a-n000", R1: "a-n001", WAIT: None}
+    assert cluster.runs == ((1, "a-n000"), (1, "a-n001"), (1, None))
+    # a-n001 has no room for a second 600m pod, so R0 waits.
     drain = drain_node(cluster, "a-n000", force=True)
-    assert drain.pending == ("r0",)
-    assert dict(cluster.pods) == {"r0": None, "r1": "a-n001", "wait": None}
-    assert cluster.pending == {"r0", "wait"}
+    assert drain.pending == (R0,)
+    assert dict(cluster.pods) == {R0: None, R1: "a-n001", WAIT: None}
+    assert cluster.pending == {R0, WAIT}
     assert_load_matches_pods(cluster)

@@ -1,9 +1,9 @@
-"""Pods change only through Cluster.add_pods, pop_newest, bind and unbind,
-which keep each node's pod_count and the cluster's pending set in step with
-the pod column. These tests parse the package and fail if any module but
-model.py stores into .pods, .pod_count or .pending, calls a mutating method on
-one of them, or touches the column's private dict ._pods at all: any of
-those would leave the others stale until the next audit.
+"""Pods change only through Cluster.resize and rebind, which keep each
+node's pod_count in step with the cluster's runs of pods and its batches.
+These tests parse the package and fail if any module but model.py stores
+into .pods, .pod_count, .pending, .runs or .batches, calls a mutating method
+on one of them, or touches the column's private lists ._runs or ._batches at
+all: any of those would leave the others stale until the next audit.
 
 A node moves between clusters only through the scheduler's drain, which
 detaches it, and its provision, which attaches it. Any other module,
@@ -14,8 +14,10 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nodebalancer"
-# Cluster.pods, Node.pod_count, Cluster.pending
-POD_FACTS = frozenset({"pods", "pod_count", "pending"})
+# Cluster.pods, Node.pod_count, Cluster.pending, Cluster.runs, Cluster.batches
+POD_FACTS = frozenset({"pods", "pod_count", "pending", "runs", "batches"})
+COLUMN = frozenset({"_runs", "_batches"})  # the private lists behind them
+FACTS = ".pods, .pod_count, .pending, .runs or .batches"
 MUTATORS = frozenset(
     {
         "add", "append", "clear", "difference_update", "discard", "extend", "insert",
@@ -55,16 +57,16 @@ def _attributes(target):
 
 
 def _column_changes(node):
-    """Why the node changes a pod fact or touches ._pods, or None."""
-    if isinstance(node, ast.Attribute) and node.attr == "_pods":
-        return "touches ._pods"
+    """Why the node changes a pod fact or touches ._runs or ._batches, or None."""
+    if isinstance(node, ast.Attribute) and node.attr in COLUMN:
+        return f"touches .{node.attr}"
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in MUTATORS
         and not POD_FACTS.isdisjoint(_attributes(node.func.value))
     ):
-        return f"calls .{node.func.attr}() on .pods, .pod_count or .pending"
+        return f"calls .{node.func.attr}() on {FACTS}"
     return None
 
 
@@ -89,7 +91,7 @@ def bypasses(source: str, filename: str) -> list[str]:
             elif filename == "model.py":
                 continue
             elif not POD_FACTS.isdisjoint(_attributes(target)):
-                why = "stores into .pods, .pod_count or .pending"
+                why = f"stores into {FACTS}"
             else:
                 continue
             found.append((node.lineno, why))
@@ -112,8 +114,8 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
         [
             "cluster.pods[pod_id] = node_id",
             "del cluster.pods[pod_id]",
-            "cluster._pods.popitem()",
-            "node_id = cluster._pods[pod_id]",
+            "cluster._runs.pop()",
+            "tick, count = cluster._batches[-1]",
             "node.pod_count -= 1",
             "cluster.nodes[n].pod_count = 0",
             "cluster.pending.add(pod_id)",
@@ -123,23 +125,27 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
             "cluster.nodes[n] = node",
             "del host.nodes[n]",
             "host.nodes[n], node.pod_count = node, 0",
+            "cluster.runs[0] = (1, None)",
+            "cluster.batches.append((0, 1))",
         ]
     )
     assert bypasses(bad, "bad.py") == [
-        "bad.py:1: stores into .pods, .pod_count or .pending",
-        "bad.py:2: stores into .pods, .pod_count or .pending",
-        "bad.py:3: touches ._pods",
-        "bad.py:4: touches ._pods",
-        "bad.py:5: stores into .pods, .pod_count or .pending",
-        "bad.py:6: stores into .pods, .pod_count or .pending",
-        "bad.py:7: calls .add() on .pods, .pod_count or .pending",
-        "bad.py:8: calls .discard() on .pods, .pod_count or .pending",
-        "bad.py:9: stores into .pods, .pod_count or .pending",
-        "bad.py:10: calls .clear() on .pods, .pod_count or .pending",
+        "bad.py:1: stores into " + FACTS,
+        "bad.py:2: stores into " + FACTS,
+        "bad.py:3: touches ._runs",
+        "bad.py:4: touches ._batches",
+        "bad.py:5: stores into " + FACTS,
+        "bad.py:6: stores into " + FACTS,
+        "bad.py:7: calls .add() on " + FACTS,
+        "bad.py:8: calls .discard() on " + FACTS,
+        "bad.py:9: stores into " + FACTS,
+        "bad.py:10: calls .clear() on " + FACTS,
         "bad.py:11: stores into .nodes[...]",
         "bad.py:12: stores into .nodes[...]",
         "bad.py:13: stores into .nodes[...]",
-        "bad.py:13: stores into .pods, .pod_count or .pending",
+        "bad.py:13: stores into " + FACTS,
+        "bad.py:14: stores into " + FACTS,
+        "bad.py:15: calls .append() on " + FACTS,
     ]
     clean = "\n".join(
         [
@@ -155,16 +161,18 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
             "waiting = sorted(cluster.pending)",
             "pods = dict(cluster.pods)",
             "pods[pod_id] = node_id",
-            "cluster.add_pods(created)",
-            "cluster.bind(pod_id, node_id)",
+            "waiting = sum(length for length, node_id in cluster.runs if node_id is None)",
+            "named = sum(count for _, count in cluster.batches)",
+            "cluster.resize(target, tick)",
+            "cluster.rebind(moves)",
         ]
     )
     assert bypasses(clean, "clean.py") == []
     # Each owner may make its own stores, and only those.
     assert bypasses("del cluster.nodes[node_id]", "scheduler.py") == []
     assert bypasses("cluster.nodes[node.id] = node", "scheduler.py") == []
-    assert bypasses("self._pods[pod_id] = node_id", "model.py") == []
-    assert bypasses("self.pending.remove(pod_id)", "model.py") == []
+    assert bypasses("self._runs = runs", "model.py") == []
+    assert bypasses("self._batches.append((tick, count))", "model.py") == []
     assert bypasses("del self.nodes[node_id]", "model.py") == [
         "model.py:1: stores into .nodes[...]"
     ]
@@ -175,5 +183,5 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
         "balancer.py:1: stores into .nodes[...]"
     ]
     assert bypasses("cluster.pending.add(pod_id)", "balancer.py") == [
-        "balancer.py:1: calls .add() on .pods, .pod_count or .pending"
+        "balancer.py:1: calls .add() on " + FACTS
     ]

@@ -15,7 +15,7 @@ def _world(loads, memory=100000):
         cid = f"c{i}"
         cluster = make_cluster(cid, [1000], memory=memory, quantum=(load or 100, 1))
         if load:
-            run_pod(cluster, f"{cid}-p0", f"{cid}-n000")
+            run_pod(cluster, f"{cid}-n000")
         clusters[cid] = cluster
     return clusters
 

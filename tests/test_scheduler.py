@@ -15,14 +15,14 @@ from nodebalancer import scheduler
 from nodebalancer.errors import LastNodeGuard, NodeNotInCluster
 from nodebalancer.model import node_demand
 
-from helpers import ffd_oracle, fill, make_cluster, pending_pod, run_pod, snapshot
+from helpers import add_pods, ffd_oracle, fill, make_cluster, pending_pod, run_pod, snapshot
 
 
 def test_place_single_pod_on_first_node():
     cluster = make_cluster("a", [4000, 4000], quantum=(500, 640))
-    pending_pod(cluster, "p0")
-    assert place_pending(cluster) == [("p0", "a-n000")]
-    assert cluster.pods["p0"] == "a-n000"
+    pod_id = pending_pod(cluster)
+    assert place_pending(cluster) == [(pod_id, "a-n000")]
+    assert cluster.pods[pod_id] == "a-n000"
 
 
 def test_place_with_no_pending_is_a_no_op():
@@ -31,51 +31,51 @@ def test_place_with_no_pending_is_a_no_op():
 
 
 def test_placement_with_nothing_pending_builds_no_demand_map(monkeypatch):
-    def no_plan(pod_ids, nodes, quantum):
-        raise RuntimeError(f"plan built for {pod_ids}")
+    def no_plan(pieces, nodes, quantum):
+        raise RuntimeError(f"plan built for {pieces}")
 
     monkeypatch.setattr(scheduler, "_fill", no_plan)
     running = make_cluster("a", [4000, 4000])
-    run_pod(running, "r0", "a-n000")
-    run_pod(running, "r1", "a-n001")
+    run_pod(running, "a-n000")
+    run_pod(running, "a-n001")
     assert place_pending(running) == []
 
     waiting = make_cluster("b", [4000])
-    pending_pod(waiting, "p0")
-    with pytest.raises(RuntimeError, match=r"plan built for \['p0'\]"):
+    pod_id = pending_pod(waiting)
+    with pytest.raises(RuntimeError, match=r"plan built for \[\(0, 0, 0, 0, 1\)\]"):
         place_pending(waiting)
     monkeypatch.undo()
-    assert place_pending(waiting) == [("p0", "b-n000")]
+    assert place_pending(waiting) == [(pod_id, "b-n000")]
 
 
 def test_oversized_pod_stays_pending():
     cluster = make_cluster("a", [1000], quantum=(1500, 128))
-    pending_pod(cluster, "p0")
+    pod_id = pending_pod(cluster)
     assert place_pending(cluster) == []
-    assert cluster.pods["p0"] is None
+    assert cluster.pods[pod_id] is None
 
 
 def test_first_fit_decreasing_order():
     # Free cpu is 200, 900 and 1000: the first node fits no 300m pod, the
     # second fits three before the third node opens, and the last pod waits.
     cluster = make_cluster("b", [200, 900, 1000], quantum=(300, 128))
-    for i in range(7):
-        pending_pod(cluster, f"p{i}")
+    p = add_pods(cluster, 7)
     assert place_pending(cluster) == [
-        ("p0", "b-n001"), ("p1", "b-n001"), ("p2", "b-n001"),
-        ("p3", "b-n002"), ("p4", "b-n002"), ("p5", "b-n002"),
+        (p[0], "b-n001"), (p[1], "b-n001"), (p[2], "b-n001"),
+        (p[3], "b-n002"), (p[4], "b-n002"), (p[5], "b-n002"),
     ]
-    assert cluster.pending == {"p6"}
+    assert cluster.pending == {p[6]} == {"b-p00000-0006"}
     remaining = [n.capacity.cpu - node_demand(cluster, n.id).cpu for n in cluster.active_nodes()]
     assert remaining == [200, 0, 100]
 
 
 def test_placement_tie_breaks():
-    # Identical pods go in ascending id-string order, whatever their age.
+    # Identical pods go in ascending id-string order, whatever their age:
+    # "p100000" sorts before "p99999".
     cluster = make_cluster("b", [600], quantum=(500, 200))
-    pending_pod(cluster, "q2")
-    pending_pod(cluster, "q1")
-    assert place_pending(cluster) == [("q1", "b-n000")]
+    add_pods(cluster, 1, tick=99_999)
+    add_pods(cluster, 1, tick=100_000)
+    assert place_pending(cluster) == [("b-p100000-0000", "b-n000")]
 
 
 def test_pending_order_is_the_id_string_order_not_creation_order():
@@ -92,10 +92,9 @@ def test_pending_order_is_the_id_string_order_not_creation_order():
 
 def test_memory_dimension_also_binds():
     cluster = make_cluster("a", [4000], memory=256, quantum=(100, 200))
-    pending_pod(cluster, "p0")
-    pending_pod(cluster, "p1")
-    assert place_pending(cluster) == [("p0", "a-n000")]
-    assert cluster.pods["p1"] is None
+    first, second = add_pods(cluster, 2)
+    assert place_pending(cluster) == [(first, "a-n000")]
+    assert cluster.pods[second] is None
 
 
 _QUANTA = st.tuples(st.integers(1, 1500), st.integers(1, 2048))
@@ -111,9 +110,15 @@ def _loaded_cluster(draw):
     for node in cluster.active_nodes():
         fits = min(node.capacity.cpu // quantum[0], node.capacity.memory // quantum[1])
         for i in range(draw(st.integers(0, min(fits, 12)))):
-            # Ids of mixed width: id-string order is not creation order.
-            run_pod(cluster, f"{node.id}-r{i * 7 % 13}", node.id)
+            # Ticks of mixed width: id-string order is not creation order.
+            add_pods(cluster, 1, node.id, tick=_mixed_tick(len(cluster.batches)))
     return cluster
+
+
+def _mixed_tick(n: int) -> int:
+    """The n-th of distinct ticks that straddle 100,000, where a tick's id
+    grows a digit: "p100000" sorts before "p99999"."""
+    return 99_991 + n * 37 % 101 if n % 2 else 99_990 - n
 
 
 def _free_slots(cluster, nodes):
@@ -129,9 +134,8 @@ def _free_slots(cluster, nodes):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_loaded_cluster(), st.integers(0, 40))
 def test_matches_reference_ffd_on_random_inputs(cluster, count):
-    pods = [f"p{i * 37 % 101}" for i in range(count)]  # mixed widths, as above
-    for pod_id in pods:
-        pending_pod(cluster, pod_id)
+    held = len(cluster.batches)
+    pods = [add_pods(cluster, 1, tick=_mixed_tick(held + i))[0] for i in range(count)]
     quantum = cluster.quantum
     expected_placed, expected_unplaced = ffd_oracle(
         [(pod_id, quantum.cpu, quantum.memory) for pod_id in pods],
@@ -174,18 +178,18 @@ def test_drain_empty_node():
 def test_drain_relocates_pods():
     cluster = make_cluster("a", [4000, 4000], quantum=(500, 640))
     fill(cluster, "a-n001", 3500)  # leaves exactly one pod's room on the sibling
-    run_pod(cluster, "victim", "a-n000")
+    victim = run_pod(cluster, "a-n000")
     outcome = drain_node(cluster, "a-n000")
-    assert outcome.relocated == (("victim", "a-n001"),)
-    assert cluster.pods["victim"] == "a-n001"
+    assert outcome.relocated == ((victim, "a-n001"),)
+    assert cluster.pods[victim] == "a-n001"
     assert node_demand(cluster, "a-n001").cpu == 4000
 
 
 def test_infeasible_drain_restores_cluster_exactly():
     cluster = make_cluster("a", [4000, 4000], quantum=(1000, 640))
     fill(cluster, "a-n001", 3000)
-    run_pod(cluster, "v0", "a-n000")
-    run_pod(cluster, "v1", "a-n000")  # the sibling has room for one only
+    run_pod(cluster, "a-n000")
+    run_pod(cluster, "a-n000")  # the sibling has room for one only
     recorder = EventRecorder()
     before = snapshot(cluster)
     outcome = drain_node(cluster, "a-n000", recorder=recorder)
@@ -210,7 +214,7 @@ def test_drain_is_atomic_on_random_clusters():
             quantum=(rng.randrange(100, 1600, 100), 128),
         )
         for i in range(rng.randint(0, 20)):
-            pending_pod(cluster, f"p{i:03d}")
+            pending_pod(cluster)
         place_pending(cluster)
         target = rng.choice([n.id for n in cluster.active_nodes()])
         before = snapshot(cluster)
@@ -236,23 +240,23 @@ def test_drain_is_atomic_on_random_clusters():
 def test_forced_drain_parks_unplaceable_pods():
     cluster = make_cluster("a", [4000, 4000], quantum=(1000, 640))
     fill(cluster, "a-n001", 3000)  # room for one more pod
-    run_pod(cluster, "p1", "a-n000")
-    run_pod(cluster, "p0", "a-n000")
+    [older] = add_pods(cluster, 1, "a-n000", tick=99_999)
+    [newer] = add_pods(cluster, 1, "a-n000", tick=100_000)
     outcome = drain_node(cluster, "a-n000", force=True)
     assert not outcome.restored
-    assert outcome.relocated == (("p0", "a-n001"),)  # the lower id goes first
-    assert outcome.pending == ("p1",)
-    assert cluster.pods["p1"] is None and cluster.pending == {"p1"}
+    assert outcome.relocated == ((newer, "a-n001"),)  # the lower id goes first
+    assert outcome.pending == (older,)
+    assert cluster.pods[older] is None and cluster.pending == {older}
     assert "a-n000" not in cluster.nodes
 
 
 def test_forced_drain_ignores_min_active_guard():
     cluster = make_cluster("a", [4000])
-    run_pod(cluster, "p0", "a-n000")
+    pod_id = run_pod(cluster, "a-n000")
     outcome = drain_node(cluster, "a-n000", force=True)
     assert not outcome.restored
     assert cluster.active_nodes() == []
-    assert cluster.pods["p0"] is None
+    assert cluster.pods[pod_id] is None
 
 
 def test_last_node_guard():
@@ -283,9 +287,9 @@ def test_drain_requires_an_active_node():
 @pytest.mark.parametrize("force", [False, True], ids=["plain", "forced"])
 def test_completed_drain_detaches_the_node(force):
     cluster = make_cluster("a", [1000, 1500, 1000], quantum=(500, 256))
-    run_pod(cluster, "p0", "a-n000")
+    pod_id = run_pod(cluster, "a-n000")
     fill(cluster, "a-n001", 1500)
-    run_pod(cluster, "p2", "a-n002")
+    run_pod(cluster, "a-n002")
     node, kept = cluster.nodes["a-n000"], cluster.nodes["a-n001"]
     # a-n001's three pods find room for two on its siblings, so the drain
     # aborts and its node stays hosted.
@@ -299,7 +303,7 @@ def test_completed_drain_detaches_the_node(force):
     assert sorted(cluster.nodes) == ["a-n001", "a-n002"]
     assert node.pod_count == 0
     assert node.origin_cluster == "a"
-    assert cluster.pods["p0"] == "a-n002"
+    assert cluster.pods[pod_id] == "a-n002"
     assert [(e.kind, e.cluster, e.node) for e in recorder.events] == [
         (EventKind.DRAIN_STARTED.value, "a", "a-n000"),
         (EventKind.NODE_DEPROVISIONED.value, "a", "a-n000"),
@@ -312,7 +316,7 @@ def test_drain_is_deterministic():
         quantum = (rng.randrange(100, 900, 100), 128)
         cluster = make_cluster("a", [2000, 2000, 2000], quantum=quantum)
         for i in range(rng.randint(0, 15)):
-            pending_pod(cluster, f"p{i:03d}")
+            pending_pod(cluster)
         place_pending(cluster)
         twin = snapshot(cluster)
         assert drain_node(cluster, "a-n000") == drain_node(twin, "a-n000")

@@ -115,9 +115,9 @@ def test_scale_down_rounds_toward_fewer_deletions():
     # Five 100m pods and a target of 250m: delete two, keep 300m.
     cluster = make_cluster("a", [4000])
     for i in range(5):
-        run_pod(cluster, f"a-p{i}", "a-n000")
-    delta = apply_workload(cluster, ConstantTrace(level=250), tick=1)
-    assert delta.deleted == ("a-p4", "a-p3")  # newest first
+        run_pod(cluster, "a-n000")
+    delta = apply_workload(cluster, ConstantTrace(level=250), tick=5)
+    assert delta.deleted == ("a-p00004-0000", "a-p00003-0000")  # newest first
     assert delta.created == ()
     remaining = 100 * len(cluster.pods)
     assert remaining == 300
@@ -214,7 +214,7 @@ def test_a_second_load_at_one_tick_raises_and_keeps_the_ledger():
     apply_workload(cluster, ConstantTrace(level=3000), tick=0)
     place_pending(cluster)
     before = snapshot(cluster)
-    with pytest.raises(ValueError, match="cluster 'c' already holds a pod 'c-p00000-0000'"):
+    with pytest.raises(ValueError, match="cluster 'c' already holds pods created at tick 0"):
         apply_workload(cluster, ConstantTrace(level=7000), tick=0)
     assert cluster == before
     assert_load_matches_pods(cluster)
