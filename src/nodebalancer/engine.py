@@ -375,10 +375,7 @@ def build_world(scenario: Scenario, recorder=NULL_RECORDER) -> GroupManager:
 
 def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     u_cpu, u_mem, u = cluster_utilization(cluster)
-    waiting = 0
-    for length, node_id in cluster.runs:
-        if node_id is None:
-            waiting += length
+    waiting = sum(length for length, node_id in cluster.runs if node_id is None)
     quantum = cluster.quantum
     return TickRecord(tick, cluster.id, u_cpu, u_mem, u, len(cluster.nodes), waiting,
                       waiting * quantum.cpu, waiting * quantum.memory)

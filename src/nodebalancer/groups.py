@@ -167,4 +167,4 @@ class GroupManager:
         outcome = drain_node(host, node_id, force=True, recorder=self.recorder)  # detaches it
         provision_node(self.clusters[node.origin_cluster], node, recorder=self.recorder)
         return [(cluster_id, tick, indices, host.id)
-                for cluster_id, tick, indices, _ in outcome.pending.slices]
+                for cluster_id, tick, indices, *_ in outcome.pending.slices]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -46,8 +47,8 @@ class Node:
     exactly while a cluster's nodes dict holds it; between the drain that
     detaches it and provision_node, only the caller moving it does.
     pod_count is the number of Running pods on the node, written only by
-    Cluster.resize and Cluster.rebind; each demands its cluster's quantum. A node leaves its
-    cluster drained, so it travels with 0.
+    Cluster.resize and Cluster.rebind; each demands its cluster's quantum. A
+    node leaves its cluster drained, so it travels with 0.
     """
 
     id: str
@@ -65,19 +66,14 @@ def pod_id(cluster_id: str, tick: int, index: int) -> str:
     return f"{cluster_id}-p{tick:05d}-{index:04d}"
 
 
-def _id_order(piece: tuple) -> str:
-    """Sort key of a piece (tick, first index, ...): its first pod's id less
-    the cluster's prefix, which all of a cluster's ids share."""
-    return f"{piece[0]:05d}-{piece[1]:04d}"
-
-
 class PodIds(Sequence):
     """Pod ids in a fixed order, each formatted only when it is read.
 
-    slices holds (cluster id, tick, indices, tag) tuples, each standing for
-    pod i of the batch the cluster created at tick, for i in the range
-    indices. An item is the id, or (id, tag) where tag is not None. It
-    equals any list or tuple of the same items.
+    slices holds (cluster id, tick, indices, tag, ...) tuples, each standing
+    for pod i of the batch the cluster created at tick, for i in the range
+    indices; fields after the tag are ignored. An item is the id, or
+    (id, tag) where tag is not None. It equals any list or tuple of the same
+    items.
     """
 
     __slots__ = ("slices",)
@@ -86,27 +82,20 @@ class PodIds(Sequence):
         self.slices = tuple(slices)
 
     def __len__(self) -> int:
-        return sum(len(indices) for _, _, indices, _ in self.slices)
+        return sum(len(slice_[2]) for slice_ in self.slices)
 
     def __iter__(self):
-        for cluster_id, tick, indices, tag in self.slices:
+        for cluster_id, tick, indices, tag, *_ in self.slices:
             for i in indices:
-                yield pod_id(cluster_id, tick, i) if tag is None else (
-                    pod_id(cluster_id, tick, i), tag)
+                item = pod_id(cluster_id, tick, i)
+                yield item if tag is None else (item, tag)
 
-    def __getitem__(self, index: int):
-        position = index + len(self) if index < 0 else index
-        for cluster_id, tick, indices, tag in self.slices:
-            if 0 <= position < len(indices):
-                item = pod_id(cluster_id, tick, indices[position])
-                return item if tag is None else (item, tag)
-            position -= len(indices)
-        raise IndexError(f"pod index {index} out of range")
+    def __getitem__(self, index):
+        return tuple(self)[index]
 
     def __eq__(self, other):
-        if not isinstance(other, (PodIds, list, tuple)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
+        is_sequence = isinstance(other, (PodIds, list, tuple))
+        return tuple(self) == tuple(other) if is_sequence else NotImplemented
 
     def __repr__(self) -> str:
         return f"PodIds({list(self)!r})"
@@ -166,7 +155,7 @@ class Cluster:
     @property
     def pending(self) -> frozenset[str]:
         """The ids of the Pending pods."""
-        return frozenset(pod_id for pod_id, node_id in self.pods.items() if node_id is None)
+        return frozenset(pod for pod, node_id in self.pods.items() if node_id is None)
 
     def resize(self, target: int, tick: int) -> tuple[PodIds, PodIds]:
         """Delete the newest pods, Running or Pending, or append Pending pods
@@ -177,9 +166,7 @@ class Cluster:
         pods at it raises ValueError, changing nothing.
         """
         runs, batches = self._runs, self._batches
-        excess = -target
-        for length, _ in runs:
-            excess += length
+        excess = sum(length for length, _ in runs) - target
         if excess < 0:
             if any(t == tick for t, _ in batches):
                 raise ValueError(f"cluster {self.id!r} already holds pods created at tick {tick}")
@@ -220,39 +207,39 @@ class Cluster:
             return []
         # Walk the runs and the batches back from the newest pod; after and
         # batch_after count the pods after runs[index] and batches[j].
-        pieces = []
-        after = batch_after = 0
-        index, j = len(runs), len(batches) - 1
+        pieces, after, batch_after, j = [], 0, 0, len(batches) - 1
+        index = len(runs)
         for length, host in reversed(runs):
             index -= 1
-            if host == node_id:
-                while True:
-                    tick, count = batches[j]
-                    low = after if after > batch_after else batch_after
-                    high = min(after + length, batch_after + count)
-                    if low < high:
-                        first, offset = count - high + batch_after, after + length - high
-                        if count < 10_000:
-                            pieces.append((tick, first, index, offset, high - low))
-                        else:
-                            pieces += [(tick, i, index, offset + i - first, 1)
-                                       for i in range(first, first + high - low)]
-                    if batch_after + count >= after + length:
-                        break  # the batch goes on before this run
-                    batch_after += count
-                    j -= 1
-            after += length
-        if len(pieces) > 1:
-            pieces.sort(key=_id_order)
+            end = after + length
+            while host == node_id:
+                tick, count = batches[j]
+                low = after if after > batch_after else batch_after
+                high = end if end < batch_after + count else batch_after + count
+                if low < high:
+                    first = count - high + batch_after
+                    if count < 10_000:
+                        pieces.append((tick, first, index, end - high, high - low))
+                    else:
+                        pieces += [(tick, i, index, end - high + i - first, 1)
+                                   for i in range(first, first + high - low)]
+                if batch_after + count >= end:
+                    break  # the batch goes on before this run
+                batch_after += count
+                j -= 1
+            after = end
+        if len(pieces) > 1:  # by the first pod's id, less the prefix all share
+            pieces.sort(key=lambda piece: f"{piece[0]:05d}-{piece[1]:04d}")
         return pieces
 
     def rebind(self, moves) -> None:
         """Put slices of the pods on nodes, or back to Pending.
 
-        Each move (run index, offset, count, node id or None, tick, first
-        index) takes count pods from offset in a run, as pieces numbers
-        them; moves do not overlap. Raises KeyError, changing nothing, for a
-        node the cluster does not host.
+        Each move (cluster id, tick, indices, node id or None, run index,
+        offset), a PodIds slice with the pods' place, takes len(indices)
+        pods from offset in a run, as pieces numbers them; moves do not
+        overlap. Raises KeyError, changing nothing, for a node the cluster
+        does not host.
         """
         if not moves:
             return
@@ -261,11 +248,12 @@ class Cluster:
             if move[3] is not None and move[3] not in nodes:
                 raise KeyError(f"cluster {self.id!r} does not host a node {move[3]!r}")
         if len(moves) > 1:
-            moves = sorted(moves)
+            moves = sorted(moves, key=itemgetter(4, 5))
         old = self._runs
-        index = moves[0][0]
+        index = moves[0][4]
         runs, at = old[:index], 0  # at: pods of old[index] already in runs
-        for move_index, offset, count, target, _, _ in moves:
+        for _, _, indices, target, move_index, offset in moves:
+            count = len(indices)
             while index < move_index:
                 _extend(runs, old[index][0] - at, old[index][1])
                 index, at = index + 1, 0
@@ -278,10 +266,8 @@ class Cluster:
                 nodes[target].pod_count += count
             at = offset + count
         _extend(runs, old[index][0] - at, old[index][1])
-        rest = old[index + 1:]
-        if rest:
-            _extend(runs, *rest[0])  # the only run of rest that can merge
-            runs += rest[1:]
+        for length, node_id in old[index + 1:]:
+            _extend(runs, length, node_id)
         self._runs = runs
 
     def active_nodes(self) -> list[Node]:

@@ -6,8 +6,8 @@ and provision_node, its inverse, attaches it to another.
 A cluster's pods all demand its one quantum, so first-fit-decreasing
 placement is a fill: the pods, in ascending id-string order, go to the
 nodes in ascending node-id order, each node taking as many as its free
-capacity holds. Placement is fully deterministic, and it moves slices of a
-cluster's runs of pods, not single pods.
+capacity holds, in slices of a cluster's runs of pods. Placement is fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -33,15 +33,15 @@ class DrainOutcome(NamedTuple):
     pending: PodIds = NO_PODS
 
 
-def _fill(pieces, nodes: list[Node], quantum: ResourceVector) -> tuple[list, list]:
+def _fill(cluster: Cluster, pieces, nodes: list[Node]) -> tuple[list, list]:
     """Plan the pieces' pods onto the nodes' free capacity, in the given orders.
 
     Each node takes as many of the next pods as its free capacity holds, so
     for pods of one quantum this is first-fit-decreasing placement. Returns
-    the placed and the unplaced moves, each (run index, offset, count, node
-    id, tick, first index in the batch) as Cluster.rebind takes them; an
-    unplaced move's node id is None.
+    the placed and the unplaced pods as Cluster.rebind's moves, each also a
+    PodIds slice tagged with its node id, None for the unplaced.
     """
+    quantum = cluster.quantum
     placed = []
     k = done = 0  # pieces[k] is the next piece, of which done pods are placed
     for node in nodes:
@@ -52,24 +52,18 @@ def _fill(pieces, nodes: list[Node], quantum: ResourceVector) -> tuple[list, lis
         while room > 0 and k < len(pieces):
             tick, first, index, offset, count = pieces[k]
             take = min(count - done, room)
-            placed.append((index, offset + done, take, node.id, tick, first + done))
+            ids = range(first + done, first + done + take)
+            placed.append((cluster.id, tick, ids, node.id, index, offset + done))
             room -= take
             done += take
             if done == count:
                 k, done = k + 1, 0
     unplaced = []
     for tick, first, index, offset, count in pieces[k:]:
-        unplaced.append((index, offset + done, count - done, None, tick, first + done))
+        ids = range(first + done, first + count)
+        unplaced.append((cluster.id, tick, ids, None, index, offset + done))
         done = 0
     return placed, unplaced
-
-
-def _ids(cluster: Cluster, moves, tag: bool) -> PodIds:
-    """The moves' pod ids, paired with their node ids if tag is set."""
-    if not moves:
-        return NO_PODS
-    return PodIds([(cluster.id, tick, range(first, first + count), node_id if tag else None)
-                   for _, _, count, node_id, tick, first in moves])
 
 
 def place_pending(cluster: Cluster) -> PodIds:
@@ -80,9 +74,9 @@ def place_pending(cluster: Cluster) -> PodIds:
     pieces = cluster.pieces(None)
     if not pieces:
         return NO_PODS
-    placed, _ = _fill(pieces, cluster.active_nodes(), cluster.quantum)
+    placed, _ = _fill(cluster, pieces, cluster.active_nodes())
     cluster.rebind(placed)
-    return _ids(cluster, placed, True)
+    return PodIds(placed)
 
 
 def drain_node(
@@ -107,7 +101,7 @@ def drain_node(
             f"draining {node_id!r} would leave cluster {cluster.id!r} with no node")
 
     siblings = [n for n in actives if n.id != node_id]
-    placed, unplaced = _fill(cluster.pieces(node_id), siblings, cluster.quantum)
+    placed, unplaced = _fill(cluster, cluster.pieces(node_id), siblings)
 
     recorder.emit(EventKind.DRAIN_STARTED, cluster=cluster.id, node=node_id,
                   pods=cluster.nodes[node_id].pod_count)
@@ -125,8 +119,7 @@ def drain_node(
     del cluster.nodes[node_id]
     recorder.emit(EventKind.NODE_DEPROVISIONED, cluster=cluster.id, node=node_id)
     return DrainOutcome(
-        node=node_id, relocated=_ids(cluster, placed, True), restored=False,
-        pending=_ids(cluster, unplaced, False),
+        node=node_id, relocated=PodIds(placed), restored=False, pending=PodIds(unplaced)
     )
 
 

@@ -100,8 +100,13 @@ def add_pods(cluster, count, node_id=None, tick=None) -> list[str]:
     created, _ = cluster.resize(total + count, tick)
     if node_id is not None and count:
         length, _ = cluster.runs[-1]
-        cluster.rebind([(len(cluster.runs) - 1, length - count, count, node_id, None, None)])
+        cluster.rebind([move(len(cluster.runs) - 1, length - count, count, node_id)])
     return list(created)
+
+
+def move(index, offset, count, node_id):
+    """A Cluster.rebind move of count pods from offset in run index to node_id."""
+    return (None, None, range(count), node_id, index, offset)
 
 
 def run_pod(cluster, node_id) -> str:

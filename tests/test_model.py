@@ -20,6 +20,7 @@ from nodebalancer.errors import NodeNotInCluster, ZeroCapacity
 from nodebalancer.model import NO_PODS, PodIds, node_demand
 
 from helpers import (
+    move,
     assert_load_matches_pods,
     load_from_pods,
     make_cluster,
@@ -237,12 +238,12 @@ def test_mutation_api_keeps_the_ledger():
     created, deleted = cluster.resize(2, 7)
     assert created == ["a-p00007-0000", "a-p00007-0001"] and deleted == []
     assert cluster.runs == ((2, None),) and cluster.batches == ((7, 2),)
-    cluster.rebind([(0, 1, 1, "a-n001", 7, 1), (0, 0, 1, "a-n000", 7, 0)])
+    cluster.rebind([move(0, 1, 1, "a-n001"), move(0, 0, 1, "a-n000")])
     assert cluster.runs == ((1, "a-n000"), (1, "a-n001"))
-    cluster.rebind([(0, 0, 1, "a-n001", 7, 0)])  # a drain's move: Running to Running
+    cluster.rebind([move(0, 0, 1, "a-n001")])  # a drain's move: Running to Running
     assert cluster.runs == ((2, "a-n001"),)  # adjacent runs on one node merge
     assert [node.pod_count for node in cluster.nodes.values()] == [0, 2]
-    cluster.rebind([(0, 1, 1, None, 7, 1)])  # back to Pending
+    cluster.rebind([move(0, 1, 1, None)])  # back to Pending
     assert cluster.pending == {"a-p00007-0001"}
     # A top-up at a tick whose batch the cluster holds would reuse its ids.
     with pytest.raises(ValueError, match="cluster 'a' already holds pods created at tick 7"):
@@ -290,8 +291,8 @@ def _loads(cluster):
 @pytest.mark.parametrize(
     "moves",
     [
-        [(0, 0, 1, "a-n001", None, None), (1, 0, 1, "b-n000", None, None)],
-        [(1, 0, 1, "a-n001", None, None), (0, 0, 1, "b-n000", None, None)],
+        [move(0, 0, 1, "a-n001"), move(1, 0, 1, "b-n000")],
+        [move(1, 0, 1, "a-n001"), move(0, 0, 1, "b-n000")],
     ],
     ids=["bind-pending", "bind-running"],
 )
@@ -332,7 +333,7 @@ def test_slotted_records_survive_deepcopy_and_pickle(clone):
     assert_load_matches_pods(twin)
     assert twin.pending == cluster.pending and twin.nodes == cluster.nodes
     # The twin's pods and nodes are its own, not the originals.
-    twin.rebind([(0, 0, 1, None, None, None)])
+    twin.rebind([move(0, 0, 1, None)])
     assert cluster.pods[R0] == "a-n000" and cluster.pending == {WAIT}
     assert twin.nodes["a-n000"].pod_count == 0 and cluster.nodes["a-n000"].pod_count == 1
     with pytest.raises(AttributeError):
@@ -347,10 +348,10 @@ def test_slotted_records_survive_deepcopy_and_pickle(clone):
 
 def test_pod_state_follows_bind_unbind_and_forced_drains():
     cluster = _mixed_cluster()
-    cluster.rebind([(1, 0, 1, None, None, None)])  # unbind R1
+    cluster.rebind([move(1, 0, 1, None)])  # unbind R1
     assert dict(cluster.pods) == {R0: "a-n000", R1: None, WAIT: None}
     assert cluster.runs == ((1, "a-n000"), (2, None))
-    cluster.rebind([(1, 0, 1, "a-n001", None, None)])  # bind it again: the run splits
+    cluster.rebind([move(1, 0, 1, "a-n001")])  # bind it again: the run splits
     assert dict(cluster.pods) == {R0: "a-n000", R1: "a-n001", WAIT: None}
     assert cluster.runs == ((1, "a-n000"), (1, "a-n001"), (1, None))
     # a-n001 has no room for a second 600m pod, so R0 waits.

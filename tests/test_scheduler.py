@@ -31,7 +31,7 @@ def test_place_with_no_pending_is_a_no_op():
 
 
 def test_placement_with_nothing_pending_builds_no_demand_map(monkeypatch):
-    def no_plan(pieces, nodes, quantum):
+    def no_plan(cluster, pieces, nodes):
         raise RuntimeError(f"plan built for {pieces}")
 
     monkeypatch.setattr(scheduler, "_fill", no_plan)
