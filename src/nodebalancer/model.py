@@ -200,17 +200,20 @@ class Cluster:
         do not sort in creation order ("…-10000" sorts before "…-2000").
         """
         runs, batches = self._runs, self._batches
-        for _, host in reversed(runs):
-            if host == node_id:
-                break
-        else:
-            return []
         # Walk the runs and the batches back from the newest pod; after and
         # batch_after count the pods after runs[index] and batches[j].
-        pieces, after, batch_after, j = [], 0, 0, len(batches) - 1
-        index = len(runs)
-        for length, host in reversed(runs):
+        after, index = 0, len(runs)
+        for length, host in reversed(runs):  # first, to the newest run on node_id
+            if host == node_id:
+                break
+            after += length
             index -= 1
+        else:
+            return []
+        pieces, batch_after, j = [], 0, len(batches) - 1
+        while index:
+            index -= 1
+            length, host = runs[index]
             end = after + length
             while host == node_id:
                 tick, count = batches[j]

@@ -101,7 +101,8 @@ def drain_node(
             f"draining {node_id!r} would leave cluster {cluster.id!r} with no node")
 
     siblings = [n for n in actives if n.id != node_id]
-    placed, unplaced = _fill(cluster, cluster.pieces(node_id), siblings)
+    pieces = cluster.pieces(node_id) if cluster.nodes[node_id].pod_count else []
+    placed, unplaced = _fill(cluster, pieces, siblings)
 
     recorder.emit(EventKind.DRAIN_STARTED, cluster=cluster.id, node=node_id,
                   pods=cluster.nodes[node_id].pod_count)
