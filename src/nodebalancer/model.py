@@ -90,8 +90,14 @@ class PodIds(Sequence):
                 item = pod_id(cluster_id, tick, i)
                 yield item if tag is None else (item, tag)
 
-    def __getitem__(self, index):
-        return tuple(self)[index]
+    def __getitem__(self, index: int):
+        position = index + len(self) if index < 0 else index
+        for cluster_id, tick, indices, tag, *_ in self.slices:
+            if 0 <= position < len(indices):
+                item = pod_id(cluster_id, tick, indices[position])
+                return item if tag is None else (item, tag)
+            position -= len(indices)
+        raise IndexError(f"pod index {index} out of range")
 
     def __eq__(self, other):
         is_sequence = isinstance(other, (PodIds, list, tuple))

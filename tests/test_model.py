@@ -276,6 +276,7 @@ def test_pod_ids_format_only_what_is_read():
         ("a-p100000-0001", "a-n000"), ("a-p100000-0000", "a-n000"),
     ]
     assert ids == tuple(ids) and ids == list(ids) and ids != list(ids)[1:]
+    assert list(reversed(ids)) == list(ids)[::-1] and ids.index("a-p00007-0001") == 1
     with pytest.raises(IndexError):
         ids[4]
     with pytest.raises(IndexError):
