@@ -375,7 +375,10 @@ def build_world(scenario: Scenario, recorder=NULL_RECORDER) -> GroupManager:
 
 def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
     u_cpu, u_mem, u = cluster_utilization(cluster)
-    waiting = sum(length for length, node_id in cluster.runs if node_id is None)
+    waiting = 0
+    for length, node_id in cluster.runs:
+        if node_id is None:
+            waiting += length
     quantum = cluster.quantum
     return TickRecord(tick, cluster.id, u_cpu, u_mem, u, len(cluster.nodes), waiting,
                       waiting * quantum.cpu, waiting * quantum.memory)
@@ -418,7 +421,9 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
                     f"tick {tick}: node {node_id!r} over capacity: "
                     f"{ResourceVector(cpu, memory)} > {capacity}"
                 )
-        named = sum(count for _, count in cluster.batches)
+        named = 0
+        for _, count in cluster.batches:
+            named += count
         if total != named:
             raise InvariantViolation(
                 f"tick {tick}: cluster {cluster_id!r} runs hold {total} pod(s), "

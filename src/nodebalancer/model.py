@@ -108,6 +108,7 @@ class PodIds(Sequence):
 
 
 NO_PODS = PodIds()
+_PLACE = itemgetter(4, 5)  # a move's run index and offset
 
 
 def _extend(runs: list[tuple], length: int, node_id: str | None) -> None:
@@ -172,7 +173,9 @@ class Cluster:
         pods at it raises ValueError, changing nothing.
         """
         runs, batches = self._runs, self._batches
-        excess = sum(length for length, _ in runs) - target
+        excess = -target
+        for length, _ in runs:  # a loop: sum() of a generator costs more on few runs
+            excess += length
         if excess < 0:
             if any(t == tick for t, _ in batches):
                 raise ValueError(f"cluster {self.id!r} already holds pods created at tick {tick}")
@@ -217,10 +220,13 @@ class Cluster:
         else:
             return []
         pieces, batch_after, j = [], 0, len(batches) - 1
-        while index:
+        left = -1 if node_id is None else self.nodes[node_id].pod_count  # pods to find
+        while index and left:
             index -= 1
             length, host = runs[index]
             end = after + length
+            if host == node_id:
+                left -= length
             while host == node_id:
                 tick, count = batches[j]
                 low = after if after > batch_after else batch_after
@@ -257,7 +263,7 @@ class Cluster:
             if move[3] is not None and move[3] not in nodes:
                 raise KeyError(f"cluster {self.id!r} does not host a node {move[3]!r}")
         if len(moves) > 1:
-            moves = sorted(moves, key=itemgetter(4, 5))
+            moves = sorted(moves, key=_PLACE)
         old = self._runs
         index = moves[0][4]
         runs, at = old[:index], 0  # at: pods of old[index] already in runs
@@ -275,8 +281,10 @@ class Cluster:
                 nodes[target].pod_count += count
             at = offset + count
         _extend(runs, old[index][0] - at, old[index][1])
-        for length, node_id in old[index + 1:]:
-            _extend(runs, length, node_id)
+        rest = old[index + 1:]
+        if rest:
+            _extend(runs, *rest[0])  # the only run of the rest that can merge
+            runs += rest[1:]
         self._runs = runs
 
     def active_nodes(self) -> list[Node]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DuplicateNode, LastNodeGuard, NodeNotInCluster
-from .model import NO_PODS, Cluster, Node, PodIds, ResourceVector
+from .model import NO_PODS, Cluster, Node, PodIds
 from .reporting import NULL_RECORDER, EventKind
 
 
