@@ -207,6 +207,7 @@ class Cluster:
         index, offset in the run, count): one run's pods of one batch. A
         batch of 10,000 or more pods gives one piece per pod, because its ids
         do not sort in creation order ("…-10000" sorts before "…-2000").
+        For a node the walk stops once it has found the node's pod_count pods.
         """
         runs, batches = self._runs, self._batches
         # Walk the runs and the batches back from the newest pod; after and
