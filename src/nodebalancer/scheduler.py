@@ -42,14 +42,14 @@ def _fill(cluster: Cluster, pieces, nodes: list[Node]) -> tuple[list, list]:
     PodIds slice tagged with its node id, None for the unplaced.
     """
     quantum = cluster.quantum
-    placed = []
+    placed, last = [], len(pieces)
     k = done = 0  # pieces[k] is the next piece, of which done pods are placed
     for node in nodes:
-        if k == len(pieces):
+        if k == last:
             break
         capacity = node.capacity
         room = min(capacity.cpu // quantum.cpu, capacity.memory // quantum.memory) - node.pod_count
-        while room > 0 and k < len(pieces):
+        while room > 0 and k < last:
             tick, first, index, offset, count = pieces[k]
             take = min(count - done, room)
             ids = range(first + done, first + done + take)
