@@ -478,19 +478,18 @@ def run(
             for cluster_id in cluster_ids:
                 place_pending(clusters[cluster_id])
 
-            balanced = False
+            sizes = [len(clusters[cluster_id].nodes) for cluster_id in cluster_ids]
             for group_id in sorted(manager.groups):
                 group = manager.groups[group_id]
                 if tick % group.balance_interval == 0:
                     rebalance_cycle(group, clusters, recorder=recorder)
-                    balanced = True
-            if balanced:
-                # Only a recipient can have gained room. A drain fills the
-                # donor's other nodes. A reversed node comes back empty, and
-                # if its donor has a backlog, every node was full before the
-                # drain, so a node whose pods all fitted elsewhere held none
-                # and has no slot.
-                for cluster_id in cluster_ids:
+            # Only a recipient, whose node count grew, can have gained room.
+            # A drain fills the donor's other nodes. A reversed node comes
+            # back empty, and if its donor has a backlog, every node was full
+            # before the drain, so a node whose pods all fitted elsewhere held
+            # none and has no slot.
+            for cluster_id, size in zip(cluster_ids, sizes):
+                if len(clusters[cluster_id].nodes) > size:
                     place_pending(clusters[cluster_id])
 
             for cluster_id in cluster_ids:

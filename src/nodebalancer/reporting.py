@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from enum import Enum
-from itertools import chain
+from itertools import chain, count, islice
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
-from operator import itemgetter
+from operator import itemgetter, le, ne
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -132,9 +133,10 @@ _IS_METRICS_ROW = re.compile(
 # active_nodes and pending_pods. report converts only these: converting all
 # nine cells made it about a fifth slower on a run of many rows.
 _SUMMARY_COLUMNS = (0, 1, 4, 5, 6)
-# metrics.csv is read this many characters of whole lines at a time: enough
-# rows that checking, splitting and converting them are a few C calls per
-# batch, and few enough that a reader holds kilobytes however long the file.
+# metrics.csv and the event log are read this many characters of whole lines
+# at a time: enough lines that checking, splitting and converting them are a
+# few C calls per batch, and few enough that a reader holds kilobytes however
+# long the file.
 _BATCH_CHARS = 2048
 
 
@@ -211,6 +213,39 @@ def write_events(events: Iterable[RebalanceEvent], path: str | Path) -> None:
 # error raised for it is exactly json.loads's.
 _DECODE = json.JSONDecoder().raw_decode
 
+# An event line as _event_line writes it, capturing tick, sequence, kind and
+# node: strings without escapes (printable ASCII but '"' and '\') and a detail
+# of strings, JSON numbers and lists of string lists, as the engine logs. It
+# reads as json.loads would. Digit runs stay far below the int-to-str limit,
+# and a node is never empty, so findall's '' means no node. Any other line
+# (escapes, non-ASCII, NaN, whitespace, a BOM) is left to _decode_event.
+_PLAIN = r'"[ !#-\[\]-~]*"'
+_STRINGS = rf"\[(?:{_PLAIN}(?:,{_PLAIN})*)?\]"
+_VALUE = (rf"(?:{_PLAIN}|\[(?:{_STRINGS}(?:,{_STRINGS})*)?\]"
+          r"|-?(?:0|[1-9][0-9]{0,99})(?:\.[0-9]{1,99})?(?:[eE][-+]?[0-9]{1,99})?)")
+_ENVELOPE = re.compile(
+    r'^\{"tick":(0|[1-9][0-9]{0,17}),"sequence":(0|[1-9][0-9]{0,17}),"kind":"([ !#-\[\]-~]*)"'
+    rf'(?:,"cluster":{_PLAIN})?(?:,"group":{_PLAIN})?(?:,"node":"([ !#-\[\]-~]+)")?'
+    rf',"detail":\{{(?:{_PLAIN}:{_VALUE}(?:,{_PLAIN}:{_VALUE})*)?\}}\}}\n', re.MULTILINE)
+
+
+def _decode_event(line: str, path: str | Path, lineno: int) -> RebalanceEvent | None:
+    """One line of the event log decoded and checked, or None if it is blank;
+    a malformed line raises IoFailure naming its file line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        obj, end = _DECODE(line)
+    except (ValueError, RecursionError):  # bad syntax, an over-long int, too deep
+        end = -1
+    if end != len(line):
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise IoFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+    return _event_from(obj, path, lineno)
+
 
 def iter_events(path: str | Path) -> Iterator[RebalanceEvent]:
     """The event log's events in file order, each decoded and checked as it
@@ -220,25 +255,47 @@ def iter_events(path: str | Path) -> Iterator[RebalanceEvent]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj, end = _DECODE(line)
-                except (ValueError, RecursionError):  # bad syntax, an over-long int, too deep
-                    end = -1
-                if end != len(line):
-                    try:
-                        obj = json.loads(line)
-                    except (ValueError, RecursionError) as exc:
-                        raise IoFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-                yield _event_from(obj, path, lineno)
+                if event := _decode_event(line, path, lineno):
+                    yield event
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read event log {path}: {exc}") from exc
 
 
 def read_events(path: str | Path) -> list[RebalanceEvent]:
     return list(iter_events(path))
+
+
+def _event_columns(path: str | Path) -> Iterator[tuple]:
+    """The event log as _check_events reads it: for each batch of lines that
+    holds an event, its (ticks, sequences, kinds, nodes) in file order. A
+    batch of envelopes is read with one findall; in any other, each line that
+    is not one goes through _decode_event, so a malformed line raises
+    iter_events's IoFailure. The file is closed when the stream ends, fails
+    or is closed."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lineno = 0
+            while lines := handle.readlines(_BATCH_CHARS):
+                rows = _ENVELOPE.findall("".join(lines))
+                envelopes = len(rows) == len(lines)
+                if envelopes:
+                    lineno += len(lines)
+                else:
+                    rows = []
+                    for lineno, line in enumerate(lines, start=lineno + 1):
+                        if match := _ENVELOPE.fullmatch(line):
+                            rows.append(match.groups())
+                        elif event := _decode_event(line, path, lineno):
+                            rows.append((event.tick, event.sequence, event.kind, event.node))
+                    if not rows:
+                        continue
+                # Lists, not zip's tuples: a tuple of under 20 items is kept
+                # on CPython's free list, and batches of them raised peak RSS.
+                ticks, sequences, kinds, nodes = (map(itemgetter(i), rows) for i in range(4))
+                yield (list(map(int, ticks)), list(map(int, sequences)), list(kinds),
+                       [node or None for node in nodes] if envelopes else list(nodes))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read event log {path}: {exc}") from exc
 
 
 # The type of each RebalanceEvent field in an event line. The first three are
@@ -286,15 +343,20 @@ def verify_event_log(events: Iterable[RebalanceEvent]) -> list[str]:
     preceded, within the same tick, by the DrainStarted, NodeDeprovisioned,
     and NodeProvisioned events for the same node.
     """
-    return _check_events(events)[0]
+    events = iter(events)
+    # The columns of 512 events at a time, so no copy of a long log is held.
+    batches = iter(lambda: list(zip(*islice(events, 512))), [])
+    return _check_events(map(itemgetter(0, 1, 2, 5), batches))[0]
 
 
-def _check_events(events: Iterable[RebalanceEvent]) -> tuple[list[str], dict[str, int]]:
-    """One pass over a log: verify_event_log's violations (the sequence and
-    tick ones, then the causality ones) and the number of events per kind."""
+def _check_events(batches: Iterable[tuple]) -> tuple[list[str], dict[str, int]]:
+    """One pass over a log given as non-empty batches of its columns (ticks,
+    sequences, kinds, nodes): verify_event_log's violations (the sequence and
+    tick ones, then the causality ones) and the number of events per kind.
+    Only a batch out of order is walked event by event to name its faults."""
     ordering: list[str] = []
     causality: list[str] = []
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     # Enum member values are read through a property: once, not per event.
     move_completed = EventKind.MOVE_COMPLETED.value
     required = (
@@ -304,29 +366,36 @@ def _check_events(events: Iterable[RebalanceEvent]) -> tuple[list[str], dict[str
     )
     # (tick, node) -> required kinds logged so far; a tuple takes a third of a set's memory
     seen: dict[tuple[int, str | None], tuple[str, ...]] = {}
+    position = 0
     last_tick = None
-    for position, (tick, sequence, kind, _, _, node, _) in enumerate(events):
-        if sequence != position:
-            ordering.append(
-                f"sequence gap at position {position}: expected {position}, got {sequence}"
-            )
-        if last_tick is not None and tick < last_tick:
-            ordering.append(
-                f"tick went backwards at sequence {sequence}: {last_tick} -> {tick}"
-            )
-        last_tick = tick
-        counts[kind] = counts.get(kind, 0) + 1
-        if kind == move_completed:
-            logged = seen.get((tick, node), ())
-            for needed in required:
-                if needed not in logged:
-                    causality.append(
-                        f"MoveCompleted at sequence {sequence} for node {node!r}"
-                        f" lacks a same-tick {needed} before it"
-                    )
-        elif kind in required:
-            key = (tick, node)
-            seen[key] = seen.get(key, ()) + (kind,)
+    for ticks, sequences, kinds, nodes in batches:
+        if last_tick is None:
+            last_tick = ticks[0]  # no tick is below itself
+        start, position = position, position + len(ticks)
+        if any(map(ne, sequences, range(start, position))) or not all(
+                map(le, chain((last_tick,), ticks), ticks)):
+            for expected, tick, sequence in zip(count(start), ticks, sequences):
+                if sequence != expected:
+                    ordering.append(f"sequence gap at position {expected}:"
+                                    f" expected {expected}, got {sequence}")
+                if tick < last_tick:
+                    ordering.append(
+                        f"tick went backwards at sequence {sequence}: {last_tick} -> {tick}")
+                last_tick = tick
+        last_tick = ticks[-1]
+        counts.update(kinds)
+        for tick, sequence, kind, node in zip(ticks, sequences, kinds, nodes):
+            if kind == move_completed:
+                logged = seen.get((tick, node), ())
+                for needed in required:
+                    if needed not in logged:
+                        causality.append(
+                            f"MoveCompleted at sequence {sequence} for node {node!r}"
+                            f" lacks a same-tick {needed} before it"
+                        )
+            elif kind in required:
+                key = (tick, node)
+                seen[key] = seen.get(key, ()) + (kind,)
     return ordering + causality, counts
 
 

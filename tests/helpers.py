@@ -3,9 +3,10 @@
 The reference functions (ffd_oracle, raw utilization sums) are written from
 the documented behaviour, not from the package internals, so they can catch
 the package drifting from its own contract. reference_iter_metrics is the
-metrics reader the package's batched one replaced, and ReferenceColumn the
-per-pod column that a cluster's runs of pods replaced, kept to compare
-against.
+metrics reader the package's batched one replaced, reference_check_events the
+per-event checker that report ran over iter_events before it read the event
+log in batches, and ReferenceColumn the per-pod column that a cluster's runs
+of pods replaced, kept to compare against.
 """
 
 from __future__ import annotations
@@ -66,6 +67,33 @@ def reference_iter_metrics(path):
                 raise IoFailure(f"{path}: empty metrics file")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read metrics {path}: {exc}") from exc
+
+
+def reference_check_events(events):
+    """Reference for _check_events: one pass over events one at a time, giving
+    the sequence and tick violations, then the causality ones, and the number
+    of events per kind. report ran it over iter_events."""
+    ordering, causality, counts = [], [], {}
+    required = ("DrainStarted", "NodeDeprovisioned", "NodeProvisioned")
+    seen = {}  # (tick, node) -> required kinds logged so far
+    last_tick = None
+    for position, (tick, sequence, kind, _, _, node, _) in enumerate(events):
+        if sequence != position:
+            ordering.append(
+                f"sequence gap at position {position}: expected {position}, got {sequence}")
+        if last_tick is not None and tick < last_tick:
+            ordering.append(f"tick went backwards at sequence {sequence}: {last_tick} -> {tick}")
+        last_tick = tick
+        counts[kind] = counts.get(kind, 0) + 1
+        if kind == "MoveCompleted":
+            logged = seen.get((tick, node), ())
+            causality.extend(
+                f"MoveCompleted at sequence {sequence} for node {node!r}"
+                f" lacks a same-tick {needed} before it"
+                for needed in required if needed not in logged)
+        elif kind in required:
+            seen[(tick, node)] = seen.get((tick, node), ()) + (kind,)
+    return ordering + causality, counts
 
 
 def rv(cpu: int, memory: int | None = None) -> ResourceVector:

@@ -20,6 +20,7 @@ import random
 import pytest
 
 from nodebalancer.cli import main
+from nodebalancer.reporting import _ENVELOPE, EventKind
 
 from helpers import random_scenario
 
@@ -303,3 +304,19 @@ def digests(doc, tmp_path):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_digests(name, tmp_path):
     assert digests(SCENARIOS[name], tmp_path) == PINS[name]
+
+
+def test_the_envelope_reads_every_line_the_engine_logs(tmp_path):
+    """report reads a batch of the event log with one regex call only when
+    each of its lines matches the envelope pattern. Every line of every
+    golden run must, and between them the runs log every event kind."""
+    kinds = set()
+    for name, doc in SCENARIOS.items():
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / name)]) == 0
+        with open(tmp_path / name / "events.jsonl", encoding="utf-8") as handle:
+            for line in handle:
+                assert _ENVELOPE.fullmatch(line), line
+                kinds.add(json.loads(line)["kind"])
+    assert kinds == {kind.value for kind in EventKind}

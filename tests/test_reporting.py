@@ -6,6 +6,7 @@ import random
 import re
 import warnings
 from enum import IntEnum
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,11 +28,23 @@ from nodebalancer import (
     write_metrics,
     write_summary,
 )
+from nodebalancer import reporting
 from nodebalancer.errors import IoFailure
 from nodebalancer.model import ResourceVector, Utilization
-from nodebalancer.reporting import METRICS_HEADER, _event_line, _summarize_metrics
+from nodebalancer.reporting import (
+    METRICS_HEADER,
+    _check_events,
+    _event_columns,
+    _event_line,
+    _summarize_metrics,
+)
 
-from helpers import OVER_LONG_INT_JSON, TOO_DEEP_JSON, reference_iter_metrics
+from helpers import (
+    OVER_LONG_INT_JSON,
+    TOO_DEEP_JSON,
+    reference_check_events,
+    reference_iter_metrics,
+)
 
 
 def _record(tick, cid, u_cpu, u_mem, active=2, pending=0, pending_cpu=0, pending_memory=0):
@@ -421,6 +434,125 @@ def test_verify_gives_the_same_violations_from_a_one_shot_iterator():
     assert any("tick went backwards" in v for v in violations)
     assert any("lacks a same-tick DrainStarted" in v for v in violations)
     assert verify_event_log(iter(events)) == violations
+
+
+# Details as the engine logs them (strings, numbers, lists of string lists),
+# then ones the envelope leaves to the per-line decoder: escapes, non-ASCII,
+# bool, null, non-finite floats, numbers past its digit bounds and nesting.
+_EVENT_DETAILS = [
+    {}, {"pods": 3}, {"balance_interval": 1, "t_high": 0.8, "t_low": 0.3},
+    {"donor_utilization_after": 0.14285714285714285, "from_cluster": "b"},
+    {"attempts": [["b", "MinActiveNodes"], ["c", "DrainInfeasible"]]}, {"attempts": []},
+    {"pending_pods": [], "recalled_nodes": [["n1", "a"]], "returned_nodes": []},
+    {"reason": "WouldExceedTHigh", "utilization_after": 1e-05, "intended_recipient": "a"},
+    {"big": 2**70, "negative": -3, "zero": -0.0, "tiny": 5e-324, "huge": 1e308},
+]
+_ODD_DETAILS = [{"quote": 'a"b'}, {"accent": "\xe9"}, {"flag": True}, {"none": None},
+                {"inf": float("inf")}, {"long": 10**150}, {"nested": {"a": 1}}]
+_EVENT_KINDS = [kind.value for kind in EventKind] + ["Custom"]
+_EVENT_NODES = [None, "n1", "n1", "n2", " "]
+
+# Lines the envelope must refuse or must read right, each a template over the
+# tick and sequence of the place it is put: an empty, null or absent node,
+# escaped and non-ASCII strings, NaN and an over-long int in the detail, a
+# duplicate tick key, a bad escape, a raw tab, trailing spaces, blank lines
+# and a BOM.
+_ODD_EVENT_LINES = [
+    '{{"tick":{t},"sequence":{s},"kind":"DrainStarted","cluster":"a","node":"","detail":{{}}}}',
+    '{{"tick":{t},"sequence":{s},"kind":"NodeProvisioned","node":null,"detail":{{}}}}',
+    '{{"tick":{t},"sequence":{s},"kind":"MoveCompleted","group":"g","detail":{{}}}}',
+    '{{"tick":{t},"sequence":{s},"kind":"Move\\u0043ompleted","node":"n1","detail":{{}}}}',
+    '{{"tick":{t},"sequence":{s},"kind":"NodeDeprovisioned","node":"n\\u0031","detail":{{}}}}',
+    '{{"tick":{t},"sequence":{s},"kind":"DrainStarted","node":"n\xe9","detail":{{}}}}',
+    '{{"tick":{t},"sequence":{s},"kind":"GroupCreated","detail":{{"t_low":NaN}}}}',
+    '{{"tick":{t},"sequence":{s},"kind":"DrainStarted","detail":{{"pods":' + "7" * 5000 + "}}}}",
+    '{{"tick":{t},"sequence":{s},"kind":"NodeProvisioned","tick":0,"node":"n1","detail":{{}}}}',
+    '{{"tick":{t},"sequence":{s},"kind":"GroupCreated","group":"g\\x","detail":{{}}}}',
+    '{{"tick":{t},"sequence":{s},"kind":"GroupCreated","cluster":"a\tb","detail":{{}}}}',
+    '{{"tick":{t},"sequence":{s},"kind":"MoveCompleted","node":"n1","detail":{{}}}}   ',
+    "",
+    " \t",
+    '\ufeff{{"tick":{t},"sequence":{s},"kind":"GroupCreated","detail":{{}}}}',
+]
+
+
+def _outcome(check):
+    """What a check of an event log gives: (violations, counts) and None, or
+    None and its error message."""
+    try:
+        return check(), None
+    except IoFailure as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=200, **_CODEC_SETTINGS)
+@given(
+    seed=st.integers(0, 2**32),
+    length=st.integers(0, 60),
+    odd_rate=st.sampled_from([0.0, 0.05, 0.3]),
+    odd=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_ODD_EVENT_LINES)), max_size=4),
+    final_end=st.booleans(),
+    batch_chars=st.sampled_from([1, 150, 600, reporting._BATCH_CHARS]),
+)
+@example(seed=0, length=60, odd_rate=0.0, odd=[], final_end=True, batch_chars=600)
+@example(seed=0, length=0, odd_rate=0.0, odd=[(0, "")], final_end=False, batch_chars=1)
+def test_batched_event_reader_matches_the_per_line_reference(
+    tmp_path_factory, seed, length, odd_rate, odd, final_end, batch_chars
+):
+    rng = random.Random(seed)
+
+    def pick(usual, unusual):
+        return rng.choice(unusual if rng.random() < odd_rate else usual)
+
+    tick = rng.choice([0, 7, 10**17, 10**19])  # the last is past the envelope's digits
+    events = []
+    for position in range(length):
+        tick += rng.choice([0, 0, 0, 1, 1, -1])
+        events.append(RebalanceEvent(
+            tick, position + rng.choice([0] * 12 + [1, -1]), pick(_EVENT_KINDS, ["Drain\\Started"]),
+            rng.choice([None, "a"]), rng.choice([None, "g"]), pick(_EVENT_NODES, [""]),
+            pick(_EVENT_DETAILS, _ODD_DETAILS)))
+    path = tmp_path_factory.mktemp("events") / "events.jsonl"
+    write_events(events, path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    for position, template in odd:
+        at = position % (len(lines) + 1)
+        lines.insert(at, template.format(t=events[at - 1].tick if 0 < at <= length else 0, s=at))
+    text = "".join(line + "\n" for line in lines)
+    if not final_end and text:
+        text = text[:-1]
+    path.write_bytes(text.encode("utf-8"))
+
+    expected = _outcome(lambda: reference_check_events(iter_events(path)))
+    with mock.patch.object(reporting, "_BATCH_CHARS", batch_chars):
+        assert _outcome(lambda: _check_events(_event_columns(path))) == expected
+
+
+@pytest.mark.parametrize(
+    "events,violations",
+    [
+        (_move_sequence(), []),
+        ([RebalanceEvent(0, sequence, "GroupCreated") for sequence in (0, 1, 2, 4, 5)],
+         ["sequence gap at position 3: expected 3, got 4",
+          "sequence gap at position 4: expected 4, got 5"]),
+        ([RebalanceEvent(tick, sequence, "GroupCreated")
+          for sequence, tick in enumerate((0, 1, 2, 1, 2))],
+         ["tick went backwards at sequence 3: 2 -> 1"]),
+    ],
+    ids=["move-after-its-provenance", "sequence-gap", "tick-backwards"],
+)
+def test_a_batch_boundary_changes_no_check(tmp_path, monkeypatch, events, violations):
+    """The fourth event opens the second batch: causality, sequences and
+    ticks are checked across the boundary as within a batch."""
+    path = tmp_path / "events.jsonl"
+    write_events(events, path)
+    head = path.read_text(encoding="utf-8").split("\n")[:3]
+    # readlines stops once its lines hold more characters than the hint.
+    monkeypatch.setattr(reporting, "_BATCH_CHARS", sum(len(line) + 1 for line in head) - 1)
+    assert [len(ticks) for ticks, *_ in _event_columns(path)][0] == 3
+    result = _check_events(_event_columns(path))
+    assert result == reference_check_events(iter_events(path))
+    assert result[0] == violations
 
 
 def test_metrics_round_trip(tmp_path):
