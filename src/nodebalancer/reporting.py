@@ -10,10 +10,10 @@ import json
 import re
 from collections import Counter
 from enum import Enum
-from itertools import chain, count, islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
-from operator import itemgetter, le, ne
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -268,10 +268,9 @@ def read_events(path: str | Path) -> list[RebalanceEvent]:
 def _event_columns(path: str | Path) -> Iterator[tuple]:
     """The event log as _check_events reads it: for each batch of lines that
     holds an event, its (ticks, sequences, kinds, nodes) in file order. A
-    batch of envelopes is read with one findall; in any other, each line that
-    is not one goes through _decode_event, so a malformed line raises
-    iter_events's IoFailure. The file is closed when the stream ends, fails
-    or is closed."""
+    batch of envelopes is read with one findall; any other goes a line at a
+    time through _decode_event, so a malformed line raises iter_events's
+    IoFailure. The file is closed when the stream ends, fails or is closed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lineno = 0
@@ -283,9 +282,7 @@ def _event_columns(path: str | Path) -> Iterator[tuple]:
                 else:
                     rows = []
                     for lineno, line in enumerate(lines, start=lineno + 1):
-                        if match := _ENVELOPE.fullmatch(line):
-                            rows.append(match.groups())
-                        elif event := _decode_event(line, path, lineno):
+                        if event := _decode_event(line, path, lineno):
                             rows.append((event.tick, event.sequence, event.kind, event.node))
                     if not rows:
                         continue
@@ -352,8 +349,7 @@ def verify_event_log(events: Iterable[RebalanceEvent]) -> list[str]:
 def _check_events(batches: Iterable[tuple]) -> tuple[list[str], dict[str, int]]:
     """One pass over a log given as non-empty batches of its columns (ticks,
     sequences, kinds, nodes): verify_event_log's violations (the sequence and
-    tick ones, then the causality ones) and the number of events per kind.
-    Only a batch out of order is walked event by event to name its faults."""
+    tick ones, then the causality ones) and the number of events per kind."""
     ordering: list[str] = []
     causality: list[str] = []
     counts: Counter[str] = Counter()
@@ -369,22 +365,16 @@ def _check_events(batches: Iterable[tuple]) -> tuple[list[str], dict[str, int]]:
     position = 0
     last_tick = None
     for ticks, sequences, kinds, nodes in batches:
-        if last_tick is None:
-            last_tick = ticks[0]  # no tick is below itself
-        start, position = position, position + len(ticks)
-        if any(map(ne, sequences, range(start, position))) or not all(
-                map(le, chain((last_tick,), ticks), ticks)):
-            for expected, tick, sequence in zip(count(start), ticks, sequences):
-                if sequence != expected:
-                    ordering.append(f"sequence gap at position {expected}:"
-                                    f" expected {expected}, got {sequence}")
-                if tick < last_tick:
-                    ordering.append(
-                        f"tick went backwards at sequence {sequence}: {last_tick} -> {tick}")
-                last_tick = tick
-        last_tick = ticks[-1]
         counts.update(kinds)
-        for tick, sequence, kind, node in zip(ticks, sequences, kinds, nodes):
+        for expected, (tick, sequence, kind, node) in enumerate(
+                zip(ticks, sequences, kinds, nodes), position):
+            if sequence != expected:
+                ordering.append(f"sequence gap at position {expected}:"
+                                f" expected {expected}, got {sequence}")
+            if last_tick is not None and tick < last_tick:
+                ordering.append(
+                    f"tick went backwards at sequence {sequence}: {last_tick} -> {tick}")
+            last_tick = tick
             if kind == move_completed:
                 logged = seen.get((tick, node), ())
                 for needed in required:
@@ -396,6 +386,7 @@ def _check_events(batches: Iterable[tuple]) -> tuple[list[str], dict[str, int]]:
             elif kind in required:
                 key = (tick, node)
                 seen[key] = seen.get(key, ()) + (kind,)
+        position += len(ticks)
     return ordering + causality, counts
 
 
