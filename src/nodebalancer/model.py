@@ -45,16 +45,13 @@ class Node:
     changes afterwards; it is what makes a cluster's original configuration
     restorable after nodes have been loaned around a group. A node is active
     exactly while a cluster's nodes dict holds it; between the drain that
-    detaches it and provision_node, only the caller moving it does.
-    pod_count is the number of Running pods on the node, written only by
-    Cluster.resize and Cluster.rebind; each demands its cluster's quantum. A
-    node leaves its cluster drained, so it travels with 0.
+    detaches it and provision_node, only the caller moving it does. A node
+    stores no pods: its hosting cluster's runs say which run on it.
     """
 
     id: str
     capacity: ResourceVector
     origin_cluster: str
-    pod_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.capacity.cpu <= 0 or self.capacity.memory <= 0:
@@ -130,9 +127,8 @@ class Cluster:
     Pending; adjacent runs on one node are merged. Batches (tick, count)
     give the pods created together at a tick: pod i of a batch is
     f"{cluster id}-p{tick:05d}-{i:04d}", derived and never stored. Pods
-    change only through resize and rebind, which keep each node's pod_count
-    in step with the runs; pods, pending, runs and batches are read-only
-    views.
+    change only through resize and rebind; pods, pending, runs and batches
+    are read-only views, and counts sums the runs.
     """
 
     id: str
@@ -164,14 +160,26 @@ class Cluster:
         """The ids of the Pending pods."""
         return frozenset(pod for pod, node_id in self.pods.items() if node_id is None)
 
+    def counts(self) -> dict[str, int]:
+        """Node id -> number of Running pods, for each node with one, summed
+        from the runs on each call, in O(runs): no count of pods is stored."""
+        counts: dict[str, int] = {}
+        for length, node_id in self._runs:
+            if node_id is not None:
+                counts[node_id] = counts.get(node_id, 0) + length
+        return counts
+
     def resize(self, target: int, tick: int) -> tuple[PodIds, PodIds]:
         """Delete the newest pods, Running or Pending, or append Pending pods
         created at tick, until the cluster holds target pods.
 
         Returns the (created, deleted) ids, the deleted newest first. A tick
         whose batch the cluster still holds would reuse its ids, so adding
-        pods at it raises ValueError, changing nothing.
+        pods at it raises ValueError, changing nothing, as does a negative
+        target.
         """
+        if target < 0:
+            raise ValueError(f"cluster {self.id!r}: target must be >= 0, got {target}")
         runs, batches = self._runs, self._batches
         excess = -target
         for length, _ in runs:  # a loop: sum() of a generator costs more on few runs
@@ -186,8 +194,6 @@ class Cluster:
         while left:
             length, node_id = runs.pop()
             take = min(length, left)
-            if node_id is not None:
-                self.nodes[node_id].pod_count -= take
             _extend(runs, length - take, node_id)
             left -= take
         deleted, left = [], excess
@@ -207,7 +213,6 @@ class Cluster:
         index, offset in the run, count): one run's pods of one batch. A
         batch of 10,000 or more pods gives one piece per pod, because its ids
         do not sort in creation order ("…-10000" sorts before "…-2000").
-        For a node the walk stops once it has found the node's pod_count pods.
         """
         runs, batches = self._runs, self._batches
         # Walk the runs and the batches back from the newest pod; after and
@@ -221,13 +226,10 @@ class Cluster:
         else:
             return []
         pieces, batch_after, j = [], 0, len(batches) - 1
-        left = -1 if node_id is None else self.nodes[node_id].pod_count  # pods to find
-        while index and left:
+        while index:
             index -= 1
             length, host = runs[index]
             end = after + length
-            if host == node_id:
-                left -= length
             while host == node_id:
                 tick, count = batches[j]
                 low = after if after > batch_after else batch_after
@@ -276,10 +278,6 @@ class Cluster:
             source = old[index][1]
             _extend(runs, offset - at, source)
             _extend(runs, count, target)
-            if source is not None:
-                nodes[source].pod_count -= count
-            if target is not None:
-                nodes[target].pod_count += count
             at = offset + count
         _extend(runs, old[index][0] - at, old[index][1])
         rest = old[index + 1:]
@@ -364,8 +362,10 @@ class Utilization(NamedTuple):
 
 
 def node_demand(cluster: Cluster, node_id: str) -> ResourceVector:
-    """Requested demand of the Running pods on a node the cluster hosts."""
-    count, quantum = cluster.nodes[node_id].pod_count, cluster.quantum
+    """Requested demand of the Running pods on a node the cluster hosts (KeyError if not)."""
+    if node_id not in cluster.nodes:
+        raise KeyError(node_id)
+    count, quantum = cluster.counts().get(node_id, 0), cluster.quantum
     return ResourceVector(count * quantum.cpu, count * quantum.memory)
 
 
@@ -377,9 +377,11 @@ def cluster_utilization(cluster: Cluster) -> Utilization:
     the ratio is undefined.
     """
     count = capacity_cpu = capacity_memory = 0
+    for length, node_id in cluster._runs:  # Running pods; counts() would build a dict
+        if node_id is not None:
+            count += length
     for node in cluster.nodes.values():
         capacity = node.capacity
-        count += node.pod_count
         capacity_cpu += capacity.cpu
         capacity_memory += capacity.memory
     if not capacity_cpu:  # capacities are strictly positive
@@ -390,13 +392,13 @@ def cluster_utilization(cluster: Cluster) -> Utilization:
     return Utilization(u_cpu, u_mem, max(u_cpu, u_mem))
 
 
-def node_load(node: Node, quantum: ResourceVector) -> float:
-    """Max of the cpu and memory load ratios of the node's pods, each of quantum.
+def node_load(node: Node, quantum: ResourceVector, count: int) -> float:
+    """Max of the cpu and memory load ratios of count pods of quantum on the node.
 
     The one formula behind node_utilization and the balancer's donor-node
     ranking; it builds no ResourceVector.
     """
-    count, capacity = node.pod_count, node.capacity
+    capacity = node.capacity
     return max(count * quantum.cpu / capacity.cpu, count * quantum.memory / capacity.memory)
 
 
@@ -404,4 +406,4 @@ def node_utilization(node: Node, cluster: Cluster) -> float:
     """Max of the node's cpu and memory load ratios."""
     if cluster.nodes.get(node.id) is not node:
         raise NodeNotInCluster(f"node {node.id!r} is not hosted by cluster {cluster.id!r}")
-    return node_load(node, cluster.quantum)
+    return node_load(node, cluster.quantum, cluster.counts().get(node.id, 0))

@@ -208,11 +208,6 @@ def write_events(events: Iterable[RebalanceEvent], path: str | Path) -> None:
         raise IoFailure(f"cannot write event log {path}: {exc}") from exc
 
 
-# json.loads's own decoder, without json.loads's per-call checks. A line it
-# rejects, or does not consume whole, is decoded again by json.loads, so the
-# error raised for it is exactly json.loads's.
-_DECODE = json.JSONDecoder().raw_decode
-
 # An event line as _event_line writes it, capturing tick, sequence, kind and
 # node: strings without escapes (printable ASCII but '"' and '\') and a detail
 # of strings, JSON numbers and lists of string lists, as the engine logs. It
@@ -236,14 +231,9 @@ def _decode_event(line: str, path: str | Path, lineno: int) -> RebalanceEvent | 
     if not line:
         return None
     try:
-        obj, end = _DECODE(line)
-    except (ValueError, RecursionError):  # bad syntax, an over-long int, too deep
-        end = -1
-    if end != len(line):
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise IoFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # bad syntax, an over-long int, too deep
+        raise IoFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
     return _event_from(obj, path, lineno)
 
 
@@ -305,18 +295,6 @@ _EVENT_FIELDS = {
 
 def _event_from(obj, path: str | Path, lineno: int) -> RebalanceEvent:
     """Build an event from one decoded line, naming the first malformed field."""
-    if type(obj) is dict:
-        # The decoder yields exact types, so one test passes every
-        # well-formed line; the loop below only names what is wrong.
-        get = obj.get
-        tick, sequence, kind, detail = get("tick"), get("sequence"), get("kind"), get("detail")
-        cluster, group, node = get("cluster"), get("group"), get("node")
-        if (type(tick) is int and type(sequence) is int and type(kind) is str
-                and type(detail) is dict
-                and (cluster is None or type(cluster) is str)
-                and (group is None or type(group) is str)
-                and (node is None or type(node) is str)):
-            return RebalanceEvent(tick, sequence, kind, cluster, group, node, detail)
     where = f"{path}:{lineno}"
     if not isinstance(obj, dict):
         raise IoFailure(f"{where}: expected a JSON object, got {type(obj).__name__}")

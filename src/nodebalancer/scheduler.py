@@ -41,14 +41,15 @@ def _fill(cluster: Cluster, pieces, nodes: list[Node]) -> tuple[list, list]:
     the placed and the unplaced pods as Cluster.rebind's moves, each also a
     PodIds slice tagged with its node id, None for the unplaced.
     """
-    quantum = cluster.quantum
+    quantum, counts = cluster.quantum, cluster.counts()
     placed, last = [], len(pieces)
     k = done = 0  # pieces[k] is the next piece, of which done pods are placed
     for node in nodes:
         if k == last:
             break
         capacity = node.capacity
-        room = min(capacity.cpu // quantum.cpu, capacity.memory // quantum.memory) - node.pod_count
+        room = (min(capacity.cpu // quantum.cpu, capacity.memory // quantum.memory)
+                - counts.get(node.id, 0))
         while room > 0 and k < last:
             tick, first, index, offset, count = pieces[k]
             take = min(count - done, room)
@@ -101,11 +102,11 @@ def drain_node(
             f"draining {node_id!r} would leave cluster {cluster.id!r} with no node")
 
     siblings = [n for n in actives if n.id != node_id]
-    pieces = cluster.pieces(node_id) if cluster.nodes[node_id].pod_count else []
+    pieces = cluster.pieces(node_id)
     placed, unplaced = _fill(cluster, pieces, siblings)
 
     recorder.emit(EventKind.DRAIN_STARTED, cluster=cluster.id, node=node_id,
-                  pods=cluster.nodes[node_id].pod_count)
+                  pods=sum(piece[4] for piece in pieces))
     if unplaced and not force:
         # Nothing was mutated yet, so aborting really is a no-op.
         recorder.emit(

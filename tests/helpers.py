@@ -165,13 +165,11 @@ def load_from_pods(cluster) -> tuple[dict, set]:
 
 
 def assert_load_matches_pods(cluster):
-    """Every node's pod_count and the cluster's pending equal their recompute,
+    """The cluster's counts and pending equal their recompute from the pods,
     and the runs are merged: no empty run, no two adjacent runs on one node."""
     counts, pending = load_from_pods(cluster)
     assert counts.keys() <= cluster.nodes.keys()
-    assert {nid: node.pod_count for nid, node in cluster.nodes.items()} == {
-        nid: counts.get(nid, 0) for nid in cluster.nodes
-    }
+    assert cluster.counts() == counts
     assert cluster.pending == pending
     runs = cluster.runs
     assert all(length > 0 for length, _ in runs)

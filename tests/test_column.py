@@ -2,7 +2,7 @@
 and helpers.ReferenceColumn, the per-pod column its runs and batches
 replaced, through the same creates, deletions, placements, drains and forced
 drains, and after every step compares the pods, the Pending ids, each node's
-pod_count and every id sequence either returns.
+count of pods and every id sequence either returns.
 
 The loads include batches of more than 10,000 pods, whose ids do not sort in
 creation order ("…-10000" sorts before "…-2000"), and the ticks around
@@ -65,7 +65,8 @@ class ColumnMachine(RuleBasedStateMachine):
         assert list(pods.items()) == list(self.reference.pods.items())
         assert {pod_id for pod_id, node_id in pods.items() if node_id is None} == (
             self.reference.pending)
-        assert {nid: node.pod_count for nid, node in self.cluster.nodes.items()} == (
+        counts = self.cluster.counts()
+        assert {nid: counts.get(nid, 0) for nid in self.cluster.nodes} == (
             self.reference.pod_count)
         runs = self.cluster.runs  # merged: no empty run, no two adjacent on one node
         assert all(length > 0 for length, _ in runs)

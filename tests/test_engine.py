@@ -31,6 +31,7 @@ from helpers import (
     OVER_LONG_INT_JSON,
     TOO_DEEP_JSON,
     fill,
+    load_from_pods,
     make_cluster,
     pending_pod,
     random_scenario,
@@ -593,7 +594,7 @@ def test_audit_flags_an_over_committed_node(capacity):
     a = manager.clusters["a"]
     for _ in range(3):
         run_pod(a, "a-n001")
-    # pod_count and the pods agree; only the capacity is too small for them.
+    # The runs and the batches agree; only the capacity is too small for them.
     a.nodes["a-n001"].capacity = ResourceVector(*capacity)
     with pytest.raises(InvariantViolation, match="tick 3: node 'a-n001' over capacity"):
         _verify_world(manager, expected, tick=3)
@@ -616,7 +617,7 @@ def test_audit_accepts_nodes_that_over_commit_only_when_summed_together():
     a = manager.clusters["a"]
     fill(a, "a-n000", 3000)
     fill(a, "a-n001", 4000)
-    assert [node.pod_count for node in a.nodes.values()] == [4, 4]
+    assert load_from_pods(a)[0] == {"a-n000": 4, "a-n001": 4}
     for node in a.nodes.values():
         node.capacity = ResourceVector(4000, 5120)
     _verify_world(manager, expected, tick=3)
@@ -660,13 +661,8 @@ def test_audit_flags_an_extra_node():
         _verify_world(manager, expected, tick=3)
 
 
-def _corrupt_pod_count(cluster):
-    cluster.nodes["a-n000"].pod_count += 1
-
-
 def _corrupt_capacity_through_the_count(cluster):
-    # rebind keeps pod_count in step but checks no capacity: five 1000m pods
-    # on a 4000m node.
+    # rebind checks no capacity: five 1000m pods on a 4000m node.
     for i in range(4):
         run_pod(cluster, "a-n000")
 
@@ -680,13 +676,12 @@ def _corrupt_batches(cluster):
     "corrupt, message",
     # Each breaks one stored fact only; every other still matches the runs.
     [
-        (_corrupt_pod_count, r"node 'a-n000' 'pod_count' holds 2, but 1 pod\(s\) run on it"),
         (_corrupt_capacity_through_the_count,
          r"node 'a-n000' over capacity: ResourceVector\(cpu=5000, memory=6400\) > "
          r"ResourceVector\(cpu=4000, memory=8192\)"),
         (_corrupt_batches, r"cluster 'a' runs hold 2 pod\(s\), but its batches name 3"),
     ],
-    ids=["pod_count", "over-capacity", "batches"],
+    ids=["over-capacity", "batches"],
 )
 def test_audit_flags_a_ledger_field_drifting_from_the_pods(corrupt, message):
     manager, expected = _audited_world()
@@ -702,15 +697,10 @@ def _run_on_a_missing_node(a, b):
     a._runs[0] = (length, "a-n999")
 
 
-def _one_pod_more_than_pod_count(a, b):
+def _one_pod_more_than_capacity(a, b):
     length, node_id = a._runs[0]
     a._runs[0] = (length + 1, node_id)
     a._batches[0] = (0, 76)
-
-
-def _one_pod_more_than_capacity(a, b):
-    _one_pod_more_than_pod_count(a, b)
-    a.nodes["a-n000"].pod_count += 1
 
 
 def _runs_longer_than_batches(a, b):
@@ -725,15 +715,13 @@ def _a_node_in_no_cluster(a, b):
     "corrupt, message",
     [
         (_run_on_a_missing_node, "40 pod(s) of cluster 'a' assigned to missing node 'a-n999'"),
-        (_one_pod_more_than_pod_count,
-         "node 'a-n000' 'pod_count' holds 40, but 41 pod(s) run on it"),
         (_one_pod_more_than_capacity,
          "node 'a-n000' over capacity: ResourceVector(cpu=4100, memory=5248) > "
          "ResourceVector(cpu=4000, memory=8192)"),
         (_runs_longer_than_batches, "cluster 'a' runs hold 75 pod(s), but its batches name 74"),
         (_a_node_in_no_cluster, "node conservation broken; missing=['b-n002'] extra=[]"),
     ],
-    ids=["missing-node", "pod_count", "over-capacity", "batches", "conservation"],
+    ids=["missing-node", "over-capacity", "batches", "conservation"],
 )
 def test_a_corrupted_run_column_aborts_the_run(monkeypatch, corrupt, message):
     # At tick 2 a's 75 pods run as (40, a-n000), (35, a-n001), and b keeps its

@@ -63,7 +63,7 @@ def test_build_cluster_records_original_configuration():
     cluster = build_cluster("a", 3, ResourceVector(4000, 8192))
     assert sorted(cluster.nodes) == ["a-n000", "a-n001", "a-n002"]
     assert cluster.original_node_ids == frozenset(cluster.nodes)
-    assert all(n.pod_count == 0 for n in cluster.nodes.values())
+    assert load_from_pods(cluster) == ({}, set())
     assert all(n.origin_cluster == "a" for n in cluster.nodes.values())
 
 
@@ -111,7 +111,7 @@ def test_pending_pods_do_not_count_as_demand():
     assert cluster_utilization(cluster).u == pytest.approx(0.5, abs=1e-9)
     assert cluster.pending == waiting == {"a-p00001-0000", "a-p00002-0000"}
     assert node_demand(cluster, "a-n000").cpu == 500
-    assert cluster.nodes["a-n000"].pod_count == 1
+    assert load_from_pods(cluster)[0] == {"a-n000": 1}
 
 
 def test_only_active_nodes_provide_capacity():
@@ -146,7 +146,7 @@ def test_node_and_free_accounting():
     run_pod(cluster, "a-n000")
     demand = node_demand(cluster, "a-n000")
     assert demand == ResourceVector(400, 300)
-    assert cluster.nodes["a-n000"].pod_count == 2
+    assert load_from_pods(cluster)[0] == {"a-n000": 2}
     assert cluster_utilization(cluster) == Utilization(0.4, 0.3, 0.4)
     capacity = cluster.nodes["a-n000"].capacity
     assert (capacity.cpu - demand.cpu, capacity.memory - demand.memory) == (600, 700)
@@ -242,7 +242,7 @@ def test_mutation_api_keeps_the_ledger():
     assert cluster.runs == ((1, "a-n000"), (1, "a-n001"))
     cluster.rebind([move(0, 0, 1, "a-n001")])  # a drain's move: Running to Running
     assert cluster.runs == ((2, "a-n001"),)  # adjacent runs on one node merge
-    assert [node.pod_count for node in cluster.nodes.values()] == [0, 2]
+    assert load_from_pods(cluster)[0] == {"a-n001": 2}
     cluster.rebind([move(0, 1, 1, None)])  # back to Pending
     assert cluster.pending == {"a-p00007-0001"}
     # A top-up at a tick whose batch the cluster holds would reuse its ids.
@@ -258,13 +258,21 @@ def test_mutation_api_keeps_the_ledger():
     assert created == [] and len(deleted) == 4
     assert deleted == ["a-p00008-0001", "a-p00008-0000", "a-p00007-0001", "a-p00007-0000"]
     assert not cluster.pods and cluster.runs == () and cluster.batches == ()
-    assert all(node.pod_count == 0 for node in cluster.nodes.values())
+    assert load_from_pods(cluster) == ({}, set())
     cluster.resize(1, 7)  # the tick's batch is gone, so its ids are free again
     assert list(cluster.pods) == ["a-p00007-0000"]
     cluster.resize(2, 3)  # ticks need not rise: a library caller picks them
     with pytest.raises(ValueError, match="already holds pods created at tick 7"):
         cluster.resize(3, 7)
     assert cluster.batches == ((7, 1), (3, 1))
+
+
+def test_a_negative_target_is_refused_before_any_change():
+    cluster = make_cluster("a", [1000])
+    cluster.resize(2, 0)
+    with pytest.raises(ValueError, match="^cluster 'a': target must be >= 0, got -1$"):
+        cluster.resize(-1, 1)
+    assert cluster.runs == ((2, None),) and cluster.batches == ((0, 2),)
 
 
 def test_pod_ids_format_only_what_is_read():
@@ -284,9 +292,7 @@ def test_pod_ids_format_only_what_is_read():
 
 
 def _loads(cluster):
-    return dict(cluster.pods), set(cluster.pending), cluster.runs, {
-        node_id: node.pod_count for node_id, node in cluster.nodes.items()
-    }
+    return dict(cluster.pods), set(cluster.pending), cluster.runs, cluster.counts()
 
 
 @pytest.mark.parametrize(
@@ -336,7 +342,8 @@ def test_slotted_records_survive_deepcopy_and_pickle(clone):
     # The twin's pods and nodes are its own, not the originals.
     twin.rebind([move(0, 0, 1, None)])
     assert cluster.pods[R0] == "a-n000" and cluster.pending == {WAIT}
-    assert twin.nodes["a-n000"].pod_count == 0 and cluster.nodes["a-n000"].pod_count == 1
+    assert load_from_pods(twin)[0] == {"a-n001": 1}
+    assert load_from_pods(cluster)[0] == {"a-n000": 1, "a-n001": 1}
     with pytest.raises(AttributeError):
         twin.nodes["a-n000"].note = "slotted records take no new attributes"
     records = (

@@ -1,9 +1,9 @@
-"""Pods change only through Cluster.resize and rebind, which keep each
-node's pod_count in step with the cluster's runs of pods and its batches.
-These tests parse the package and fail if any module but model.py stores
-into .pods, .pod_count, .pending, .runs or .batches, calls a mutating method
-on one of them, or touches the column's private lists ._runs or ._batches at
-all: any of those would leave the others stale until the next audit.
+"""Pods change only through Cluster.resize and rebind, which keep the
+cluster's runs of pods in step with its batches. These tests parse the
+package and fail if any module but model.py stores into .pods, .pending,
+.runs or .batches, calls a mutating method on one of them, or touches the
+column's private lists ._runs or ._batches at all: any of those would leave
+the runs and the batches apart until the next audit.
 
 A node moves between clusters only through the scheduler's drain, which
 detaches it, and its provision, which attaches it. Any other module,
@@ -14,10 +14,10 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nodebalancer"
-# Cluster.pods, Node.pod_count, Cluster.pending, Cluster.runs, Cluster.batches
-POD_FACTS = frozenset({"pods", "pod_count", "pending", "runs", "batches"})
+# Cluster.pods, Cluster.pending, Cluster.runs, Cluster.batches
+POD_FACTS = frozenset({"pods", "pending", "runs", "batches"})
 COLUMN = frozenset({"_runs", "_batches"})  # the private lists behind them
-FACTS = ".pods, .pod_count, .pending, .runs or .batches"
+FACTS = ".pods, .pending, .runs or .batches"
 MUTATORS = frozenset(
     {
         "add", "append", "clear", "difference_update", "discard", "extend", "insert",
@@ -46,7 +46,7 @@ def _stores(node):
 
 def _attributes(target):
     """Attribute names along an attribute or subscript target, outermost
-    first: `c.nodes[k].pod_count` gives pod_count, nodes. A bare name gives none."""
+    first: `g.clusters[k].runs` gives runs, clusters. A bare name gives none."""
     names = []
     node = target
     while isinstance(node, (ast.Attribute, ast.Subscript)):
@@ -116,15 +116,15 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
             "del cluster.pods[pod_id]",
             "cluster._runs.pop()",
             "tick, count = cluster._batches[-1]",
-            "node.pod_count -= 1",
-            "cluster.nodes[n].pod_count = 0",
+            "cluster.batches += [(0, 1)]",
+            "manager.clusters[c].runs = ()",
             "cluster.pending.add(pod_id)",
             "cluster.pending.discard(pod_id)",
             "cluster.pending = set()",
             "cluster.pending.clear()",
             "cluster.nodes[n] = node",
             "del host.nodes[n]",
-            "host.nodes[n], node.pod_count = node, 0",
+            "host.nodes[n], cluster.runs = node, ()",
             "cluster.runs[0] = (1, None)",
             "cluster.batches.append((0, 1))",
         ]
@@ -157,7 +157,7 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
             "counts[node_id] += 1",
             "pending = []",
             "pending.extend(outcome.pending)",
-            "count = node.pod_count",
+            "count = cluster.counts().get(node_id, 0)",
             "waiting = sorted(cluster.pending)",
             "pods = dict(cluster.pods)",
             "pods[pod_id] = node_id",

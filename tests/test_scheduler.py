@@ -10,12 +10,15 @@ from nodebalancer import (
     apply_workload,
     drain_node,
     place_pending,
+    provision_node,
 )
 from nodebalancer import scheduler
 from nodebalancer.errors import LastNodeGuard, NodeNotInCluster
 from nodebalancer.model import node_demand
 
-from helpers import add_pods, ffd_oracle, fill, make_cluster, pending_pod, run_pod, snapshot
+from helpers import (
+    add_pods, ffd_oracle, fill, load_from_pods, make_cluster, pending_pod, run_pod, snapshot,
+)
 
 
 def test_place_single_pod_on_first_node():
@@ -122,11 +125,11 @@ def _mixed_tick(n: int) -> int:
 
 
 def _free_slots(cluster, nodes):
-    """Each node's capacity less its pod_count quanta, as ffd_oracle's slots."""
-    quantum = cluster.quantum
+    """Each node's capacity less its pods' quanta, as ffd_oracle's slots."""
+    quantum, counts = cluster.quantum, load_from_pods(cluster)[0]
     return [
-        (n.id, n.capacity.cpu - n.pod_count * quantum.cpu,
-         n.capacity.memory - n.pod_count * quantum.memory)
+        (n.id, n.capacity.cpu - counts.get(n.id, 0) * quantum.cpu,
+         n.capacity.memory - counts.get(n.id, 0) * quantum.memory)
         for n in nodes
     ]
 
@@ -201,6 +204,29 @@ def test_infeasible_drain_restores_cluster_exactly():
         EventKind.DRAIN_RESTORED.value,
     ]
     assert recorder.events[1].detail["reason"] == "DrainInfeasible"
+
+
+def test_drain_started_counts_the_pods_of_the_drained_node():
+    cluster = make_cluster("a", [4000, 4000, 4000], quantum=(1000, 640))
+    fill(cluster, "a-n001", 3000)
+    pending_pod(cluster)
+    run_pod(cluster, "a-n001")  # a-n001's four pods lie in two runs and two batches
+    fill(cluster, "a-n002", 3000)
+    recorder = EventRecorder()
+    empty = cluster.nodes["a-n000"]
+    pods = []
+
+    def drain(node_id):
+        pods.append(load_from_pods(cluster)[0].get(node_id, 0))
+        return drain_node(cluster, node_id, recorder=recorder).restored
+
+    assert not drain("a-n000")
+    assert drain("a-n001")  # a-n002 has room for one of its four pods
+    provision_node(cluster, empty)
+    assert not drain("a-n002")
+    started = [e for e in recorder.events if e.kind == EventKind.DRAIN_STARTED.value]
+    assert [e.node for e in started] == ["a-n000", "a-n001", "a-n002"]
+    assert [e.detail["pods"] for e in started] == pods == [0, 4, 3]
 
 
 def test_drain_is_atomic_on_random_clusters():
@@ -295,13 +321,13 @@ def test_completed_drain_detaches_the_node(force):
     # aborts and its node stays hosted.
     assert drain_node(cluster, "a-n001").restored
     assert cluster.nodes["a-n001"] is kept
-    assert kept.pod_count == 3
+    assert load_from_pods(cluster)[0]["a-n001"] == 3
 
     recorder = EventRecorder()
     outcome = drain_node(cluster, "a-n000", force=force, recorder=recorder)
     assert not outcome.restored and outcome.pending == ()
     assert sorted(cluster.nodes) == ["a-n001", "a-n002"]
-    assert node.pod_count == 0
+    assert "a-n000" not in load_from_pods(cluster)[0]
     assert node.origin_cluster == "a"
     assert cluster.pods[pod_id] == "a-n002"
     assert [(e.kind, e.cluster, e.node) for e in recorder.events] == [
