@@ -2,9 +2,10 @@
 balanced-versus-static comparison runs.
 
 Each tick executes fixed phases in order: membership changes, workload
-deltas, pod placement, balancing for due groups, placement of every cluster
-again if any group was due, then metrics sampling. Nothing depends on hash
-order or wall clock, so identical scenarios produce identical artifacts.
+deltas, pod placement, balancing for due groups, placement again of each
+cluster whose node count the balancing grew, then metrics sampling. Nothing
+depends on hash order or wall clock, so identical scenarios produce
+identical artifacts.
 """
 
 from __future__ import annotations
@@ -190,7 +191,10 @@ def _number(obj: dict, key: str, where: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioInvalid(f"{where}.{key}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int of more than about 308 digits
+        raise ScenarioInvalid(f"{where}.{key}: expected a number in the float range") from None
 
 
 def _string(value, where: str = "") -> str:

@@ -250,15 +250,58 @@ class Cluster:
             pieces.sort(key=lambda piece: f"{piece[0]:05d}-{piece[1]:04d}")
         return pieces
 
-    def rebind(self, moves) -> None:
-        """Put slices of the pods on nodes, or back to Pending.
+    def plan(self, source: str | None) -> tuple[PodIds, PodIds]:
+        """Plan the pods on node source, or the Pending pods for None, onto
+        the free capacity of the other hosted nodes; changes nothing.
 
-        Each move (cluster id, tick, indices, node id or None, run index,
-        offset), a PodIds slice with the pods' place, takes len(indices)
-        pods from offset in a run, as pieces numbers them; moves do not
-        overlap. Raises KeyError, changing nothing, for a node the cluster
-        does not host.
+        The pods, in pieces' order, go to the nodes in ascending id order,
+        each node taking as many as its free capacity holds: for pods of one
+        quantum, first-fit-decreasing placement. Returns the (placed,
+        unplaced) pods, each slice tagged with its node, None for the
+        unplaced, and carrying its place for rebind.
         """
+        pieces = self.pieces(source)
+        if not pieces:
+            return NO_PODS, NO_PODS
+        quantum, counts = self.quantum, self.counts()
+        placed, last = [], len(pieces)
+        k = done = 0  # pieces[k] is the next piece, of which done pods are placed
+        for node_id, node in sorted(self.nodes.items()):
+            if k == last:
+                break
+            if node_id == source:
+                continue
+            capacity = node.capacity
+            room = (min(capacity.cpu // quantum.cpu, capacity.memory // quantum.memory)
+                    - counts.get(node_id, 0))
+            while room > 0 and k < last:
+                tick, first, index, offset, count = pieces[k]
+                take = min(count - done, room)
+                ids = range(first + done, first + done + take)
+                placed.append((self.id, tick, ids, node_id, index, offset + done))
+                room -= take
+                done += take
+                if done == count:
+                    k, done = k + 1, 0
+        unplaced = []
+        for tick, first, index, offset, count in pieces[k:]:
+            unplaced.append((self.id, tick, range(first + done, first + count), None,
+                             index, offset + done))
+            done = 0
+        return PodIds(placed), PodIds(unplaced)
+
+    def rebind(self, *plans: PodIds) -> None:
+        """Put the pods of plans on the nodes their slices are tagged with,
+        or back to Pending for None.
+
+        Each slice (cluster id, tick, indices, node id or None, run index,
+        offset), as plan gives it, takes len(indices) pods from offset in a
+        run, as pieces numbers them; slices do not overlap. Raises KeyError,
+        changing nothing, for a node the cluster does not host.
+        """
+        moves = []
+        for plan in plans:  # a loop: a comprehension costs more on one or two plans
+            moves += plan.slices
         if not moves:
             return
         nodes = self.nodes
@@ -266,7 +309,7 @@ class Cluster:
             if move[3] is not None and move[3] not in nodes:
                 raise KeyError(f"cluster {self.id!r} does not host a node {move[3]!r}")
         if len(moves) > 1:
-            moves = sorted(moves, key=_PLACE)
+            moves.sort(key=_PLACE)
         old = self._runs
         index = moves[0][4]
         runs, at = old[:index], 0  # at: pods of old[index] already in runs
@@ -285,10 +328,6 @@ class Cluster:
             _extend(runs, *rest[0])  # the only run of the rest that can merge
             runs += rest[1:]
         self._runs = runs
-
-    def active_nodes(self) -> list[Node]:
-        """Hosted nodes in ascending id order (the scheduler's scan order)."""
-        return [n for _, n in sorted(self.nodes.items())]
 
 
 def build_cluster(

@@ -28,6 +28,7 @@ from nodebalancer import (
     place_pending,
 )
 from nodebalancer.errors import IoFailure
+from nodebalancer.model import PodIds
 from nodebalancer.reporting import METRICS_HEADER, TickRecord, _bad_cell, _METRICS_CELLS
 
 
@@ -128,13 +129,13 @@ def add_pods(cluster, count, node_id=None, tick=None) -> list[str]:
     created, _ = cluster.resize(total + count, tick)
     if node_id is not None and count:
         length, _ = cluster.runs[-1]
-        cluster.rebind([move(len(cluster.runs) - 1, length - count, count, node_id)])
+        cluster.rebind(move(len(cluster.runs) - 1, length - count, count, node_id))
     return list(created)
 
 
 def move(index, offset, count, node_id):
-    """A Cluster.rebind move of count pods from offset in run index to node_id."""
-    return (None, None, range(count), node_id, index, offset)
+    """A Cluster.rebind plan of count pods from offset in run index to node_id."""
+    return PodIds([(None, None, range(count), node_id, index, offset)])
 
 
 def run_pod(cluster, node_id) -> str:
@@ -272,6 +273,11 @@ class ReferenceColumn:
         self.pod_count[node.id] = 0
 
 
+def hosted_nodes(cluster) -> list[Node]:
+    """The nodes the cluster hosts, in ascending id order."""
+    return [node for _, node in sorted(cluster.nodes.items())]
+
+
 def snapshot(obj):
     return copy.deepcopy(obj)
 
@@ -328,7 +334,7 @@ def random_world(rng: random.Random, n_clusters=None):
 
 def randomize_load(rng: random.Random, cluster, tick):
     """Jump the cluster to a random demand level, scheduled normally."""
-    capacity = sum(node.capacity.cpu for node in cluster.active_nodes())
+    capacity = sum(node.capacity.cpu for node in cluster.nodes.values())
     level = rng.randrange(0, capacity + capacity // 4 + 100, 100)
     apply_workload(cluster, ConstantTrace(level=level), tick)
     place_pending(cluster)

@@ -23,6 +23,7 @@ from nodebalancer.errors import DuplicateNode, InvalidThresholds
 
 from helpers import (
     fill,
+    hosted_nodes,
     load_from_pods,
     make_cluster,
     node_multiset,
@@ -266,7 +267,7 @@ def test_donor_node_ranking_matches_node_utilization(monkeypatch):
     drained = []
 
     def checked_drain(cluster, node_id, **kwargs):
-        actives = cluster.active_nodes()
+        actives = hosted_nodes(cluster)
         expected = min(actives, key=lambda n: (node_utilization(n, cluster), n.id))
         drained.append((node_id, expected.id))
         return drain_node(cluster, node_id, **kwargs)

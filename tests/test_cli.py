@@ -76,6 +76,24 @@ def test_validate_names_the_offending_field(tmp_path, capsys):
     assert "clusters[1].node_count" in captured.err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+def test_a_threshold_beyond_the_float_range_is_a_scenario_error(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["groups"][0]["thresholds"]["t_low"] = 10**400
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    args = [command, "--scenario", str(path)]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "scenario error: groups[0].thresholds.t_low: expected a number in the float range\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_missing_scenario(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
     assert "scenario error" in capsys.readouterr().err

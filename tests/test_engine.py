@@ -219,6 +219,9 @@ def test_parse_accepts_all_trace_kinds():
                      r"^groups\[0\]\.thresholds\.t_low: expected a number$", id="non-number"),
         pytest.param(lambda d: d["groups"][0]["thresholds"].update(t_high=True),
                      r"^groups\[0\]\.thresholds\.t_high: expected a number$", id="bool-as-number"),
+        pytest.param(lambda d: d["groups"][0]["thresholds"].update(t_low=10**400),
+                     r"^groups\[0\]\.thresholds\.t_low: expected a number in the float range$",
+                     id="int-beyond-float-range"),
         pytest.param(lambda d: d["clusters"][0].update(id=""),
                      r"^clusters\[0\]\.id: expected a non-empty string$", id="empty-string"),
         pytest.param(lambda d: d["clusters"][0]["trace"].pop("kind"),

@@ -22,6 +22,7 @@ from nodebalancer.model import NO_PODS, PodIds, node_demand
 from helpers import (
     move,
     assert_load_matches_pods,
+    hosted_nodes,
     load_from_pods,
     make_cluster,
     pending_pod,
@@ -194,7 +195,7 @@ def test_node_utilization_never_exceeds_one_for_scheduled_pods():
         for i in range(rng.randint(0, 40)):
             pending_pod(cluster)
         place_pending(cluster)
-        for node in cluster.active_nodes():
+        for node in hosted_nodes(cluster):
             assert node_utilization(node, cluster) <= 1.0 + 1e-12
 
 
@@ -238,12 +239,12 @@ def test_mutation_api_keeps_the_ledger():
     created, deleted = cluster.resize(2, 7)
     assert created == ["a-p00007-0000", "a-p00007-0001"] and deleted == []
     assert cluster.runs == ((2, None),) and cluster.batches == ((7, 2),)
-    cluster.rebind([move(0, 1, 1, "a-n001"), move(0, 0, 1, "a-n000")])
+    cluster.rebind(move(0, 1, 1, "a-n001"), move(0, 0, 1, "a-n000"))
     assert cluster.runs == ((1, "a-n000"), (1, "a-n001"))
-    cluster.rebind([move(0, 0, 1, "a-n001")])  # a drain's move: Running to Running
+    cluster.rebind(move(0, 0, 1, "a-n001"))  # a drain's move: Running to Running
     assert cluster.runs == ((2, "a-n001"),)  # adjacent runs on one node merge
     assert load_from_pods(cluster)[0] == {"a-n001": 2}
-    cluster.rebind([move(0, 1, 1, None)])  # back to Pending
+    cluster.rebind(move(0, 1, 1, None))  # back to Pending
     assert cluster.pending == {"a-p00007-0001"}
     # A top-up at a tick whose batch the cluster holds would reuse its ids.
     with pytest.raises(ValueError, match="cluster 'a' already holds pods created at tick 7"):
@@ -309,7 +310,7 @@ def test_an_unhosted_node_is_refused_before_any_change(moves):
     waiting = pending_pod(cluster)
     before = _loads(cluster)
     with pytest.raises(KeyError, match="cluster 'a' does not host a node 'b-n000'"):
-        cluster.rebind(moves)
+        cluster.rebind(*moves)
     assert _loads(cluster) == before
     assert dict(cluster.pods) == {running: "a-n000", waiting: None}
     assert_load_matches_pods(cluster)
@@ -340,7 +341,7 @@ def test_slotted_records_survive_deepcopy_and_pickle(clone):
     assert_load_matches_pods(twin)
     assert twin.pending == cluster.pending and twin.nodes == cluster.nodes
     # The twin's pods and nodes are its own, not the originals.
-    twin.rebind([move(0, 0, 1, None)])
+    twin.rebind(move(0, 0, 1, None))
     assert cluster.pods[R0] == "a-n000" and cluster.pending == {WAIT}
     assert load_from_pods(twin)[0] == {"a-n001": 1}
     assert load_from_pods(cluster)[0] == {"a-n000": 1, "a-n001": 1}
@@ -356,10 +357,10 @@ def test_slotted_records_survive_deepcopy_and_pickle(clone):
 
 def test_pod_state_follows_bind_unbind_and_forced_drains():
     cluster = _mixed_cluster()
-    cluster.rebind([move(1, 0, 1, None)])  # unbind R1
+    cluster.rebind(move(1, 0, 1, None))  # unbind R1
     assert dict(cluster.pods) == {R0: "a-n000", R1: None, WAIT: None}
     assert cluster.runs == ((1, "a-n000"), (2, None))
-    cluster.rebind([move(1, 0, 1, "a-n001")])  # bind it again: the run splits
+    cluster.rebind(move(1, 0, 1, "a-n001"))  # bind it again: the run splits
     assert dict(cluster.pods) == {R0: "a-n000", R1: "a-n001", WAIT: None}
     assert cluster.runs == ((1, "a-n000"), (1, "a-n001"), (1, None))
     # a-n001 has no room for a second 600m pod, so R0 waits.

@@ -164,7 +164,7 @@ def test_the_guard_flags_every_kind_of_bypass_and_nothing_else():
             "waiting = sum(length for length, node_id in cluster.runs if node_id is None)",
             "named = sum(count for _, count in cluster.batches)",
             "cluster.resize(target, tick)",
-            "cluster.rebind(moves)",
+            "cluster.rebind(placed, unplaced)",
         ]
     )
     assert bypasses(clean, "clean.py") == []

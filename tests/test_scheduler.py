@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodebalancer import (
+    Cluster,
     ConstantTrace,
     EventKind,
     EventRecorder,
@@ -12,12 +13,12 @@ from nodebalancer import (
     place_pending,
     provision_node,
 )
-from nodebalancer import scheduler
 from nodebalancer.errors import LastNodeGuard, NodeNotInCluster
 from nodebalancer.model import node_demand
 
 from helpers import (
-    add_pods, ffd_oracle, fill, load_from_pods, make_cluster, pending_pod, run_pod, snapshot,
+    add_pods, ffd_oracle, fill, hosted_nodes, load_from_pods, make_cluster, pending_pod, run_pod,
+    snapshot,
 )
 
 
@@ -33,22 +34,37 @@ def test_place_with_no_pending_is_a_no_op():
     assert place_pending(cluster) == []
 
 
-def test_placement_with_nothing_pending_builds_no_demand_map(monkeypatch):
-    def no_plan(cluster, pieces, nodes):
-        raise RuntimeError(f"plan built for {pieces}")
+def _no_counts(cluster):
+    raise RuntimeError(f"counts built for cluster {cluster.id!r}")
 
-    monkeypatch.setattr(scheduler, "_fill", no_plan)
+
+def test_placement_with_nothing_pending_builds_no_demand_map(monkeypatch):
     running = make_cluster("a", [4000, 4000])
     run_pod(running, "a-n000")
     run_pod(running, "a-n001")
-    assert place_pending(running) == []
-
     waiting = make_cluster("b", [4000])
     pod_id = pending_pod(waiting)
-    with pytest.raises(RuntimeError, match=r"plan built for \[\(0, 0, 0, 0, 1\)\]"):
+    monkeypatch.setattr(Cluster, "counts", _no_counts)
+    assert place_pending(running) == []
+    with pytest.raises(RuntimeError, match="counts built for cluster 'b'"):
         place_pending(waiting)
     monkeypatch.undo()
     assert place_pending(waiting) == [(pod_id, "b-n000")]
+
+
+def test_draining_an_empty_node_builds_no_demand_map(monkeypatch):
+    cluster = make_cluster("a", [4000, 4000, 4000])
+    pod_id = run_pod(cluster, "a-n001")
+    recorder = EventRecorder()
+    monkeypatch.setattr(Cluster, "counts", _no_counts)
+    outcome = drain_node(cluster, "a-n000", recorder=recorder)
+    assert outcome == ("a-n000", [], False, [])
+    assert set(cluster.nodes) == {"a-n001", "a-n002"}
+    assert cluster.pods == {pod_id: "a-n001"}
+    started = recorder.events[0]
+    assert started.kind == EventKind.DRAIN_STARTED.value and started.detail["pods"] == 0
+    with pytest.raises(RuntimeError, match="counts built for cluster 'a'"):
+        drain_node(cluster, "a-n001")
 
 
 def test_oversized_pod_stays_pending():
@@ -68,7 +84,7 @@ def test_first_fit_decreasing_order():
         (p[3], "b-n002"), (p[4], "b-n002"), (p[5], "b-n002"),
     ]
     assert cluster.pending == {p[6]} == {"b-p00000-0006"}
-    remaining = [n.capacity.cpu - node_demand(cluster, n.id).cpu for n in cluster.active_nodes()]
+    remaining = [n.capacity.cpu - node_demand(cluster, n.id).cpu for n in hosted_nodes(cluster)]
     assert remaining == [200, 0, 100]
 
 
@@ -110,7 +126,7 @@ def _loaded_cluster(draw):
     cpus = draw(st.lists(st.integers(quantum[0], 6000), min_size=1, max_size=6))
     memory = draw(st.integers(quantum[1], 8192))
     cluster = make_cluster("a", cpus, memory=memory, quantum=quantum)
-    for node in cluster.active_nodes():
+    for node in hosted_nodes(cluster):
         fits = min(node.capacity.cpu // quantum[0], node.capacity.memory // quantum[1])
         for i in range(draw(st.integers(0, min(fits, 12)))):
             # Ticks of mixed width: id-string order is not creation order.
@@ -142,7 +158,7 @@ def test_matches_reference_ffd_on_random_inputs(cluster, count):
     quantum = cluster.quantum
     expected_placed, expected_unplaced = ffd_oracle(
         [(pod_id, quantum.cpu, quantum.memory) for pod_id in pods],
-        _free_slots(cluster, cluster.active_nodes()),
+        _free_slots(cluster, hosted_nodes(cluster)),
     )
     assert place_pending(cluster) == list(expected_placed.items())
     assert cluster.pending == set(expected_unplaced)
@@ -151,7 +167,7 @@ def test_matches_reference_ffd_on_random_inputs(cluster, count):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_loaded_cluster(), st.data())
 def test_drain_plan_matches_reference_ffd(cluster, data):
-    actives = cluster.active_nodes()
+    actives = hosted_nodes(cluster)
     target = data.draw(st.sampled_from([n.id for n in actives]))
     victims = [pod_id for pod_id, node_id in cluster.pods.items() if node_id == target]
     quantum = cluster.quantum
@@ -242,7 +258,7 @@ def test_drain_is_atomic_on_random_clusters():
         for i in range(rng.randint(0, 20)):
             pending_pod(cluster)
         place_pending(cluster)
-        target = rng.choice([n.id for n in cluster.active_nodes()])
+        target = rng.choice([n.id for n in hosted_nodes(cluster)])
         before = snapshot(cluster)
         outcome = drain_node(cluster, target)
         if outcome.restored:
@@ -257,7 +273,7 @@ def test_drain_is_atomic_on_random_clusters():
             for pod_id, new_node in relocated.items():
                 assert before.pods[pod_id] == target
                 assert cluster.pods[pod_id] == new_node
-            for node in cluster.active_nodes():
+            for node in hosted_nodes(cluster):
                 demand = node_demand(cluster, node.id)
                 assert demand.cpu <= node.capacity.cpu and demand.memory <= node.capacity.memory
     assert completed > 50 and restored > 50  # both branches exercised
@@ -281,7 +297,7 @@ def test_forced_drain_ignores_min_active_guard():
     pod_id = run_pod(cluster, "a-n000")
     outcome = drain_node(cluster, "a-n000", force=True)
     assert not outcome.restored
-    assert cluster.active_nodes() == []
+    assert hosted_nodes(cluster) == []
     assert cluster.pods[pod_id] is None
 
 
