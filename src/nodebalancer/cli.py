@@ -14,7 +14,7 @@ from .engine import compare, load_scenario, run
 from .errors import ScenarioInvalid
 from .reporting import (
     _check_events,
-    _event_columns,
+    _event_rows,
     _summarize_metrics,
     compose_comparison,
     write_events,
@@ -108,7 +108,7 @@ def _rebuild_summary(run_dir: Path) -> dict | None:
     Each file is streamed once and no event or row is kept: the event log is
     read and checked whole before metrics.csv is opened.
     """
-    violations, kind_counts = _check_events(_event_columns(run_dir / "events.jsonl"))
+    violations, kind_counts = _check_events(_event_rows(run_dir / "events.jsonl"))
     if violations:
         for violation in violations:
             print(f"{run_dir}: {violation}", file=sys.stderr)

@@ -144,6 +144,9 @@ _TRACES = {
     ),
     "Spike": _trace_kind(SpikeTrace, {"base": 0, "peak": 0, "start": 0, "duration": 1}),
 }
+# Spike's start and duration only meet ticks; the workload computes with the
+# other trace fields, and with the pod cpu, as floats.
+_TICK_FIELDS = frozenset({"start", "duration"})
 
 
 def _object(value, where: str, keys: tuple[frozenset[str], frozenset[str]] | None = None) -> dict:
@@ -187,6 +190,17 @@ def _int(obj: dict, key: str, where: str, minimum: int) -> int:
     return value
 
 
+def _float_int(obj: dict, key: str, where: str, minimum: int) -> int:
+    """_int for a field the workload turns into a float: a larger int would
+    abort run at the first tick that reads it."""
+    value = _int(obj, key, where, minimum)
+    try:
+        float(value)
+    except OverflowError:  # an int of more than about 308 digits
+        raise ScenarioInvalid(f"{where}.{key}: expected an integer in the float range") from None
+    return value
+
+
 def _number(obj: dict, key: str, where: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -210,7 +224,7 @@ def _resource(value, where: str) -> ResourceVector:
 
 def _step(value) -> tuple[int, int]:
     obj = _object(value, "", _STEP_KEYS)
-    return _int(obj, "tick", "", 0), _int(obj, "level", "", 0)
+    return _int(obj, "tick", "", 0), _float_int(obj, "level", "", 0)
 
 
 def _trace(value, where: str) -> tuple[TraceSpec, ResourceVector]:
@@ -229,10 +243,12 @@ def _trace(value, where: str) -> tuple[TraceSpec, ResourceVector]:
     if minimums is None:
         fields = {"steps": tuple(_array(obj, "steps", where, _step, nonempty=True))}
     else:
-        fields = {key: _int(obj, key, where, low) for key, low in minimums.items() if key in obj}
+        fields = {key: (_int if key in _TICK_FIELDS else _float_int)(obj, key, where, low)
+                  for key, low in minimums.items() if key in obj}
     quantum = DEFAULT_POD_QUANTUM
     if "pod_quantum" in obj:
         quantum = _resource(obj["pod_quantum"], f"{where}.pod_quantum")
+        _float_int(obj["pod_quantum"], "cpu_millicores", f"{where}.pod_quantum", 1)
     try:
         return cls(**fields), quantum
     except ValueError as exc:  # StepTrace checks the order of its steps

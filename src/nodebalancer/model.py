@@ -79,7 +79,7 @@ class PodIds(Sequence):
         self.slices = tuple(slices)
 
     def __len__(self) -> int:
-        return sum(len(slice_[2]) for slice_ in self.slices)
+        return sum(map(len, map(_INDICES, self.slices)))
 
     def __iter__(self):
         for cluster_id, tick, indices, tag, *_ in self.slices:
@@ -105,6 +105,7 @@ class PodIds(Sequence):
 
 
 NO_PODS = PodIds()
+_INDICES = itemgetter(2)  # a slice's indices
 _PLACE = itemgetter(4, 5)  # a move's run index and offset
 
 

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
 from operator import itemgetter
@@ -133,10 +132,9 @@ _IS_METRICS_ROW = re.compile(
 # active_nodes and pending_pods. report converts only these: converting all
 # nine cells made it about a fifth slower on a run of many rows.
 _SUMMARY_COLUMNS = (0, 1, 4, 5, 6)
-# metrics.csv and the event log are read this many characters of whole lines
-# at a time: enough lines that checking, splitting and converting them are a
-# few C calls per batch, and few enough that a reader holds kilobytes however
-# long the file.
+# metrics.csv is read this many characters of whole lines at a time: enough
+# rows that checking, splitting and converting them are a few C calls per
+# batch, and few enough that the reader holds kilobytes however long the file.
 _BATCH_CHARS = 2048
 
 
@@ -211,17 +209,18 @@ def write_events(events: Iterable[RebalanceEvent], path: str | Path) -> None:
 # An event line as _event_line writes it, capturing tick, sequence, kind and
 # node: strings without escapes (printable ASCII but '"' and '\') and a detail
 # of strings, JSON numbers and lists of string lists, as the engine logs. It
-# reads as json.loads would. Digit runs stay far below the int-to-str limit,
-# and a node is never empty, so findall's '' means no node. Any other line
-# (escapes, non-ASCII, NaN, whitespace, a BOM) is left to _decode_event.
+# reads as json.loads would, and its node is None where the line has none.
+# Digit runs stay far below the int-to-str limit. Any other line (escapes,
+# non-ASCII, NaN, whitespace, a BOM, no final newline) is left to
+# _decode_event.
 _PLAIN = r'"[ !#-\[\]-~]*"'
 _STRINGS = rf"\[(?:{_PLAIN}(?:,{_PLAIN})*)?\]"
 _VALUE = (rf"(?:{_PLAIN}|\[(?:{_STRINGS}(?:,{_STRINGS})*)?\]"
           r"|-?(?:0|[1-9][0-9]{0,99})(?:\.[0-9]{1,99})?(?:[eE][-+]?[0-9]{1,99})?)")
 _ENVELOPE = re.compile(
-    r'^\{"tick":(0|[1-9][0-9]{0,17}),"sequence":(0|[1-9][0-9]{0,17}),"kind":"([ !#-\[\]-~]*)"'
+    r'\{"tick":(0|[1-9][0-9]{0,17}),"sequence":(0|[1-9][0-9]{0,17}),"kind":"([ !#-\[\]-~]*)"'
     rf'(?:,"cluster":{_PLAIN})?(?:,"group":{_PLAIN})?(?:,"node":"([ !#-\[\]-~]+)")?'
-    rf',"detail":\{{(?:{_PLAIN}:{_VALUE}(?:,{_PLAIN}:{_VALUE})*)?\}}\}}\n', re.MULTILINE)
+    rf',"detail":\{{(?:{_PLAIN}:{_VALUE}(?:,{_PLAIN}:{_VALUE})*)?\}}\}}\n')
 
 
 def _decode_event(line: str, path: str | Path, lineno: int) -> RebalanceEvent | None:
@@ -255,32 +254,20 @@ def read_events(path: str | Path) -> list[RebalanceEvent]:
     return list(iter_events(path))
 
 
-def _event_columns(path: str | Path) -> Iterator[tuple]:
-    """The event log as _check_events reads it: for each batch of lines that
-    holds an event, its (ticks, sequences, kinds, nodes) in file order. A
-    batch of envelopes is read with one findall; any other goes a line at a
-    time through _decode_event, so a malformed line raises iter_events's
-    IoFailure. The file is closed when the stream ends, fails or is closed."""
+def _event_rows(path: str | Path) -> Iterator[tuple]:
+    """The event log as _check_events reads it: each event's (tick,
+    sequence, kind, node) in file order. A line in the form run writes is
+    read by one _ENVELOPE match; any other goes through _decode_event, so a
+    blank line is skipped and a malformed one raises iter_events's IoFailure.
+    The file is closed when the stream ends, fails or is closed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lineno = 0
-            while lines := handle.readlines(_BATCH_CHARS):
-                rows = _ENVELOPE.findall("".join(lines))
-                envelopes = len(rows) == len(lines)
-                if envelopes:
-                    lineno += len(lines)
-                else:
-                    rows = []
-                    for lineno, line in enumerate(lines, start=lineno + 1):
-                        if event := _decode_event(line, path, lineno):
-                            rows.append((event.tick, event.sequence, event.kind, event.node))
-                    if not rows:
-                        continue
-                # Lists, not zip's tuples: a tuple of under 20 items is kept
-                # on CPython's free list, and batches of them raised peak RSS.
-                ticks, sequences, kinds, nodes = (map(itemgetter(i), rows) for i in range(4))
-                yield (list(map(int, ticks)), list(map(int, sequences)), list(kinds),
-                       [node or None for node in nodes] if envelopes else list(nodes))
+            for lineno, line in enumerate(handle, start=1):
+                if match := _ENVELOPE.match(line):
+                    tick, sequence, kind, node = match.groups()
+                    yield int(tick), int(sequence), kind, node
+                elif event := _decode_event(line, path, lineno):
+                    yield event.tick, event.sequence, event.kind, event.node
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read event log {path}: {exc}") from exc
 
@@ -306,6 +293,8 @@ def _event_from(obj, path: str | Path, lineno: int) -> RebalanceEvent:
                 raise IoFailure(f"{where}: missing field {key!r}")
         elif not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise IoFailure(f"{where}: field {key!r} must be {kind.__name__}, got {value!r}")
+        elif key == "tick" and value < 0:  # run counts ticks from 0
+            raise IoFailure(f"{where}: field 'tick' must be >= 0, got {value}")
         else:
             fields[key] = value
     return RebalanceEvent(**fields)
@@ -316,21 +305,19 @@ def verify_event_log(events: Iterable[RebalanceEvent]) -> list[str]:
 
     Sequence numbers must be gap-free from 0, and every MoveCompleted must be
     preceded, within the same tick, by the DrainStarted, NodeDeprovisioned,
-    and NodeProvisioned events for the same node.
+    and NodeProvisioned events for the same node. The events are checked one
+    at a time as they are iterated, so no copy of a long log is held.
     """
-    events = iter(events)
-    # The columns of 512 events at a time, so no copy of a long log is held.
-    batches = iter(lambda: list(zip(*islice(events, 512))), [])
-    return _check_events(map(itemgetter(0, 1, 2, 5), batches))[0]
+    return _check_events(map(itemgetter(0, 1, 2, 5), events))[0]
 
 
-def _check_events(batches: Iterable[tuple]) -> tuple[list[str], dict[str, int]]:
-    """One pass over a log given as non-empty batches of its columns (ticks,
-    sequences, kinds, nodes): verify_event_log's violations (the sequence and
-    tick ones, then the causality ones) and the number of events per kind."""
+def _check_events(rows: Iterable[tuple]) -> tuple[list[str], dict[str, int]]:
+    """One pass over a log given as its events' (tick, sequence, kind, node)
+    rows: verify_event_log's violations (the sequence and tick ones, then the
+    causality ones) and the number of events per kind."""
     ordering: list[str] = []
     causality: list[str] = []
-    counts: Counter[str] = Counter()
+    counts: dict[str, int] = {}
     # Enum member values are read through a property: once, not per event.
     move_completed = EventKind.MOVE_COMPLETED.value
     required = (
@@ -340,31 +327,26 @@ def _check_events(batches: Iterable[tuple]) -> tuple[list[str], dict[str, int]]:
     )
     # (tick, node) -> required kinds logged so far; a tuple takes a third of a set's memory
     seen: dict[tuple[int, str | None], tuple[str, ...]] = {}
-    position = 0
     last_tick = None
-    for ticks, sequences, kinds, nodes in batches:
-        counts.update(kinds)
-        for expected, (tick, sequence, kind, node) in enumerate(
-                zip(ticks, sequences, kinds, nodes), position):
-            if sequence != expected:
-                ordering.append(f"sequence gap at position {expected}:"
-                                f" expected {expected}, got {sequence}")
-            if last_tick is not None and tick < last_tick:
-                ordering.append(
-                    f"tick went backwards at sequence {sequence}: {last_tick} -> {tick}")
-            last_tick = tick
-            if kind == move_completed:
-                logged = seen.get((tick, node), ())
-                for needed in required:
-                    if needed not in logged:
-                        causality.append(
-                            f"MoveCompleted at sequence {sequence} for node {node!r}"
-                            f" lacks a same-tick {needed} before it"
-                        )
-            elif kind in required:
-                key = (tick, node)
-                seen[key] = seen.get(key, ()) + (kind,)
-        position += len(ticks)
+    for expected, (tick, sequence, kind, node) in enumerate(rows):
+        if sequence != expected:
+            ordering.append(f"sequence gap at position {expected}:"
+                            f" expected {expected}, got {sequence}")
+        if last_tick is not None and tick < last_tick:
+            ordering.append(f"tick went backwards at sequence {sequence}: {last_tick} -> {tick}")
+        last_tick = tick
+        counts[kind] = counts.get(kind, 0) + 1
+        if kind == move_completed:
+            logged = seen.get((tick, node), ())
+            for needed in required:
+                if needed not in logged:
+                    causality.append(
+                        f"MoveCompleted at sequence {sequence} for node {node!r}"
+                        f" lacks a same-tick {needed} before it"
+                    )
+        elif kind in required:
+            key = (tick, node)
+            seen[key] = seen.get(key, ()) + (kind,)
     return ordering + causality, counts
 
 

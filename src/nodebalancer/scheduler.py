@@ -65,7 +65,7 @@ def drain_node(
     placed, unplaced = cluster.plan(node_id)
     recorder.emit(EventKind.DRAIN_STARTED, cluster=cluster.id, node=node_id,
                   pods=len(placed) + len(unplaced))
-    if unplaced and not force:
+    if not force and unplaced:
         # Nothing was mutated yet, so aborting really is a no-op.
         recorder.emit(
             EventKind.DRAIN_RESTORED,

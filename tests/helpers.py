@@ -3,10 +3,10 @@
 The reference functions (ffd_oracle, raw utilization sums) are written from
 the documented behaviour, not from the package internals, so they can catch
 the package drifting from its own contract. reference_iter_metrics is the
-metrics reader the package's batched one replaced, reference_check_events the
-per-event checker that report ran over iter_events before it read the event
-log in batches, and ReferenceColumn the per-pod column that a cluster's runs
-of pods replaced, kept to compare against.
+metrics reader the package's batched one replaced, reference_check_events a
+per-event checker over decoded events, which report's own event pass (an
+envelope match per line) must agree with, and ReferenceColumn the per-pod
+column that a cluster's runs of pods replaced, kept to compare against.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 
 from nodebalancer import engine
 from nodebalancer.cli import main
-from nodebalancer.reporting import read_events, read_metrics
+from nodebalancer.reporting import _ENVELOPE, read_events, read_metrics
 
 from helpers import OVER_LONG_INT_JSON, TOO_DEEP_JSON
 
@@ -90,6 +90,24 @@ def test_a_threshold_beyond_the_float_range_is_a_scenario_error(tmp_path, capsys
     assert captured.out == ""
     assert captured.err == (
         "scenario error: groups[0].thresholds.t_low: expected a number in the float range\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+def test_a_trace_level_beyond_the_float_range_is_a_scenario_error(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["clusters"][0]["trace"]["level"] = 10**400
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    args = [command, "--scenario", str(path)]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "scenario error: clusters[0].trace.level: expected an integer in the float range\n"
     )
     assert not (tmp_path / "out").exists()
 
@@ -290,6 +308,49 @@ def test_report_rebuilds_compare_layout(scenario_file, tmp_path, capsys):
         assert (out / name).read_bytes() == payload
 
 
+def test_report_reads_a_log_whose_ids_need_json_escapes(tmp_path, capsys):
+    """Ids with a quote, a backslash, non-ASCII text and U+2028 are escaped
+    in the log, so their lines reach report's JSON decoder; the plain group's
+    lines match the envelope. A move and a restoration check causality across
+    both kinds of line, and report rebuilds summary.json byte for byte."""
+    capacity = {"cpu_millicores": 4000, "memory_mib": 8192}
+    hot, cold, group = 'hot "\xe9"', "cold\\\u2603", "g\u2028x"
+    doc = {
+        "clusters": [
+            {"id": hot, "node_count": 2, "node_capacity": capacity,
+             "trace": {"kind": "Constant", "level": 7500}},
+            {"id": cold, "node_count": 3, "node_capacity": capacity,
+             "trace": {"kind": "Constant", "level": 2000}},
+            {"id": "plain", "node_count": 1, "node_capacity": capacity,
+             "trace": {"kind": "Constant", "level": 1000}},
+        ],
+        "groups": [
+            {"id": group, "thresholds": {"t_low": 0.3, "t_high": 0.8},
+             "balance_interval": 1, "members": [hot, cold]},
+            {"id": "solo", "thresholds": {"t_low": 0.3, "t_high": 0.8},
+             "balance_interval": 1, "members": ["plain"]},
+        ],
+        "membership_changes": [{"tick": 3, "action": "Remove", "cluster": cold, "group": group}],
+        "ticks": 6,
+        "seed": 1,
+    }
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    kinds = [event.kind for event in read_events(out / "events.jsonl")]
+    assert "MoveCompleted" in kinds and "RestorationCompleted" in kinds
+    with open(out / "events.jsonl", encoding="utf-8") as handle:
+        matched = [bool(_ENVELOPE.match(line)) for line in handle]
+    assert True in matched and False in matched
+    original = (out / "summary.json").read_bytes()
+    (out / "summary.json").unlink()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "summary.json").read_bytes() == original
+
+
 def test_report_flags_tampered_log(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--scenario", str(scenario_file), "--out", str(out)])
@@ -328,6 +389,8 @@ def test_report_on_unreadable_metrics(scenario_file, tmp_path, capsys):
         ("events.jsonl", 1, "[1, 2]", "events.jsonl:2: expected a JSON object, got list"),
         ("events.jsonl", 0, '{"tick":false,"sequence":false,"kind":"GroupCreated","detail":{}}',
          "events.jsonl:1: field 'tick' must be int, got False"),
+        ("events.jsonl", 0, '{"tick":-1,"sequence":0,"kind":"GroupCreated","group":"g","detail":{}}',
+         "events.jsonl:1: field 'tick' must be >= 0, got -1"),
         ("metrics.csv", 2, "0,b,0.250000,0.156250,0.250000,two,0,0,0",
          "metrics.csv:3: field 'active_nodes': cannot read 'two'"),
         ("metrics.csv", 2, "-7,b,0.250000,0.156250,0.250000,2,0,0,0",
@@ -347,6 +410,7 @@ def test_report_on_unreadable_metrics(scenario_file, tmp_path, capsys):
         "event-without-tick",
         "event-not-an-object",
         "event-boolean-tick",
+        "event-negative-tick",
         "metrics-cell-not-an-integer",
         "metrics-negative-count",
         "metrics-not-finite",

@@ -222,6 +222,27 @@ def test_parse_accepts_all_trace_kinds():
         pytest.param(lambda d: d["groups"][0]["thresholds"].update(t_low=10**400),
                      r"^groups\[0\]\.thresholds\.t_low: expected a number in the float range$",
                      id="int-beyond-float-range"),
+        # The workload computes with these as floats, so run would abort on them.
+        *(pytest.param(lambda d, trace=trace: d["clusters"][0].update(trace=trace),
+                       rf"^clusters\[0\]\.trace\.{field}: expected an integer in the float range$",
+                       id=f"{name}-beyond-float-range")
+          for name, field, trace in [
+              ("constant-level", "level", {"kind": "Constant", "level": 10**400}),
+              ("step-level", r"steps\[1\]\.level", {"kind": "Step", "steps": [
+                  {"tick": 0, "level": 5}, {"tick": 2, "level": 10**400}]}),
+              ("sine-base", "base", {"kind": "Sine", "base": 10**400, "amplitude": 1, "period": 9}),
+              ("sine-amplitude", "amplitude",
+               {"kind": "Sine", "base": 1, "amplitude": 10**400, "period": 9}),
+              ("sine-period", "period", {"kind": "Sine", "base": 1, "amplitude": 1, "period": 10**400}),
+              ("sine-phase", "phase",
+               {"kind": "Sine", "base": 1, "amplitude": 1, "period": 9, "phase": 10**400}),
+              ("spike-base", "base",
+               {"kind": "Spike", "base": 10**400, "peak": 2, "start": 0, "duration": 1}),
+              ("spike-peak", "peak",
+               {"kind": "Spike", "base": 1, "peak": 10**400, "start": 0, "duration": 1}),
+              ("quantum-cpu", r"pod_quantum\.cpu_millicores", {"kind": "Constant", "level": 5,
+               "pod_quantum": {"cpu_millicores": 10**400, "memory_mib": 1}}),
+          ]),
         pytest.param(lambda d: d["clusters"][0].update(id=""),
                      r"^clusters\[0\]\.id: expected a non-empty string$", id="empty-string"),
         pytest.param(lambda d: d["clusters"][0]["trace"].pop("kind"),
@@ -295,6 +316,22 @@ def test_parse_rejects_bad_documents(mutate, message):
     mutate(doc)
     with pytest.raises(ScenarioInvalid, match=message):
         parse_scenario(doc)
+
+
+_PAST_FLOAT = 10**400  # float() of it raises OverflowError
+
+
+def test_ints_only_compared_or_multiplied_may_pass_the_float_range():
+    """A Spike's start and duration, a pod's memory and a node's capacity
+    never become floats, so such an int runs."""
+    doc = _doc()
+    doc["clusters"][0]["node_capacity"]["memory_mib"] = _PAST_FLOAT
+    doc["clusters"][0]["trace"] = {
+        "kind": "Spike", "base": 1000, "peak": 2000, "start": _PAST_FLOAT, "duration": _PAST_FLOAT,
+        "pod_quantum": {"cpu_millicores": 100, "memory_mib": _PAST_FLOAT}}
+    records = [r for r in run(parse_scenario(doc)).tick_records if r.cluster_id == "a"]
+    assert len(records) == 3 and records[0].pending_pods > 0
+    assert all(r.pending_memory_mib == r.pending_pods * _PAST_FLOAT for r in records)
 
 
 @pytest.mark.parametrize("key", ["groups", "membership_changes"])

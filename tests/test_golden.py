@@ -307,9 +307,9 @@ def test_golden_digests(name, tmp_path):
 
 
 def test_the_envelope_reads_every_line_the_engine_logs(tmp_path):
-    """report reads a batch of the event log with one regex call only when
-    each of its lines matches the envelope pattern. Every line of every
-    golden run must, and between them the runs log every event kind."""
+    """report reads an event line with one regex match when it matches the
+    envelope pattern, and decodes it as JSON otherwise. Every line of every
+    golden run must match, and between them the runs log every event kind."""
     kinds = set()
     for name, doc in SCENARIOS.items():
         scenario = tmp_path / f"{name}.json"

@@ -6,7 +6,6 @@ import random
 import re
 import warnings
 from enum import IntEnum
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,14 +27,13 @@ from nodebalancer import (
     write_metrics,
     write_summary,
 )
-from nodebalancer import reporting
 from nodebalancer.errors import IoFailure
 from nodebalancer.model import ResourceVector, Utilization
 from nodebalancer.reporting import (
     METRICS_HEADER,
     _check_events,
-    _event_columns,
     _event_line,
+    _event_rows,
     _summarize_metrics,
 )
 
@@ -492,13 +490,15 @@ def _outcome(check):
     odd_rate=st.sampled_from([0.0, 0.05, 0.3]),
     odd=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_ODD_EVENT_LINES)), max_size=4),
     final_end=st.booleans(),
-    batch_chars=st.sampled_from([1, 150, 600, reporting._BATCH_CHARS]),
 )
-@example(seed=0, length=60, odd_rate=0.0, odd=[], final_end=True, batch_chars=600)
-@example(seed=0, length=0, odd_rate=0.0, odd=[(0, "")], final_end=False, batch_chars=1)
+@example(seed=0, length=60, odd_rate=0.0, odd=[], final_end=True)
+@example(seed=0, length=0, odd_rate=0.0, odd=[(0, "")], final_end=False)
 def test_batched_event_reader_matches_the_per_line_reference(
-    tmp_path_factory, seed, length, odd_rate, odd, final_end, batch_chars
+    tmp_path_factory, seed, length, odd_rate, odd, final_end
 ):
+    """report's event pass, the envelope match with _decode_event behind
+    it, gives the per-event reference's outcome over iter_events: the same
+    violations and counts, or the same IoFailure text and line number."""
     rng = random.Random(seed)
 
     def pick(usual, unusual):
@@ -524,8 +524,7 @@ def test_batched_event_reader_matches_the_per_line_reference(
     path.write_bytes(text.encode("utf-8"))
 
     expected = _outcome(lambda: reference_check_events(iter_events(path)))
-    with mock.patch.object(reporting, "_BATCH_CHARS", batch_chars):
-        assert _outcome(lambda: _check_events(_event_columns(path))) == expected
+    assert _outcome(lambda: _check_events(_event_rows(path))) == expected
 
 
 @pytest.mark.parametrize(
@@ -541,16 +540,13 @@ def test_batched_event_reader_matches_the_per_line_reference(
     ],
     ids=["move-after-its-provenance", "sequence-gap", "tick-backwards"],
 )
-def test_a_batch_boundary_changes_no_check(tmp_path, monkeypatch, events, violations):
-    """The fourth event opens the second batch: causality, sequences and
-    ticks are checked across the boundary as within a batch."""
+def test_a_batch_boundary_changes_no_check(tmp_path, events, violations):
+    """report checks the file's events as one stream: a fault at the fourth
+    event, where a batched reader would start its second batch, is named
+    exactly as the per-event reference names it."""
     path = tmp_path / "events.jsonl"
     write_events(events, path)
-    head = path.read_text(encoding="utf-8").split("\n")[:3]
-    # readlines stops once its lines hold more characters than the hint.
-    monkeypatch.setattr(reporting, "_BATCH_CHARS", sum(len(line) + 1 for line in head) - 1)
-    assert [len(ticks) for ticks, *_ in _event_columns(path)][0] == 3
-    result = _check_events(_event_columns(path))
+    result = _check_events(_event_rows(path))
     assert result == reference_check_events(iter_events(path))
     assert result[0] == violations
 
