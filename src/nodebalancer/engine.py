@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .balancer import rebalance_cycle
 from .errors import (
@@ -55,8 +54,7 @@ from .workload import (
 MAX_SEED = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(NamedTuple):
     """One cluster of a scenario; quantum is the demand of each of its pods,
     read from its trace's pod_quantum key."""
 
@@ -67,16 +65,14 @@ class ClusterSpec:
     quantum: ResourceVector
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     id: str
     thresholds: Thresholds
     balance_interval: int
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A complete, validated run description.
 
     seed is recorded for provenance but drives nothing: every mechanism in
@@ -90,8 +86,7 @@ class Scenario:
     seed: int = 0
 
 
-@dataclass
-class RunArtifacts:
+class RunArtifacts(NamedTuple):
     """Everything a run produces, in memory."""
 
     events: list[RebalanceEvent]
@@ -99,8 +94,7 @@ class RunArtifacts:
     summary: dict
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     balanced: RunArtifacts
     static: RunArtifacts
     summary: dict
@@ -530,7 +524,7 @@ def compare(scenario: Scenario) -> ComparisonReport:
     stay exactly where the scenario placed them.
     """
     balanced = run(scenario)
-    static = run(replace(scenario, groups=(), membership_changes=()))
+    static = run(scenario._replace(groups=(), membership_changes=()))
     return ComparisonReport(
         balanced=balanced,
         static=static,

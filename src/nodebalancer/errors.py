@@ -65,11 +65,11 @@ class InvariantViolation(BalancingError):
 
 
 class SimulationAborted(BalancingError):
-    """A run stopped mid-tick; last_consistent_tick is the last completed one."""
+    """A run stopped mid-tick; last_consistent_tick is the last completed one.
+    The message ends with the cause's text, or its type if it has none."""
 
     def __init__(self, tick: int, cause: BaseException):
-        super().__init__(
-            f"aborted during tick {tick} (last consistent tick: {tick - 1}): {cause}"
-        )
+        reason = str(cause) or type(cause).__name__
+        super().__init__(f"aborted during tick {tick} (last consistent tick: {tick - 1}): {reason}")
         self.tick = tick
         self.last_consistent_tick = tick - 1

@@ -3,8 +3,8 @@ protocol that puts every node back where it originally came from."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     AlreadyGrouped,
@@ -24,8 +24,7 @@ class MembershipAction(str, Enum):
     REMOVE = "Remove"
 
 
-@dataclass(frozen=True)
-class MembershipChange:
+class MembershipChange(NamedTuple):
     """A scheduled join or leave, applied at the start of its tick."""
 
     tick: int
@@ -34,8 +33,7 @@ class MembershipChange:
     group: str
 
 
-@dataclass(frozen=True)
-class RestorationReport:
+class RestorationReport(NamedTuple):
     """What a group exit did: nodes sent home, nodes recalled, pods displaced.
 
     pending_pods lists (pod id, cluster id) for pods that lost their node in

@@ -8,7 +8,6 @@ from measured usage, so results are exactly reproducible.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
 from types import MappingProxyType
@@ -17,28 +16,56 @@ from typing import NamedTuple
 from .errors import InvalidThresholds, NodeNotInCluster, ZeroCapacity
 
 
-# Not slots=True: a frozen dataclass with slots raises TypeError, not
-# AttributeError, when a new attribute is stored (its generated __setattr__
-# calls super() on the class that slots=True replaced), on Python 3.10-3.13.
-@dataclass(frozen=True)
-class ResourceVector:
-    """A (cpu millicores, memory MiB) pair."""
+class _Fields:
+    """Equality and repr field by field over the __slots__ of a subclass,
+    equal only to its own class; unhashable unless the subclass says how."""
 
-    cpu: int = 0
-    memory: int = 0
+    __slots__ = ()
+    __hash__ = None
 
-    def __post_init__(self):
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ResourceVector(_Fields):
+    """A (cpu millicores, memory MiB) pair: a read-only value, equal and
+    hashed by its components."""
+
+    __slots__ = ("cpu", "memory")
+
+    def __init__(self, cpu: int = 0, memory: int = 0):
+        object.__setattr__(self, "cpu", cpu)
+        object.__setattr__(self, "memory", memory)
         # Valid states never hold negative resources; catching it here turns
         # accounting bugs into immediate failures instead of silent corruption.
-        if self.cpu < 0 or self.memory < 0:
+        if cpu < 0 or memory < 0:
             raise ValueError(f"resource components must be non-negative, got {self!r}")
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{name!r}: a ResourceVector is read-only")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash((self.cpu, self.memory))
+
+    def __reduce__(self):  # pickle and copy through __init__, not __setattr__
+        return ResourceVector, (self.cpu, self.memory)
 
 
 DEFAULT_POD_QUANTUM = ResourceVector(cpu=100, memory=128)
 
 
-@dataclass(slots=True)
-class Node:
+class Node(_Fields):
     """A capacity-bearing unit.
 
     origin_cluster is fixed when the node is first provisioned and never
@@ -49,13 +76,12 @@ class Node:
     stores no pods: its hosting cluster's runs say which run on it.
     """
 
-    id: str
-    capacity: ResourceVector
-    origin_cluster: str
+    __slots__ = ("id", "capacity", "origin_cluster")
 
-    def __post_init__(self):
-        if self.capacity.cpu <= 0 or self.capacity.memory <= 0:
-            raise ValueError(f"node {self.id!r}: capacity must be strictly positive")
+    def __init__(self, id: str, capacity: ResourceVector, origin_cluster: str):
+        if capacity.cpu <= 0 or capacity.memory <= 0:
+            raise ValueError(f"node {id!r}: capacity must be strictly positive")
+        self.id, self.capacity, self.origin_cluster = id, capacity, origin_cluster
 
 
 def pod_id(cluster_id: str, tick: int, index: int) -> str:
@@ -118,8 +144,7 @@ def _extend(runs: list[tuple], length: int, node_id: str | None) -> None:
             runs.append((length, node_id))
 
 
-@dataclass
-class Cluster:
+class Cluster(_Fields):
     """A set of nodes and the pods running (or waiting to run) on them.
 
     Every pod demands the cluster's fixed quantum, so a pod is only its id
@@ -132,12 +157,15 @@ class Cluster:
     are read-only views, and counts sums the runs.
     """
 
-    id: str
-    nodes: dict[str, Node] = field(default_factory=dict)
-    original_node_ids: frozenset[str] = frozenset()
-    quantum: ResourceVector = DEFAULT_POD_QUANTUM
-    _runs: list[tuple[int, str | None]] = field(default_factory=list, init=False, repr=False)
-    _batches: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False)
+    __slots__ = ("id", "nodes", "original_node_ids", "quantum", "_runs", "_batches")
+
+    def __init__(self, id: str, nodes: dict[str, Node] | None = None,
+                 original_node_ids: frozenset[str] = frozenset(),
+                 quantum: ResourceVector = DEFAULT_POD_QUANTUM):
+        self.id, self.nodes = id, {} if nodes is None else nodes
+        self.original_node_ids, self.quantum = original_node_ids, quantum
+        self._runs: list[tuple[int, str | None]] = []
+        self._batches: list[tuple[int, int]] = []
 
     @property
     def runs(self) -> tuple[tuple[int, str | None], ...]:
@@ -357,37 +385,44 @@ def build_cluster(
     )
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """User-chosen utilization bounds steering the balancer.
-
-    Clusters above t_high ask for capacity; clusters below t_low may give
-    some up. Construction enforces 0 < t_low < t_high <= 1, raising
-    InvalidThresholds that names the violated relation.
-    """
-
+class _ThresholdFields(NamedTuple):
     t_low: float
     t_high: float
 
-    def __post_init__(self):
-        if not 0 < self.t_low < 1:
-            raise InvalidThresholds(f"t_low must be in (0, 1), got {self.t_low}")
-        if not 0 < self.t_high <= 1:
-            raise InvalidThresholds(f"t_high must be in (0, 1], got {self.t_high}")
-        if not self.t_low < self.t_high:
+
+class Thresholds(_ThresholdFields):
+    """User-chosen utilization bounds steering the balancer.
+
+    Clusters above t_high ask for capacity; clusters below t_low may give
+    some up. Construction, _replace too, enforces 0 < t_low < t_high <= 1,
+    raising InvalidThresholds that names the violated relation.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t_low: float, t_high: float):
+        if not 0 < t_low < 1:
+            raise InvalidThresholds(f"t_low must be in (0, 1), got {t_low}")
+        if not 0 < t_high <= 1:
+            raise InvalidThresholds(f"t_high must be in (0, 1], got {t_high}")
+        if not t_low < t_high:
             raise InvalidThresholds(
-                f"t_low must be strictly less than t_high, got ({self.t_low}, {self.t_high})"
+                f"t_low must be strictly less than t_high, got ({t_low}, {t_high})"
             )
+        return tuple.__new__(cls, (t_low, t_high))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # the one that _replace calls
 
 
-@dataclass
-class Group:
+class Group(_Fields):
     """Clusters pooled for node sharing, plus the policy knobs for the pool."""
 
-    id: str
-    members: list[str] = field(default_factory=list)
-    thresholds: Thresholds = Thresholds(0.3, 0.8)
-    balance_interval: int = 1
+    __slots__ = ("id", "members", "thresholds", "balance_interval")
+
+    def __init__(self, id: str, members: list[str] | None = None,
+                 thresholds: Thresholds = Thresholds(0.3, 0.8), balance_interval: int = 1):
+        self.id, self.members = id, [] if members is None else members
+        self.thresholds, self.balance_interval = thresholds, balance_interval
 
 
 class Utilization(NamedTuple):

@@ -49,9 +49,9 @@ class RebalanceEvent(_RebalanceEventFields):
     sequence is gap-free from 0 across the whole run, so the log totally
     orders events even within a tick.
 
-    An immutable tuple: one allocation where a frozen dataclass sets each
-    field through object.__setattr__. Copy one with _replace. An event built
-    without detail gets a fresh empty dict, never one shared between events.
+    An immutable tuple, built in one allocation. Copy one with _replace. An
+    event built without detail gets a fresh empty dict, never one shared
+    between events.
     """
 
     __slots__ = ()

@@ -38,7 +38,8 @@ def place_pending(cluster: Cluster) -> PodIds:
     Pods that fit nowhere stay Pending. Placing nothing is not an error.
     """
     placed, _ = cluster.plan(None)
-    cluster.rebind(placed)
+    if placed.slices:  # often nothing is Pending, or nothing fits
+        cluster.rebind(placed)
     return placed
 
 

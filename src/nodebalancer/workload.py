@@ -10,78 +10,89 @@ adjusts a cluster's pod set toward that target and always leaves
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .model import Cluster, PodIds, ResourceVector
 
 
-@dataclass(frozen=True)
-class ConstantTrace:
-    kind: ClassVar[str] = "Constant"
+class ConstantTrace(NamedTuple):
     level: int
 
+    kind = "Constant"
+
     def level_at(self, tick: int) -> float:
-        return float(self.level)
+        (level,) = self
+        return float(level)
 
 
-@dataclass(frozen=True)
-class StepTrace:
-    """Piecewise-constant demand; steps are (start tick, level), first at 0."""
-
-    kind: ClassVar[str] = "Step"
+class _StepFields(NamedTuple):
     steps: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if not self.steps or self.steps[0][0] != 0:
+
+class StepTrace(_StepFields):
+    """Piecewise-constant demand; steps are (start tick, level), first at 0."""
+
+    __slots__ = ()
+    kind = "Step"
+
+    def __new__(cls, steps: tuple[tuple[int, int], ...]):
+        if not steps or steps[0][0] != 0:
             raise ValueError("steps must be non-empty and start at tick 0")
-        starts = [start for start, _ in self.steps]
+        starts = [start for start, _ in steps]
         if starts != sorted(set(starts)):
             raise ValueError("step start ticks must be strictly ascending")
+        return tuple.__new__(cls, (steps,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # the one that _replace calls
 
     def level_at(self, tick: int) -> float:
-        level = self.steps[0][1]
-        for start, value in self.steps:
+        (steps,) = self
+        level = steps[0][1]
+        for start, value in steps:
             if start > tick:
                 break
             level = value
         return float(level)
 
 
-@dataclass(frozen=True)
-class SineTrace:
-    """base + amplitude * sin(2*pi*(tick + phase) / period), clamped at 0."""
-
-    kind: ClassVar[str] = "Sine"
+class _SineFields(NamedTuple):
     base: int
     amplitude: int
     period: int
     phase: int = 0
 
-    def __post_init__(self):
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
+
+class SineTrace(_SineFields):
+    """base + amplitude * sin(2*pi*(tick + phase) / period), clamped at 0."""
+
+    __slots__ = ()
+    kind = "Sine"
+
+    def __new__(cls, base: int, amplitude: int, period: int, phase: int = 0):
+        if period < 1:
+            raise ValueError(f"period must be >= 1, got {period}")
+        return tuple.__new__(cls, (base, amplitude, period, phase))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # the one that _replace calls
 
     def level_at(self, tick: int) -> float:
-        return self.base + self.amplitude * math.sin(
-            2.0 * math.pi * (tick + self.phase) / self.period
-        )
+        base, amplitude, period, phase = self
+        return base + amplitude * math.sin(2.0 * math.pi * (tick + phase) / period)
 
 
-@dataclass(frozen=True)
-class SpikeTrace:
+class SpikeTrace(NamedTuple):
     """Flat base with a rectangular burst on [start, start + duration)."""
 
-    kind: ClassVar[str] = "Spike"
     base: int
     peak: int
     start: int
     duration: int
 
+    kind = "Spike"
+
     def level_at(self, tick: int) -> float:
-        if self.start <= tick < self.start + self.duration:
-            return float(self.peak)
-        return float(self.base)
+        base, peak, start, duration = self
+        return float(peak if start <= tick < start + duration else base)
 
 
 TraceSpec = Union[ConstantTrace, StepTrace, SineTrace, SpikeTrace]

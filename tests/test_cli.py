@@ -271,6 +271,17 @@ def test_run_reports_write_failures(scenario_file, tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+def test_run_names_an_abort_whose_cause_has_no_text(scenario_file, tmp_path, capsys, monkeypatch):
+    def out_of_memory(cluster, trace, tick):  # raised, not provoked by allocating
+        raise MemoryError()
+
+    monkeypatch.setattr(engine, "apply_workload", out_of_memory)
+    code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "run failed: aborted during tick 0 (last consistent tick: -1): MemoryError\n")
+
+
 def test_compare_layout(scenario_file, tmp_path, capsys):
     out = tmp_path / "cmp"
     assert main(["compare", "--scenario", str(scenario_file), "--out", str(out)]) == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -464,7 +463,7 @@ def test_received_nodes_absorb_backlog_in_the_same_tick():
     assert by_key[(0, "a")].active_nodes == 4
     assert by_key[(0, "a")].pending_pods == 0
 
-    static = dataclasses.replace(parse_scenario(doc), groups=(), membership_changes=())
+    static = parse_scenario(doc)._replace(groups=(), membership_changes=())
     static_records = {(r.tick, r.cluster_id): r for r in run(static).tick_records}
     assert static_records[(0, "a")].pending_pods == 10
 
@@ -541,12 +540,11 @@ def test_corruption_aborts_with_last_consistent_tick():
 
 
 def test_runtime_membership_error_aborts():
-    # parse_scenario refuses this sequence; replace() skips it, so the run
+    # parse_scenario refuses this sequence; _replace() skips it, so the run
     # itself must abort on the second leave.
     leave = MembershipChange(tick=1, action=MembershipAction.REMOVE, cluster="b", group="g")
-    scenario = dataclasses.replace(
-        parse_scenario(_doc(ticks=4)),
-        membership_changes=(leave, dataclasses.replace(leave, tick=2)),
+    scenario = parse_scenario(_doc(ticks=4))._replace(
+        membership_changes=(leave, leave._replace(tick=2)),
     )
     with pytest.raises(SimulationAborted) as info:
         run(scenario)
@@ -554,12 +552,25 @@ def test_runtime_membership_error_aborts():
     assert "cluster 'b' is not a member of group 'g'" in str(info.value)
 
 
+def test_an_abort_names_a_cause_that_has_no_text(monkeypatch):
+    # A bare MemoryError(), as Cluster.pieces raises on a batch too large to
+    # hold, has no text; the reason names its type. Raised here, not provoked.
+    def out_of_memory(cluster, trace, tick):
+        raise MemoryError()
+
+    monkeypatch.setattr(engine, "apply_workload", out_of_memory)
+    with pytest.raises(SimulationAborted) as info:
+        run(parse_scenario(_doc()))
+    assert str(info.value) == "aborted during tick 0 (last consistent tick: -1): MemoryError"
+    assert isinstance(info.value.__cause__, MemoryError)
+
+
 def test_load_scenario_ticks_override_touches_only_ticks(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_doc()), encoding="utf-8")
     scenario = load_scenario(path)
     bumped = load_scenario(path, ticks=10)
-    assert bumped == dataclasses.replace(scenario, ticks=10)
+    assert bumped == scenario._replace(ticks=10)
     assert load_scenario(path, ticks=None) == scenario
 
     with pytest.raises(ScenarioInvalid, match=r"^scenario\.ticks: must be >= 1, got 0$"):

@@ -8,6 +8,9 @@ from nodebalancer import (
     Node,
     RebalanceEvent,
     ResourceVector,
+    SineTrace,
+    StepTrace,
+    Thresholds,
     TickRecord,
     Utilization,
     build_cluster,
@@ -16,7 +19,7 @@ from nodebalancer import (
     node_utilization,
     place_pending,
 )
-from nodebalancer.errors import NodeNotInCluster, ZeroCapacity
+from nodebalancer.errors import InvalidThresholds, NodeNotInCluster, ZeroCapacity
 from nodebalancer.model import NO_PODS, PodIds, node_demand
 
 from helpers import (
@@ -51,6 +54,38 @@ def test_resource_vector_rejects_negative_components():
         ResourceVector(-1, 0)
     with pytest.raises(ValueError):
         ResourceVector(100, -128)
+
+
+def test_a_vector_is_a_read_only_value_and_a_node_is_not():
+    a = ResourceVector(300, 512)
+    for change in (lambda: setattr(a, "cpu", 1), lambda: delattr(a, "memory")):
+        with pytest.raises(AttributeError):
+            change()
+    with pytest.raises(TypeError):
+        a < ResourceVector(400, 512)
+    assert repr(a) == "ResourceVector(cpu=300, memory=512)"  # the audit prints it
+    node = Node(id="n", capacity=a, origin_cluster="c")
+    node.capacity = ResourceVector(100, 128)
+    assert node == Node(id="n", capacity=ResourceVector(100, 128), origin_cluster="c")
+    with pytest.raises(TypeError):
+        hash(node)
+
+
+@pytest.mark.parametrize(
+    "record, change, error",
+    [
+        (Thresholds(0.3, 0.8), {"t_low": 0.9},
+         r"^t_low must be strictly less than t_high, got \(0\.9, 0\.8\)$"),
+        (StepTrace(((0, 100),)), {"steps": ((5, 100),)},
+         "^steps must be non-empty and start at tick 0$"),
+        (SineTrace(400, 200, 10), {"period": 0}, "^period must be >= 1, got 0$"),
+    ],
+    ids=["thresholds", "step", "sine"],
+)
+def test_a_copy_made_with_replace_is_checked_too(record, change, error):
+    with pytest.raises((InvalidThresholds, ValueError), match=error):
+        record._replace(**change)
+    assert type(record._replace()) is type(record) and record._replace() == record
 
 
 def test_node_capacity_must_be_positive():

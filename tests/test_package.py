@@ -2,6 +2,8 @@
 the installed names and the parsed source."""
 
 import ast
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -55,3 +57,16 @@ def test_the_import_check_names_a_third_party_import():
         (5, "numpy"),
         (6, "hypothesis"),
     ]
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses imports inspect, which imports ast and dis, and compiles
+    # the methods of every class it builds: time and memory that every
+    # command pays at start-up. -S keeps site-packages' imports out.
+    probe = ("import sys, nodebalancer.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & sys.modules.keys()))")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert result.stdout == "[]\n"

@@ -96,8 +96,8 @@ def test_record_fields_are_read_only(record):
     assert record.tick == 0
 
 
-# A frozen dataclass with slots=True raised TypeError here (its __setattr__
-# calls super() on the class that slots=True replaced).
+# ResourceVector is a slotted class whose __setattr__ refuses every store, and
+# the others are NamedTuples: each raises AttributeError, not TypeError.
 @pytest.mark.parametrize(
     "record",
     _records() + [ResourceVector(1, 2), Utilization(0.5, 0.25, 0.5)],
